@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 SYMBOLS = "ACGT"
 A, C, G, T = 0, 1, 2, 3
 
@@ -17,6 +19,12 @@ CODE_OF.update({ch.lower(): i for i, ch in enumerate(SYMBOLS)})
 TERMINATOR = "$"
 
 CHARS_PER_BYTE = 4
+
+# Byte value -> symbol code; _INVALID marks every byte outside ACGTacgt.
+_INVALID = 255
+_CODE_OF_BYTE = np.full(256, _INVALID, dtype=np.uint8)
+for _ch, _code in CODE_OF.items():
+    _CODE_OF_BYTE[ord(_ch)] = _code
 
 
 class AlphabetError(ValueError):
@@ -34,6 +42,16 @@ def encode(text: str) -> list[int]:
                 f"invalid character {ch!r} at position {i}; expected one of ACGT"
             )
         codes.append(code)
+    return codes
+
+
+def encode_array(text: str) -> np.ndarray:
+    """encode() as a uint8 array, validated by one table lookup."""
+    # "replace" turns each non-ASCII character into one '?', which keeps
+    # positions aligned and fails the lookup
+    codes = _CODE_OF_BYTE[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    if len(codes) and codes.max() == _INVALID:
+        encode(text)  # raises the AlphabetError naming the first bad character
     return codes
 
 

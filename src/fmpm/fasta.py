@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .alphabet import CODE_OF
+
+
+_NON_ACGT = re.compile(f"[^{''.join(CODE_OF)}]")
 
 
 class FastaError(ValueError):
@@ -62,16 +66,12 @@ def read_fasta(source: Iterable[str], sanitize: bool = False) -> list[FastaRecor
 
 
 def _clean(name: str, sequence: str, sanitize: bool) -> tuple[str, int]:
-    out = []
-    substituted = 0
-    for i, ch in enumerate(sequence):
-        if ch in CODE_OF:
-            out.append(ch.upper())
-        elif sanitize:
-            out.append("A")
-            substituted += 1
-        else:
-            raise FastaError(
-                f"record {name!r} contains non-ACGT character {ch!r} at offset {i}"
-            )
-    return "".join(out), substituted
+    if sanitize:
+        cleaned, substituted = _NON_ACGT.subn("A", sequence)
+        return cleaned.upper(), substituted
+    bad = _NON_ACGT.search(sequence)
+    if bad:
+        raise FastaError(
+            f"record {name!r} contains non-ACGT character {bad.group()!r} at offset {bad.start()}"
+        )
+    return sequence.upper(), 0

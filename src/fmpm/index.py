@@ -5,11 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .alphabet import CODE_OF, SYMBOLS, TERMINATOR, pack_codes
+import numpy as np
+
+from .alphabet import CHARS_PER_BYTE, SYMBOLS, TERMINATOR, encode_array
 from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
 from .suffix import build_suffix_array, bwt_from_sa
 
 SA_STRIDE = 32
+
+# lane value past the end of the transform: counted in no lane, packed as 0
+_PADDING = 4
 
 
 @dataclass(frozen=True)
@@ -76,27 +81,31 @@ def build_index(
     sa = build_suffix_array(reference)
     bwt, sentinel_row = bwt_from_sa(reference, sa)
     n = len(reference)
+    n_buckets = n // BUCKET_CHARS + 1
 
-    totals = tuple(bwt.count(s) for s in SYMBOLS)
-    c = build_c_table(totals)
+    # the terminator packs as code 0, so the A lane counts it
+    lanes = np.full(n_buckets * BUCKET_CHARS, _PADDING, dtype=np.uint8)
+    lanes[: n + 1] = encode_array(bwt.replace(TERMINATOR, SYMBOLS[0]))
+    by_bucket = lanes.reshape(n_buckets, BUCKET_CHARS)
+    inside = np.stack([(by_bucket == s).sum(axis=1) for s in range(4)], axis=1)
+    bases = np.cumsum(inside, axis=0) - inside
 
-    codes = [0 if ch == TERMINATOR else CODE_OF[ch] for ch in bwt]
-    buckets = []
-    base = (0, 0, 0, 0)
-    for start in range(0, n + 1, BUCKET_CHARS):
-        chunk = codes[start : start + BUCKET_CHARS]
-        chars = pack_codes(chunk, pad_to=BUCKET_BYTES)
-        buckets.append(OccBucket(base=base, chars=chars))
-        inside = count_bucket_all4(chars, len(chunk), kernel=Kernel.SCALAR)
-        base = tuple(b + d for b, d in zip(base, inside))
+    totals = inside.sum(axis=0)
+    totals[0] -= 1  # the terminator is not a reference character
+    c = build_c_table(totals.tolist())
 
-    sa_samples = tuple(sa[i] for i in range(0, n + 1, SA_STRIDE))
+    quads = (lanes & 3).reshape(-1, CHARS_PER_BYTE)
+    packed = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).tobytes()
+    buckets = tuple(
+        OccBucket(base=tuple(base), chars=packed[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
+        for j, base in enumerate(bases.tolist())
+    )
     return FmIndex(
         n=n,
         c=c,
-        buckets=tuple(buckets),
+        buckets=buckets,
         sentinel_row=sentinel_row,
-        sa_samples=sa_samples,
+        sa_samples=tuple(sa[::SA_STRIDE]),
         records=_normalize_records(records, n),
     )
 

@@ -138,7 +138,11 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     records = []
     for _ in range(record_count):
         (name_len,) = struct.unpack("<I", r.read(4, "record name length"))
-        name = r.read(name_len, "record name").decode("utf-8")
+        raw_name = r.read(name_len, "record name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"record name is not UTF-8: {exc}") from None
         start, length = struct.unpack("<QQ", r.read(16, "record span"))
         records.append(RecordSpan(name=name, start=start, length=length))
     computed = r.crc
@@ -148,6 +152,10 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     (stored,) = struct.unpack("<I", trailer)
     if stored != computed:
         raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
+    if sentinel_row > n:
+        raise IndexFormatError(f"sentinel row {sentinel_row} outside [0, {n}]")
+    if c[0] != 0 or c[4] != n or any(a > b for a, b in zip(c, c[1:])):
+        raise IndexFormatError(f"C table {c} is not a non-decreasing run from 0 to n={n}")
     return FmIndex(
         n=n,
         c=c,

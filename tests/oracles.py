@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
+
+from fmpm.alphabet import pack_codes
+from fmpm.kernels import count_bucket_scalar
+from fmpm.suffix import suffix_array_naive
 
 
 def random_dna(rng: random.Random, n: int) -> str:
@@ -69,3 +75,40 @@ def min_anchored_edit_distance(pattern: str, window: str, band: int) -> int:
 def bwt_prefix_counts(bwt: str, symbol_char: str, k: int) -> int:
     """Occurrences of symbol_char in bwt[0..k] by direct counting."""
     return bwt[: k + 1].count(symbol_char)
+
+
+def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> bytes:
+    """The .fmi file of `text`, built one character at a time.
+
+    Follows the layout documented in fmpm.serialize with the naive suffix
+    sort, per-character packing and the scalar counting kernel.
+    """
+    n = len(text)
+    sa = suffix_array_naive(text)
+    full = text.upper() + "$"
+    # full[-1] is the terminator, so suffix 0 picks it up
+    bwt = "".join(full[p - 1] for p in sa)
+    codes = [max(0, "ACGT".find(ch)) for ch in bwt]
+    c = [0]
+    for s in "ACGT":
+        c.append(c[-1] + full.count(s))
+
+    out = bytearray(b"FMPM")
+    out += struct.pack("<HHQIIQ", 1, 0, n, 128, 32, bwt.index("$"))
+    out += struct.pack("<5Q", *c)
+    starts = range(0, n + 1, 128)
+    out += struct.pack("<Q", len(starts))
+    base = [0, 0, 0, 0]
+    for start in starts:
+        chunk = codes[start : start + 128]
+        chars = pack_codes(chunk, pad_to=32)
+        out += struct.pack("<4Q", *base) + chars
+        for s in range(4):
+            base[s] += count_bucket_scalar(chars, len(chunk), s)
+    samples = sa[::32]
+    out += struct.pack(f"<Q{len(samples)}Q", len(samples), *samples)
+    out += struct.pack("<I", len(records))
+    for name, start, length in records:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<QQ", start, length)
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))

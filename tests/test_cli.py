@@ -1,5 +1,7 @@
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -106,6 +108,27 @@ def test_corrupt_index(acag_index):
     blob[-2] ^= 0xFF
     acag_index.write_bytes(bytes(blob))
     assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_CORRUPT
+
+
+def _rewrite_with_crc(path, offset, data):
+    """Overwrite bytes of an index file and store a matching checksum."""
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[offset : offset + len(data)] = data
+    path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+
+
+def test_out_of_range_sentinel_row_exits_corrupt(acag_index, capsys):
+    _rewrite_with_crc(acag_index, 24, struct.pack("<Q", 4 + 1000))  # sentinel_row field
+    assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_CORRUPT
+    assert "sentinel row" in capsys.readouterr().err
+
+
+def test_non_utf8_record_name_exits_corrupt(acag_index, capsys):
+    # the file ends with the name "r1", its start and length, then the CRC
+    name_at = len(acag_index.read_bytes()) - 4 - 16 - 2
+    _rewrite_with_crc(acag_index, name_at, b"\xff1")
+    assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_CORRUPT
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_not_an_index(tmp_path):

@@ -37,6 +37,8 @@ def test_sanitize_replaces_and_counts():
     assert records[0].sequence == "ACAGA"
     assert records[0].substituted == 2
     assert records[1].substituted == 0
+    records = read_fasta(io.StringIO(">r1\nacNgN\n"), sanitize=True)
+    assert (records[0].sequence, records[0].substituted) == ("ACAGA", 2)
 
 
 def test_empty_input():

@@ -1,6 +1,9 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmpm.alphabet import TERMINATOR
 from fmpm.index import (
@@ -12,9 +15,10 @@ from fmpm.index import (
     check_index,
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
+from fmpm.serialize import serialize_index
 from fmpm.suffix import build_suffix_array, bwt_from_sa
 
-from oracles import random_dna
+from oracles import random_dna, reference_index_bytes
 
 
 def test_c_table_examples():
@@ -127,3 +131,50 @@ def test_final_bucket_padding_is_zero():
     assert len(tail.chars) == BUCKET_BYTES
     assert set(tail.chars[1:]) == {0}
     check_index(index)
+
+
+def _serialized(text, records):
+    sink = io.BytesIO()
+    serialize_index(build_index(text, records), sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize(
+    "n, cuts",
+    [
+        (1, []),
+        (127, [64]),
+        (128, [32, 96]),
+        (129, [128]),
+        (255, [127, 128]),
+        (256, [128]),
+        (257, [128, 256]),
+        (300, [100, 200]),
+    ],
+)
+def test_file_bytes_match_reference_builder(n, cuts):
+    rng = random.Random(n)
+    text = random_dna(rng, n)
+    if n % 2:
+        text = text.lower()
+    bounds = [0, *cuts, n]
+    records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    assert _serialized(text, records) == reference_index_bytes(text, records)
+
+
+@st.composite
+def texts_with_records(draw):
+    text = draw(
+        st.text(alphabet="ACGT", min_size=1, max_size=300)
+        | st.sampled_from(["A", "AC", "ACG"]).map(lambda unit: unit * 90)
+    )
+    cuts = draw(st.lists(st.integers(min_value=1, max_value=len(text)), max_size=3))
+    bounds = sorted({0, len(text), *cuts})
+    return text, [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts_with_records())
+def test_file_bytes_match_reference_builder_property(case):
+    text, records = case
+    assert _serialized(text, records) == reference_index_bytes(text, records)

@@ -1,5 +1,7 @@
 import io
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -101,3 +103,21 @@ def test_queries_identical_after_round_trip():
         b = exact_search(restored, pattern)
         assert a == b
         assert locate_all(index, a, 0, m) == locate_all(restored, b, 0, m)
+
+
+@pytest.mark.parametrize(
+    "field, offset, value",
+    [
+        ("sentinel_row", 24, 5),
+        ("c[0]", 32, 1),
+        ("c[4]", 64, 5),
+        ("c[2]", 48, 1),  # C table (0, 2, 1, 4, 4) decreases
+    ],
+)
+def test_inconsistent_header_behind_valid_checksum(field, offset, value):
+    blob = bytearray(roundtrip_bytes(build_index("ACAG"))[:-4])  # n=4, c=(0, 2, 3, 4, 4)
+    blob[offset : offset + 8] = struct.pack("<Q", value)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with pytest.raises(IndexFormatError) as raised:
+        deserialize_index(io.BytesIO(bytes(blob)))
+    assert type(raised.value) is IndexFormatError, field

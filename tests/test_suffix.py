@@ -1,11 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmpm.alphabet import AlphabetError, TERMINATOR
-from fmpm.suffix import build_suffix_array, bwt_from_sa, suffix_array_naive
+import fmpm.suffix
+from fmpm.alphabet import AlphabetError, TERMINATOR, encode
+from fmpm.suffix import SEED_WIDTH, build_suffix_array, bwt_from_sa, suffix_array_naive
 
 from oracles import random_dna
+
+
+# sizes at and either side of the SA sample stride, the bucket width and
+# the seed width and its first doublings
+EDGE_SIZES = sorted(
+    {
+        m + d
+        for m in (32, 64, 96, 128, 256, SEED_WIDTH, 2 * SEED_WIDTH, 4 * SEED_WIDTH)
+        for d in (-1, 0, 1)
+    }
+)
 
 
 def test_known_suffix_arrays():
@@ -32,8 +46,53 @@ def test_matches_naive_oracle():
     cases = [random_dna(rng, rng.randint(1, 64)) for _ in range(150)]
     cases += [random_dna(rng, rng.randint(500, 2000)) for _ in range(4)]
     cases += ["A" * 700, "ACGT" * 250, "AC" * 500 + "G"]
+    cases += [(unit * n)[:n] for n in EDGE_SIZES for unit in ("A", "AC", "ACG", "AACAG")]
     for text in cases:
         assert build_suffix_array(text) == suffix_array_naive(text), text[:40]
+
+
+@st.composite
+def periodic_dna(draw):
+    """Low-entropy text: one short unit repeated, optionally one base changed."""
+    unit = draw(st.text(alphabet="ACGT", min_size=1, max_size=5))
+    n = draw(st.integers(min_value=1, max_value=300))
+    text = (unit * (n // len(unit) + 1))[:n]
+    at = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if at is not None:
+        text = text[:at] + draw(st.sampled_from("ACGT")) + text[at + 1 :]
+    return text
+
+
+dna_texts = st.one_of(
+    st.text(alphabet="ACGTacgt", min_size=1, max_size=300),
+    st.sampled_from(EDGE_SIZES).flatmap(
+        lambda n: st.text(alphabet="ACGTacgt", min_size=n, max_size=n)
+    ),
+    periodic_dna(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dna_texts)
+def test_matches_naive_oracle_property(text):
+    assert build_suffix_array(text) == suffix_array_naive(text)
+
+
+def test_rank_overflow_rejected(monkeypatch):
+    # rank-pair keys reach n * n - 1, n counting the terminator
+    monkeypatch.setattr(fmpm.suffix, "_INT64_MAX", 11 * 11)
+    assert build_suffix_array("A" * 10) == suffix_array_naive("A" * 10)
+    with pytest.raises(ValueError, match="too long"):
+        build_suffix_array("A" * 11)
+
+
+def test_invalid_character_position_matches_encode():
+    for text in ("ACXG", "acgtN", "AC\u00e9G", "ACGT\U0001F600A"):
+        with pytest.raises(AlphabetError) as raised:
+            build_suffix_array(text)
+        with pytest.raises(AlphabetError) as expected:
+            encode(text)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_is_permutation_and_sorted():
