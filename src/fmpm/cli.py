@@ -5,14 +5,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bench as bench_mod
-from .alphabet import is_dna
+from .batch import match_many
 from .fasta import FastaError, read_fasta
 from .index import FmIndex, build_index
 from .kernels import ENV_KERNEL, Kernel, resolve_kernel
-from .search import collect_hits, exact_search, inexact_search, MatchResult
 from .serialize import IndexFormatError, deserialize_index, serialize_index
 
 EXIT_OK = 0
@@ -64,7 +62,10 @@ def _build_parser() -> _Parser:
         "--max-hits", type=int, default=None, help="report at most N hits per pattern"
     )
     p_match.add_argument(
-        "--threads", type=int, default=1, help="worker threads for batch queries"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect, all patterns run as one batch",
     )
 
     p_bench = sub.add_parser("bench", help="time every kernel on one workload")
@@ -111,17 +112,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _match_one(
-    index: FmIndex, pattern: str, max_diff: int, kernel: Kernel, max_hits: int | None
-):
-    if max_diff == 0:
-        interval = exact_search(index, pattern, kernel)
-        matches = [] if interval.is_empty else [MatchResult(interval, 0)]
-    else:
-        matches = inexact_search(index, pattern, max_diff, kernel)
-    return collect_hits(index, matches, len(pattern), kernel, max_hits)
-
-
 def cmd_match(args: argparse.Namespace) -> int:
     if args.max_diff < 0:
         raise UsageError("-z must be >= 0")
@@ -139,32 +129,29 @@ def cmd_match(args: argparse.Namespace) -> int:
     for pid, pattern in enumerate(patterns):
         if not pattern:
             raise UsageError(f"pattern {pid} is empty")
+        # with as many differences as characters, every position matches
+        if args.max_diff >= len(pattern):
+            raise UsageError(
+                f"pattern {pid} has {len(pattern)} character(s); -z must be below that"
+            )
 
-    def run(job: tuple[int, str]):
-        pid, pattern = job
-        if not is_dna(pattern):
-            return pid, [], False, True
-        hits, truncated = _match_one(index, pattern, args.max_diff, kernel, args.max_hits)
-        return pid, hits, truncated, False
-
-    jobs = list(enumerate(patterns))
-    if args.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
+    hits = match_many(index, patterns, args.max_diff, kernel, args.max_hits)
+    names = [r.name for r in index.records]
+    lines: list[list[str]] = [[] for _ in patterns]
+    for pid, rec, offset, diffs in zip(
+        hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
+    ):
+        lines[pid].append(f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n")
     out = sys.stdout
-    for pid, hits, truncated, degenerate in sorted(results):
-        if degenerate:
+    for pid, pattern_lines in enumerate(lines):
+        if hits.degenerate[pid]:
             print(
                 f"pattern {pid} contains non-ACGT characters; reporting zero hits",
                 file=sys.stderr,
             )
-        if truncated:
+        if hits.truncated[pid]:
             print(f"pattern {pid}: hits truncated to {args.max_hits}", file=sys.stderr)
-        for hit in hits:
-            out.write(f"{pid}\t{hit.record}\t{hit.offset}\t{hit.diffs}\n")
+        out.write("".join(pattern_lines))
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ same question: how many times does a symbol occur among the first
 * nibble    - three-phase half-byte pipeline (lookup, extraction,
               aggregation) run on plain 64-bit integers, one 8-byte group
               at a time, mirroring in-register lane arithmetic.
-* simd      - the same pipeline vectorized with numpy uint8/uint64 lanes.
+* simd      - the same pipeline vectorized with numpy uint8/uint64 lanes,
+              over a batch of buckets at once (`count_blocks_simd`); the
+              one-bucket kernel is its one-row case.
 
 The nibble pipeline works on complemented low-nibble counts so that a
 sum-of-absolute-differences against the high-nibble counts folds both
@@ -214,18 +216,7 @@ def count_bucket_nibble(
 def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
     """Nibble pipeline vectorized over numpy lanes (little-endian layout)."""
     _check_bucket(block, prefix_len)
-    masked = mask_bucket(block, prefix_len)
-    data = np.frombuffer(masked, dtype=np.uint8)
-    lo = _NP_LO[data & 0x0F]
-    hi = _NP_HI[data >> 4]
-    shift = np.uint64(symbol << 1)
-    lo_lanes = (lo.view("<u8") >> shift) | _NP_FILL
-    hi_lanes = (hi.view("<u8") >> shift) & _NP_KEEP
-    diffs = np.abs(
-        lo_lanes.view(np.uint8).astype(np.int16) - hi_lanes.view(np.uint8).astype(np.int16)
-    )
-    raw = _BUCKET_SAD_CEILING - int(diffs.sum())
-    return raw - (BUCKET_CHARS - prefix_len) if symbol == A else raw
+    return _all4_simd(block, prefix_len)[symbol]
 
 
 def _all4_scalar(block: bytes, prefix_len: int) -> OccCounts:
@@ -274,22 +265,55 @@ def _all4_nibble(block: bytes, prefix_len: int) -> OccCounts:
 
 
 def _all4_simd(block: bytes, prefix_len: int) -> OccCounts:
-    masked = mask_bucket(block, prefix_len)
-    data = np.frombuffer(masked, dtype=np.uint8)
-    lo = _NP_LO[data & 0x0F].view("<u8")
-    hi = _NP_HI[data >> 4].view("<u8")
-    counts = []
-    for s in range(4):
-        shift = np.uint64(s << 1)
-        lo_lanes = (lo >> shift) | _NP_FILL
-        hi_lanes = (hi >> shift) & _NP_KEEP
-        diffs = np.abs(
-            lo_lanes.view(np.uint8).astype(np.int16)
-            - hi_lanes.view(np.uint8).astype(np.int16)
-        )
-        counts.append(_BUCKET_SAD_CEILING - int(diffs.sum()))
+    masked = np.frombuffer(mask_bucket(block, prefix_len), dtype=np.uint8)
+    counts = count_blocks_simd(masked[np.newaxis])[0].tolist()
     counts[A] -= BUCKET_CHARS - prefix_len
     return OccCounts(*counts)
+
+
+# _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
+_PREFIX_MASKS = np.array(
+    [
+        np.frombuffer(mask_bucket(b"\xff" * BUCKET_BYTES, r), dtype=np.uint8)
+        for r in range(BUCKET_CHARS + 1)
+    ]
+)
+_NP_BYTE_COUNTS_PACKED = np.array(_BYTE_COUNTS_PACKED, dtype=np.uint32)
+_LANE_SHIFTS = np.arange(0, 32, 8, dtype=np.uint32)
+# one entry per symbol on a leading axis, so the extraction runs for all four at once
+_SYMBOL_SHIFTS = np.arange(0, 8, 2, dtype=np.uint64)[:, np.newaxis, np.newaxis]
+
+
+def mask_blocks(blocks: np.ndarray, prefix_lens: np.ndarray) -> np.ndarray:
+    """mask_bucket over a batch: row i of `blocks` keeps prefix_lens[i] fields."""
+    return blocks & _PREFIX_MASKS[prefix_lens]
+
+
+def count_blocks_bytelut(masked: np.ndarray) -> np.ndarray:
+    """Four symbol counts over all 128 fields of each masked block, by byte table.
+
+    Each table entry packs a byte's four counts into 8-bit lanes of one
+    uint32; a lane sums to at most 128 over 32 bytes, so lanes never carry.
+    """
+    packed = _NP_BYTE_COUNTS_PACKED[masked].sum(axis=1, dtype=np.uint32)
+    return ((packed[:, np.newaxis] >> _LANE_SHIFTS) & 0xFF).astype(np.int64)
+
+
+def count_blocks_simd(masked: np.ndarray) -> np.ndarray:
+    """The nibble pipeline over a batch of masked blocks, all four symbols.
+
+    Phase 1 looks up both half-bytes of every byte once; phase 2 shifts
+    each symbol's field into bits [0, 1] of every byte lane; phase 3 takes
+    the per-block sum of absolute differences (max - min on unsigned
+    lanes, as psadbw does), giving 8160 - count.  Every field is counted,
+    so zeroed padding shows up in the A column.
+    """
+    lo = _NP_LO[masked & 0x0F].view("<u8")
+    hi = _NP_HI[masked >> 4].view("<u8")
+    lo_lanes = ((lo >> _SYMBOL_SHIFTS) | _NP_FILL).view(np.uint8)
+    hi_lanes = ((hi >> _SYMBOL_SHIFTS) & _NP_KEEP).view(np.uint8)
+    diffs = np.maximum(lo_lanes, hi_lanes) - np.minimum(lo_lanes, hi_lanes)
+    return (_BUCKET_SAD_CEILING - diffs.sum(axis=2, dtype=np.int64)).T
 
 
 class Kernel(str, Enum):
@@ -324,9 +348,11 @@ def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     """Normalize a kernel selection to a concrete kernel.
 
     None consults the FMPM_KERNEL environment variable, falling back to
-    auto.  Auto resolves to the byte-table kernel: per-call dispatch
-    overhead makes the numpy lane kernel slower than table lookups for
-    single 32-byte buckets, so the lane path must be asked for by name.
+    auto.  Auto resolves to the byte-table kernel.  On one 32-byte bucket
+    numpy's per-call dispatch makes the lane kernel several times slower
+    than table lookups.  Over a batch of buckets (`count_blocks`) the lanes
+    pay that cost once per call and come within a few times of the packed
+    byte table, which still counts fastest there.
     """
     if type(kernel) is Kernel:
         return Kernel.BYTELUT if kernel is Kernel.AUTO else kernel
@@ -356,3 +382,19 @@ def count_bucket_all4(
     """All four symbol counts for one bucket prefix in a single pass."""
     _check_bucket(block, prefix_len)
     return all4_fn(kernel)(block, prefix_len)
+
+
+def count_blocks(masked: np.ndarray, kernel: Kernel | str | None = None) -> np.ndarray:
+    """Four symbol counts, shape (m, 4), over every field of m masked blocks.
+
+    Padding zeroed by `mask_blocks` is counted as A; callers subtract it.
+    """
+    kernel = resolve_kernel(kernel)
+    if kernel is Kernel.BYTELUT:
+        return count_blocks_bytelut(masked)
+    if kernel is Kernel.SIMD:
+        return count_blocks_simd(masked)
+    # the oracle and the traced reproduction stay one-bucket kernels
+    all4 = _ALL4_FNS[kernel]
+    rows = [all4(row.tobytes(), BUCKET_CHARS) for row in masked]
+    return np.array(rows, dtype=np.int64).reshape(len(masked), 4)

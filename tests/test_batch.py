@@ -1,0 +1,155 @@
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmpm.alphabet import is_dna
+from fmpm.batch import index_view, locate_rows, rank_all4_many
+from fmpm.cli import EXIT_OK, EXIT_USAGE, main
+from fmpm.index import build_index
+from fmpm.kernels import CONCRETE_KERNELS, Kernel
+from fmpm.occ import occ_all
+from fmpm.search import MatchResult, collect_hits, exact_search, inexact_search
+from fmpm.serialize import serialize_index
+from fmpm.suffix import suffix_array_naive
+
+from oracles import random_dna
+
+# below one bucket, and at or one off multiples of the sample stride and the bucket
+EDGE_SIZES = sorted(
+    {1, 2, 3, 31, 77, 127} | {m + d for m in (32, 64, 96, 128, 256, 384) for d in (-1, 0, 1)}
+)
+
+
+def _edge_text(n):
+    text = random_dna(random.Random(n), n)
+    return text.lower() if n % 2 else text
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_rank_all4_many_equals_occ_all(n):
+    index = build_index(_edge_text(n))
+    view = index_view(index)
+    positions = np.arange(-1, n + 1)
+    want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
+    for kernel in CONCRETE_KERNELS:
+        got = rank_all4_many(view, positions, kernel)
+        assert got.shape == (n + 2, 4)
+        assert got.tolist() == want, kernel
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_locate_rows_equals_naive_suffix_array(n):
+    text = _edge_text(n)
+    view = index_view(build_index(text))
+    assert locate_rows(view, np.arange(n + 1)).tolist() == suffix_array_naive(text)
+
+
+def test_locate_rows_periodic_text():
+    text = "ACG" * 90
+    view = index_view(build_index(text))
+    rows = np.arange(len(text) + 1)
+    for kernel in CONCRETE_KERNELS:
+        assert locate_rows(view, rows, kernel).tolist() == suffix_array_naive(text)
+
+
+def test_locate_rows_rejects_a_cycle():
+    # an all-A transform with C[A] = -1 maps row 1 to itself, never reaching a sample
+    view = index_view(build_index(random_dna(random.Random(7), 100)))
+    view = view._replace(
+        c=np.array([-1, 0, 0, 0, 100]),
+        blocks=np.zeros_like(view.blocks),
+        bases=np.zeros_like(view.bases),
+        sentinel_row=100,
+    )
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        locate_rows(view, np.array([1]))
+
+
+def _oracle(index, patterns, max_diff, max_hits):
+    """Expected (stdout, stderr) of `fmpm match`, one pattern at a time."""
+    out, err = [], []
+    for pid, pattern in enumerate(patterns):
+        if not is_dna(pattern):
+            err.append(f"pattern {pid} contains non-ACGT characters; reporting zero hits\n")
+            continue
+        if max_diff == 0:
+            interval = exact_search(index, pattern, Kernel.SCALAR)
+            matches = [] if interval.is_empty else [MatchResult(interval, 0)]
+        else:
+            matches = inexact_search(index, pattern, max_diff, Kernel.BYTELUT)
+        hits, truncated = collect_hits(index, matches, len(pattern), Kernel.SCALAR, max_hits)
+        if truncated:
+            err.append(f"pattern {pid}: hits truncated to {max_hits}\n")
+        out.extend(f"{pid}\t{h.record}\t{h.offset}\t{h.diffs}\n" for h in hits)
+    return "".join(out), "".join(err)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def match_cases(draw):
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(min_value=1, max_value=127))
+    text = draw(
+        st.text(alphabet="ACGT", min_size=n, max_size=n)
+        | st.sampled_from(["A", "AC", "ACG"]).map(lambda unit: (unit * n)[:n])
+    )
+    cuts = draw(
+        st.lists(
+            st.sampled_from([b for b in (32, 64, 96, 128, 256) if b < n] or [n])
+            | st.integers(min_value=1, max_value=n),
+            max_size=3,
+        )
+    )
+    bounds = sorted({0, n, *cuts})
+    records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["substring", "random", "non-ACGT"]))
+        if kind == "substring":
+            start = draw(st.integers(min_value=0, max_value=n - 1))
+            pattern = text[start : start + draw(st.integers(min_value=1, max_value=8))]
+        elif kind == "random":
+            pattern = draw(st.text(alphabet="ACGT", min_size=1, max_size=8))
+        else:
+            pattern = draw(st.text(alphabet="ACGTN", min_size=1, max_size=8))
+        patterns.append(pattern.lower() if draw(st.booleans()) else pattern)
+    max_diff = draw(st.sampled_from([0, 1, 2]))
+    max_hits = draw(st.sampled_from([None, 0, 1, 3]))
+    return text, records, patterns, max_diff, max_hits
+
+
+@settings(max_examples=80, deadline=None)
+@given(match_cases())
+def test_batched_match_equals_per_pattern_oracle(case):
+    text, records, patterns, max_diff, max_hits = case
+    index = build_index(text, records)
+    with tempfile.TemporaryDirectory() as tmp:
+        fmi, listed = Path(tmp, "ref.fmi"), Path(tmp, "patterns.txt")
+        with open(fmi, "wb") as fh:
+            serialize_index(index, fh)
+        listed.write_text("".join(p + "\n" for p in patterns))
+        argv = ["match", str(fmi), "-f", str(listed), "-z", str(max_diff)]
+        if max_hits is not None:
+            argv += ["--max-hits", str(max_hits)]
+        short = [pid for pid, p in enumerate(patterns) if len(p) <= max_diff]
+        if short:
+            code, out, err = _run(argv)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert f"pattern {short[0]} has" in err
+            return
+        want = (EXIT_OK, *_oracle(index, patterns, max_diff, max_hits))
+        for kernel in [k.value for k in Kernel]:
+            assert _run(argv + ["--kernel", kernel]) == want, kernel

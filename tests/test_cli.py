@@ -97,6 +97,25 @@ def test_usage_errors(acag_index):
     assert main(["match", str(acag_index), "-p", "CA", "--kernel", "bogus"]) == EXIT_USAGE
 
 
+def test_budget_at_pattern_length_rejected(acag_index, tmp_path, capsys):
+    assert main(["match", str(acag_index), "-p", "ACG", "-z", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pattern 0 has 3 character(s)" in captured.err
+    pf = tmp_path / "patterns.txt"
+    pf.write_text("CAG\nAC\nACAG\n")
+    assert main(["match", str(acag_index), "-f", str(pf), "-z", "2", "--max-hits", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pattern 1 has 2" in captured.err
+    assert main(["match", str(acag_index), "-p", "ACG", "-z", "2"]) == EXIT_OK
+
+
+def test_threads_validated(acag_index, capsys):
+    assert main(["match", str(acag_index), "-p", "CA", "--threads", "0"]) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_io_errors(tmp_path):
     missing = tmp_path / "missing.fa"
     assert main(["index", str(missing), "-o", str(tmp_path / "x.fmi")]) == EXIT_IO
