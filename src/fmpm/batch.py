@@ -2,10 +2,10 @@
 
 The per-query functions in `fmpm.search` stay the public API and the
 reference the tests compare against.  Here each backward-search step of
-every pattern still in play, and each predecessor step of every row still
-being located, is one call of `rank_all4_many`: the buckets of all
-positions are gathered, masked to their prefixes and counted by the
-selected kernel in one numpy pass.
+every pattern still in play, each round of one pattern's bounded-difference
+frontier, and each predecessor step of every row still being located is one
+call of `rank_all4_many`: the buckets of all positions are gathered, masked
+to their prefixes and counted by the selected kernel in one numpy pass.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .alphabet import A, encode_array, is_dna
 from .index import FmIndex, SA_STRIDE
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, mask_blocks, resolve_kernel
-from .search import inexact_search
 
 
 class IndexView(NamedTuple):
@@ -46,6 +45,17 @@ class BatchHits(NamedTuple):
     diffs: np.ndarray
     truncated: np.ndarray
     degenerate: np.ndarray
+
+
+def _first_per_key(keys: Sequence[np.ndarray], tiebreak: np.ndarray) -> np.ndarray:
+    """Index of the smallest-`tiebreak` entry of each distinct key tuple.
+
+    The indices come sorted by key, `keys[0]` the most significant.
+    """
+    order = np.lexsort((tiebreak, *reversed(keys)))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    return order[first]
 
 
 def index_view(index: FmIndex) -> IndexView:
@@ -109,6 +119,56 @@ def exact_search_many(
     return k, l
 
 
+def inexact_search_frontier(
+    view: IndexView, codes: np.ndarray, max_diff: int, kernel: Kernel | str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals within `max_diff` edits of one ACGT pattern, like `inexact_search`.
+
+    Returns (k, l, used) arrays, one entry per interval with its fewest
+    differences, sorted by (k, l).  The search runs in rounds over the
+    whole frontier of live states (i, budget, k, l): one rank call on k - 1
+    and l of every state gives all eight Occ values each needs, and the
+    skip, insert, match and mismatch children are built from them at once,
+    with empty intervals pruned.  Children that agree on (i, k, l) are
+    merged into the one with the largest budget, which reaches every
+    interval the others reach with no more differences.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    # the full row range [0, n] makes the first extension the initial interval
+    start = (len(codes) - 1, max_diff, 0, view.n)
+    i, budget, k, l = (np.array([v], dtype=np.int64) for v in start)
+    done = []
+    while len(i):
+        counts = rank_all4_many(view, np.concatenate([k - 1, l]), kernel)
+        k2 = view.c[:4] + counts[: len(i)] + 1
+        l2 = view.c[:4] + counts[len(i) :]
+        spend = budget > 0
+        miss = np.arange(4) != codes[i, None]
+        # insert: extend by a reference character, keep the pattern position;
+        # match and mismatch: extend and consume the pattern character
+        nonempty = k2 <= l2
+        insert = nonempty & spend[:, None]
+        step = nonempty & (spend[:, None] | ~miss)
+        row_i, sym_i = np.nonzero(insert)
+        row_s, sym_s = np.nonzero(step)
+        # skip: consume the pattern character without extending
+        skip = np.flatnonzero(spend)
+        i = np.concatenate([i[row_i], i[row_s] - 1, i[skip] - 1])
+        budget = np.concatenate(
+            [budget[row_i] - 1, budget[row_s] - miss[row_s, sym_s], budget[skip] - 1]
+        )
+        k = np.concatenate([k2[row_i, sym_i], k2[row_s, sym_s], k[skip]])
+        l = np.concatenate([l2[row_i, sym_i], l2[row_s, sym_s], l[skip]])
+        finished = i < 0
+        done.append((k[finished], l[finished], max_diff - budget[finished]))
+        i, budget, k, l = i[~finished], budget[~finished], k[~finished], l[~finished]
+        kept = _first_per_key([i, k, l], -budget)
+        i, budget, k, l = i[kept], budget[kept], k[kept], l[kept]
+    k, l, used = (np.concatenate(parts) for parts in zip(*done))
+    kept = _first_per_key([k, l], used)
+    return k[kept], l[kept], used[kept]
+
+
 def locate_rows(
     view: IndexView, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
@@ -167,11 +227,7 @@ def locate_hits(
     offset = pos - view.starts[record]
     min_span = np.maximum(pattern_lengths[pattern] - diffs, 0)
     kept = np.flatnonzero((pos < view.n) & (offset + min_span <= view.lengths[record]))
-    kept = kept[np.lexsort((diffs[kept], pos[kept], pattern[kept]))]
-    by_pattern, by_pos = pattern[kept], pos[kept]
-    fewest = np.ones(len(kept), dtype=bool)
-    fewest[1:] = (by_pattern[1:] != by_pattern[:-1]) | (by_pos[1:] != by_pos[:-1])
-    picked = kept[fewest]
+    picked = kept[_first_per_key([pattern[kept], pos[kept]], diffs[kept])]
     return pattern[picked], record[picked], offset[picked], diffs[picked]
 
 
@@ -184,8 +240,9 @@ def match_many(
 ) -> BatchHits:
     """Hits of every pattern: what `collect_hits` gives for each, in one pass.
 
-    Exact search (max_diff 0) is batched; a positive budget runs
-    `inexact_search` per pattern.  Locate is batched either way.  Patterns
+    Exact search (max_diff 0) walks all patterns in lockstep; a positive
+    budget walks one pattern's edit frontier at a time with
+    `inexact_search_frontier`.  Locate is batched either way.  Patterns
     with characters outside ACGT are flagged degenerate and get no hits.
     """
     kernel = resolve_kernel(kernel)
@@ -198,12 +255,12 @@ def match_many(
         found = k <= l
         intervals = [dna[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
     else:
-        rows = [
-            (pid, m.interval.k, m.interval.l, m.diffs_used)
-            for pid in dna.tolist()
-            for m in inexact_search(index, patterns[pid], max_diff, kernel)
-        ]
-        intervals = list(np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        found = [np.zeros((4, 0), dtype=np.int64)]
+        for pid in dna.tolist():
+            codes = encode_array(patterns[pid])
+            k, l, used = inexact_search_frontier(view, codes, max_diff, kernel)
+            found.append(np.stack([np.full_like(k, pid), k, l, used]))
+        intervals = list(np.concatenate(found, axis=1))
     pattern, record, offset, diffs = locate_hits(view, *intervals, lengths, kernel)
 
     truncated = np.zeros(len(patterns), dtype=bool)

@@ -59,7 +59,11 @@ def _build_parser() -> _Parser:
         help=f"counting kernel (default: ${ENV_KERNEL} or auto)",
     )
     p_match.add_argument(
-        "--max-hits", type=int, default=None, help="report at most N hits per pattern"
+        "--max-hits",
+        type=int,
+        default=None,
+        help="report at most N hits per pattern; every hit is still located "
+        "first, since the first N by position need them all",
     )
     p_match.add_argument(
         "--threads",

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmpm.alphabet import is_dna
-from fmpm.batch import index_view, locate_rows, rank_all4_many
+import fmpm.batch
+import fmpm.search
+from fmpm.alphabet import encode_array, is_dna
+from fmpm.batch import index_view, inexact_search_frontier, locate_rows, rank_all4_many
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
@@ -70,6 +72,86 @@ def test_locate_rows_rejects_a_cycle():
     )
     with pytest.raises(RuntimeError, match="did not terminate"):
         locate_rows(view, np.array([1]))
+
+
+def _frontier_triples(view, pattern, max_diff, kernel):
+    k, l, used = inexact_search_frontier(view, encode_array(pattern), max_diff, kernel)
+    return list(zip(k.tolist(), l.tolist(), used.tolist()))
+
+
+def _search_triples(index, pattern, max_diff):
+    matches = inexact_search(index, pattern, max_diff, Kernel.SCALAR)
+    return [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
+
+
+FRONTIER_SIZES = sorted({1, 2, 3, 77} | {m + d for m in (32, 64, 128, 256) for d in (-1, 0, 1)})
+PERIODIC_TEXTS = ["ACG" * 90, "A" * 130, ("acgt" * 70)[:257], "AAC" * 43]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_edge_text(n) for n in FRONTIER_SIZES] + PERIODIC_TEXTS,
+    ids=[f"n{n}" for n in FRONTIER_SIZES] + [f"periodic{j}" for j in range(len(PERIODIC_TEXTS))],
+)
+def test_inexact_frontier_equals_inexact_search(text):
+    index = build_index(text)
+    view = index_view(index)
+    rng = random.Random(len(text))
+    start = rng.randrange(len(text))
+    patterns = [text[start : start + 6], random_dna(rng, 4).lower(), random_dna(rng, 7)]
+    for pattern in patterns:
+        for max_diff in range(4):
+            want = _search_triples(index, pattern, max_diff)
+            for kernel in CONCRETE_KERNELS:
+                got = _frontier_triples(view, pattern, max_diff, kernel)
+                assert got == want, (pattern, max_diff, kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(alphabet="ACGT", min_size=1, max_size=300)
+    | st.builds(
+        lambda unit, n: (unit * n)[:n],
+        st.sampled_from(["A", "AC", "ACG", "AACG"]),
+        st.integers(min_value=1, max_value=300),
+    ),
+    st.text(alphabet="ACGTacgt", min_size=1, max_size=12),
+    st.data(),
+)
+def test_inexact_frontier_property(text, pattern, data):
+    max_diff = data.draw(st.integers(min_value=0, max_value=min(len(pattern) - 1, 3)))
+    index = build_index(text)
+    want = _search_triples(index, pattern, max_diff)
+    view = index_view(index)
+    for kernel in CONCRETE_KERNELS:
+        assert _frontier_triples(view, pattern, max_diff, kernel) == want, kernel
+
+
+def test_inexact_frontier_merges_repeated_states(monkeypatch):
+    # On a periodic text many edit paths reach one (i, k, l) in one round;
+    # the frontier ranks that state once, the per-pattern search once per path.
+    text = "ACG" * 90
+    index = build_index(text)
+    view = index_view(index)
+    ranked, pair_calls = [], []
+    rank, pair = fmpm.batch.rank_all4_many, fmpm.search.occ_pair_all
+
+    def counted_rank(view, pos, kernel=None):
+        ranked.append(len(pos))
+        return rank(view, pos, kernel)
+
+    def counted_pair(*args):
+        pair_calls.append(1)
+        return pair(*args)
+
+    monkeypatch.setattr(fmpm.batch, "rank_all4_many", counted_rank)
+    monkeypatch.setattr(fmpm.search, "occ_pair_all", counted_pair)
+    for pattern in ["ACGACGACGA", "CGTACGACG", "GGACGAC"]:
+        ranked.clear()
+        pair_calls.clear()
+        want = _search_triples(index, pattern, 2)
+        assert _frontier_triples(view, pattern, 2, Kernel.BYTELUT) == want
+        assert sum(ranked) < 2 * len(pair_calls), pattern
 
 
 def _oracle(index, patterns, max_diff, max_hits):
