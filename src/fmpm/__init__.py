@@ -6,140 +6,94 @@ plus every 32nd suffix-array entry.  Exact and bounded-difference
 searches run backward over the packed buckets through interchangeable
 occurrence-counting kernels; positions are recovered by walking
 predecessor rows to the nearest sample.
+
+Every public name, and the submodule that defines it, is imported on
+first use (PEP 562), so `import fmpm` loads neither numpy nor any
+submodule.
 """
 
-from .alphabet import (
-    A,
-    AlphabetError,
-    C,
-    CODE_OF,
-    G,
-    PackedText,
-    SYMBOLS,
-    T,
-    decode,
-    encode,
-    is_dna,
-    pack_2bit,
-    unpack_2bit,
-)
-from .fasta import FastaError, FastaRecord, read_fasta
-from .index import (
-    FmIndex,
-    OccBucket,
-    RecordSpan,
-    SA_STRIDE,
-    build_c_table,
-    build_index,
-    check_index,
-)
-from .kernels import (
-    BUCKET_BYTES,
-    BUCKET_CHARS,
-    Kernel,
-    KernelTrace,
-    NibbleTables,
-    OccCounts,
-    count_bucket_all4,
-    count_bucket_bytelut,
-    count_bucket_nibble,
-    count_bucket_scalar,
-    count_bucket_simd,
-    mask_bucket,
-    resolve_kernel,
-)
-from .occ import OccPair, bwt_char_at, occ, occ_all, occ_pair_all
-from .search import (
-    BwmInterval,
-    Hit,
-    MatchResult,
-    collect_hits,
-    exact_search,
-    extend_backward,
-    inexact_search,
-    init_interval,
-    locate_all,
-    locate_row,
-    psi_inverse,
-    psi_inverse_fused,
-    reconstruct_reference,
-)
-from .serialize import (
-    BadMagicError,
-    ChecksumError,
-    IndexFormatError,
-    TruncatedStreamError,
-    VersionMismatchError,
-    deserialize_index,
-    serialize_index,
-)
-from .suffix import build_suffix_array, bwt_from_sa, suffix_array_naive
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A",
-    "AlphabetError",
-    "BadMagicError",
-    "BUCKET_BYTES",
-    "BUCKET_CHARS",
-    "BwmInterval",
-    "C",
-    "CODE_OF",
-    "ChecksumError",
-    "FastaError",
-    "FastaRecord",
-    "FmIndex",
-    "G",
-    "Hit",
-    "IndexFormatError",
-    "Kernel",
-    "KernelTrace",
-    "MatchResult",
-    "NibbleTables",
-    "OccBucket",
-    "OccCounts",
-    "OccPair",
-    "PackedText",
-    "RecordSpan",
-    "SA_STRIDE",
-    "SYMBOLS",
-    "T",
-    "TruncatedStreamError",
-    "VersionMismatchError",
-    "build_c_table",
-    "build_index",
-    "build_suffix_array",
-    "bwt_char_at",
-    "bwt_from_sa",
-    "check_index",
-    "collect_hits",
-    "count_bucket_all4",
-    "count_bucket_bytelut",
-    "count_bucket_nibble",
-    "count_bucket_scalar",
-    "count_bucket_simd",
-    "decode",
-    "deserialize_index",
-    "encode",
-    "exact_search",
-    "extend_backward",
-    "inexact_search",
-    "init_interval",
-    "is_dna",
-    "locate_all",
-    "locate_row",
-    "mask_bucket",
-    "occ",
-    "occ_all",
-    "occ_pair_all",
-    "pack_2bit",
-    "psi_inverse",
-    "psi_inverse_fused",
-    "read_fasta",
-    "reconstruct_reference",
-    "resolve_kernel",
-    "serialize_index",
-    "suffix_array_naive",
-    "unpack_2bit",
-]
+_EXPORTS = {
+    "alphabet": (
+        "A",
+        "AlphabetError",
+        "C",
+        "CODE_OF",
+        "G",
+        "PackedText",
+        "SYMBOLS",
+        "T",
+        "decode",
+        "encode",
+        "is_dna",
+        "pack_2bit",
+        "unpack_2bit",
+    ),
+    "fasta": ("FastaError", "FastaRecord", "read_fasta"),
+    "index": (
+        "FmIndex",
+        "OccBucket",
+        "RecordSpan",
+        "SA_STRIDE",
+        "build_c_table",
+        "build_index",
+        "check_index",
+    ),
+    "kernels": (
+        "BUCKET_BYTES",
+        "BUCKET_CHARS",
+        "Kernel",
+        "KernelTrace",
+        "NibbleTables",
+        "OccCounts",
+        "count_bucket_all4",
+        "count_bucket_bytelut",
+        "count_bucket_nibble",
+        "count_bucket_scalar",
+        "count_bucket_simd",
+        "mask_bucket",
+        "resolve_kernel",
+    ),
+    "occ": ("OccPair", "bwt_char_at", "occ", "occ_all", "occ_pair_all"),
+    "search": (
+        "BwmInterval",
+        "Hit",
+        "MatchResult",
+        "collect_hits",
+        "exact_search",
+        "extend_backward",
+        "inexact_search",
+        "init_interval",
+        "locate_all",
+        "locate_row",
+        "psi_inverse",
+        "psi_inverse_fused",
+        "reconstruct_reference",
+    ),
+    "serialize": (
+        "BadMagicError",
+        "ChecksumError",
+        "IndexFormatError",
+        "TruncatedStreamError",
+        "VersionMismatchError",
+        "deserialize_index",
+        "serialize_index",
+    ),
+    "suffix": ("build_suffix_array", "bwt_from_sa", "suffix_array_naive"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

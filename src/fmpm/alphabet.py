@@ -64,6 +64,17 @@ def is_dna(text: str) -> bool:
     return all(ch in CODE_OF for ch in text)
 
 
+def is_dna_many(texts: Sequence[str]) -> np.ndarray:
+    """is_dna of every string, as a bool array, by one table lookup over all."""
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    # as in encode_array, each non-ASCII character becomes one invalid '?'
+    joined = "".join(texts).encode("ascii", "replace")
+    invalid = _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)] == _INVALID
+    seen = np.concatenate([[0], np.cumsum(invalid)])
+    ends = np.cumsum(lengths)
+    return seen[ends] == seen[ends - lengths]
+
+
 @dataclass(frozen=True)
 class PackedText:
     """2-bit packed character sequence, four characters per byte.

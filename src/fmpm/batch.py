@@ -4,8 +4,9 @@ The per-query functions in `fmpm.search` stay the public API and the
 reference the tests compare against.  Here each backward-search step of
 every pattern still in play, each round of one pattern's bounded-difference
 frontier, and each predecessor step of every row still being located is one
-call of `rank_all4_many`: the buckets of all positions are gathered, masked
-to their prefixes and counted by the selected kernel in one numpy pass.
+call of `rank_many`: the buckets of all positions are gathered and the
+selected kernel counts their prefixes, in one numpy pass for `bytelut` and
+`simd`.  Locate asks for each row's own symbol only.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .alphabet import A, encode_array, is_dna
-from .index import FmIndex, SA_STRIDE
-from .kernels import BUCKET_CHARS, Kernel, count_blocks, mask_blocks, resolve_kernel
+from .alphabet import A, encode_array, is_dna_many
+from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, SA_STRIDE
+from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
 
 
 class IndexView(NamedTuple):
@@ -59,36 +60,52 @@ def _first_per_key(keys: Sequence[np.ndarray], tiebreak: np.ndarray) -> np.ndarr
 
 
 def index_view(index: FmIndex) -> IndexView:
-    """Copy the buckets, samples and record spans of `index` into arrays."""
-    chars = b"".join(bucket.chars for bucket in index.buckets)
+    """Array views of the buckets and samples of `index`, and its record spans.
+
+    The blocks, bases and samples are read-only views of the index's own
+    bytes, not copies.
+    """
+    table = np.frombuffer(index.table, dtype=BUCKET_RECORD)
     return IndexView(
         n=index.n,
         sentinel_row=index.sentinel_row,
         c=np.array(index.c, dtype=np.int64),
-        blocks=np.frombuffer(chars, dtype=np.uint8).reshape(len(index.buckets), -1),
-        bases=np.array([bucket.base for bucket in index.buckets], dtype=np.int64),
-        samples=np.array(index.sa_samples, dtype=np.int64),
+        blocks=table["chars"],
+        bases=table["base"],
+        samples=np.frombuffer(index.samples, dtype=SAMPLE_DTYPE),
         starts=np.array([r.start for r in index.records], dtype=np.int64),
         lengths=np.array([r.length for r in index.records], dtype=np.int64),
     )
 
 
-def rank_all4_many(
-    view: IndexView, pos: np.ndarray, kernel: Kernel | str | None = None
+def rank_many(
+    view: IndexView,
+    pos: np.ndarray,
+    symbol: np.ndarray | None = None,
+    kernel: Kernel | str | None = None,
 ) -> np.ndarray:
-    """Occurrences of each symbol in rows 0..pos[i], shape (len(pos), 4).
+    """Occurrences in rows 0..pos[i] of symbol[i], or of each symbol if None.
 
-    The batched form of `occ_all`: entries must lie in [-1, n], and -1
-    gives zeros.
+    The batched form of `occ` (shape (len(pos),)) and of `occ_all` (shape
+    (len(pos), 4)): entries of `pos` must lie in [-1, n], and -1 gives
+    zeros.  With `symbol`, the per-bucket kernels count that symbol only.
     """
     pos = np.asarray(pos, dtype=np.int64)
     bucket = np.maximum(pos, 0) // BUCKET_CHARS
     prefix = pos + 1 - bucket * BUCKET_CHARS  # 0 only at pos == -1
-    counts = count_blocks(mask_blocks(view.blocks[bucket], prefix), kernel)
-    counts[:, A] -= BUCKET_CHARS - prefix  # masked-off fields decode as A
-    counts += view.bases[bucket]
-    counts[:, A] -= pos >= view.sentinel_row  # the terminator is packed as A
-    return counts
+    counts = count_blocks(view.blocks[bucket], prefix, kernel, symbol)
+    after_terminator = pos >= view.sentinel_row  # the terminator is packed as A
+    if symbol is None:
+        counts[:, A] -= after_terminator
+        return counts + view.bases[bucket]
+    return counts - (symbol == A) * after_terminator + view.bases[bucket, symbol]
+
+
+def rank_all4_many(
+    view: IndexView, pos: np.ndarray, kernel: Kernel | str | None = None
+) -> np.ndarray:
+    """Occurrences of each symbol in rows 0..pos[i], shape (len(pos), 4)."""
+    return rank_many(view, pos, None, kernel)
 
 
 def exact_search_many(
@@ -193,8 +210,7 @@ def locate_rows(
             return out
         r = rows % BUCKET_CHARS
         symbol = (view.blocks[rows // BUCKET_CHARS, r >> 2] >> ((r & 3) << 1)) & 3
-        rank = rank_all4_many(view, rows, kernel)[np.arange(len(rows)), symbol]
-        rows = view.c[symbol] + rank
+        rows = view.c[symbol] + rank_many(view, rows, symbol, kernel)
         steps += 1
         if steps > view.n + 1:
             raise RuntimeError("predecessor walk did not terminate; index is corrupt")
@@ -248,7 +264,7 @@ def match_many(
     kernel = resolve_kernel(kernel)
     view = index_view(index)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    degenerate = np.array([not is_dna(p) for p in patterns], dtype=bool)
+    degenerate = ~is_dna_many(patterns)
     dna = np.flatnonzero(~degenerate)
     if max_diff == 0:
         k, l = exact_search_many(view, [patterns[i] for i in dna], kernel)

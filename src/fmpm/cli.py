@@ -1,14 +1,15 @@
-"""Command-line interface: index, match, bench."""
+"""Command-line interface: index, match, bench.
+
+The FASTA reader and the bench harness are imported by the commands that
+use them, so `fmpm match` loads only the index, kernels and batch engine.
+"""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from . import bench as bench_mod
 from .batch import match_many
-from .fasta import FastaError, read_fasta
 from .index import FmIndex, build_index
 from .kernels import ENV_KERNEL, Kernel, resolve_kernel
 from .serialize import IndexFormatError, deserialize_index, serialize_index
@@ -90,6 +91,8 @@ def _load_index(path: str) -> FmIndex:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from .fasta import read_fasta
+
     with open(args.fasta, "r", encoding="utf-8") as fh:
         records = read_fasta(fh, sanitize=args.sanitize)
     substituted = sum(r.substituted for r in records)
@@ -110,7 +113,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         written = serialize_index(index, fh)
     print(
         f"indexed {len(records)} record(s), {index.n} characters, "
-        f"{len(index.buckets)} buckets, {written} bytes",
+        f"{index.bucket_count} buckets, {written} bytes",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -160,6 +163,8 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod
+
     if args.iters < 1:
         raise UsageError("--iters must be >= 1")
     index = _load_index(args.index)

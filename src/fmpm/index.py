@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,22 +42,76 @@ class OccBucket:
     chars: bytes
 
 
-@dataclass(frozen=True)
+# One bucket as the v1 file stores it: four little-endian 64-bit bases
+# (written unsigned, never above n), then the 32-byte packed block.
+BUCKET_RECORD = np.dtype([("base", "<i8", (4,)), ("chars", "u1", (BUCKET_BYTES,))])
+# suffix-array samples as the v1 file stores them (u64, never above n)
+SAMPLE_DTYPE = np.dtype("<i8")
+
+
+@dataclass(frozen=True, init=False)
 class FmIndex:
     """Succinct FM-index over a concatenated DNA reference.
 
     All fields are immutable; instances are safe to share across threads.
     c[s] counts reference characters lexicographically below symbol s
-    (c[4] == n), sentinel_row is the transform row holding the terminator,
-    and sa_samples stores every 32nd suffix-array entry.
+    (c[4] == n), and sentinel_row is the transform row holding the
+    terminator.  `table` is the bucket section of the v1 file, one
+    `BUCKET_RECORD` per bucket, and `samples` its sample section, every
+    32nd suffix-array entry; `buckets` and `sa_samples` are tuple views of
+    them, built on first use.
     """
 
     n: int
     c: tuple[int, int, int, int, int]
-    buckets: tuple[OccBucket, ...]
+    table: bytes = field(repr=False)
     sentinel_row: int
-    sa_samples: tuple[int, ...]
+    samples: bytes = field(repr=False)
     records: tuple[RecordSpan, ...]
+
+    def __init__(
+        self,
+        n: int,
+        c: Sequence[int],
+        buckets: bytes | Sequence[OccBucket],
+        sentinel_row: int,
+        sa_samples: bytes | Sequence[int],
+        records: Sequence[RecordSpan],
+    ) -> None:
+        """`buckets` and `sa_samples` are file sections or sequences of their items."""
+        if not isinstance(buckets, bytes):
+            table = np.empty(len(buckets), dtype=BUCKET_RECORD)
+            table["base"] = [bucket.base for bucket in buckets]
+            table["chars"] = [np.frombuffer(bucket.chars, dtype=np.uint8) for bucket in buckets]
+            buckets = table.tobytes()
+        if not isinstance(sa_samples, bytes):
+            sa_samples = np.array(sa_samples, dtype=SAMPLE_DTYPE).tobytes()
+        for name, value in (
+            ("n", n),
+            ("c", tuple(c)),
+            ("table", buckets),
+            ("sentinel_row", sentinel_row),
+            ("samples", sa_samples),
+            ("records", tuple(records)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def bucket_count(self) -> int:
+        return len(self.table) // BUCKET_RECORD.itemsize
+
+    @cached_property
+    def buckets(self) -> tuple[OccBucket, ...]:
+        table = np.frombuffer(self.table, dtype=BUCKET_RECORD)
+        blocks = table["chars"].tobytes()
+        return tuple(
+            OccBucket(base=tuple(base), chars=blocks[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
+            for j, base in enumerate(table["base"].tolist())
+        )
+
+    @cached_property
+    def sa_samples(self) -> tuple[int, ...]:
+        return tuple(np.frombuffer(self.samples, dtype=SAMPLE_DTYPE).tolist())
 
 
 def build_c_table(totals: Sequence[int]) -> tuple[int, int, int, int, int]:
@@ -95,17 +150,17 @@ def build_index(
     c = build_c_table(totals.tolist())
 
     quads = (lanes & 3).reshape(-1, CHARS_PER_BYTE)
-    packed = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).tobytes()
-    buckets = tuple(
-        OccBucket(base=tuple(base), chars=packed[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
-        for j, base in enumerate(bases.tolist())
+    table = np.empty(n_buckets, dtype=BUCKET_RECORD)
+    table["base"] = bases
+    table["chars"] = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).reshape(
+        n_buckets, BUCKET_BYTES
     )
     return FmIndex(
         n=n,
         c=c,
-        buckets=buckets,
+        buckets=table.tobytes(),
         sentinel_row=sentinel_row,
-        sa_samples=tuple(sa[::SA_STRIDE]),
+        sa_samples=np.array(sa[::SA_STRIDE], dtype=SAMPLE_DTYPE).tobytes(),
         records=_normalize_records(records, n),
     )
 
@@ -141,9 +196,9 @@ def check_index(index: FmIndex) -> None:
     if any(a > b for a, b in zip(index.c, index.c[1:])):
         raise ValueError(f"C table not non-decreasing: {index.c}")
     expected_buckets = (n + 1 + BUCKET_CHARS - 1) // BUCKET_CHARS
-    if len(index.buckets) != expected_buckets:
+    if index.bucket_count != expected_buckets:
         raise ValueError(
-            f"expected {expected_buckets} buckets for n={n}, found {len(index.buckets)}"
+            f"expected {expected_buckets} buckets for n={n}, found {index.bucket_count}"
         )
     if not 0 <= index.sentinel_row <= n:
         raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
@@ -157,8 +212,6 @@ def check_index(index: FmIndex) -> None:
     for j, bucket in enumerate(index.buckets):
         if bucket.base != base:
             raise ValueError(f"bucket {j} base {bucket.base} breaks telescoping ({base})")
-        if len(bucket.chars) != BUCKET_BYTES:
-            raise ValueError(f"bucket {j} block is {len(bucket.chars)} bytes")
         inside_len = min(BUCKET_CHARS, remaining)
         inside = count_bucket_all4(bucket.chars, inside_len, kernel=Kernel.SCALAR)
         padding = count_bucket_all4(bucket.chars, BUCKET_CHARS, kernel=Kernel.SCALAR)

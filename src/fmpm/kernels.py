@@ -384,17 +384,31 @@ def count_bucket_all4(
     return all4_fn(kernel)(block, prefix_len)
 
 
-def count_blocks(masked: np.ndarray, kernel: Kernel | str | None = None) -> np.ndarray:
-    """Four symbol counts, shape (m, 4), over every field of m masked blocks.
+def count_blocks(
+    blocks: np.ndarray,
+    prefix_lens: np.ndarray,
+    kernel: Kernel | str | None = None,
+    symbol: np.ndarray | None = None,
+) -> np.ndarray:
+    """Counts among the first prefix_lens[i] fields of each of m blocks.
 
-    Padding zeroed by `mask_blocks` is counted as A; callers subtract it.
+    Without `symbol`, all four counts, shape (m, 4); with it, the count of
+    symbol[i] in block i, shape (m,).  `bytelut` and `simd` count whole
+    masked blocks in one numpy pass; `scalar` and `nibble` stay one-bucket
+    kernels run row by row, and with `symbol` they count that symbol only.
     """
     kernel = resolve_kernel(kernel)
-    if kernel is Kernel.BYTELUT:
-        return count_blocks_bytelut(masked)
-    if kernel is Kernel.SIMD:
-        return count_blocks_simd(masked)
-    # the oracle and the traced reproduction stay one-bucket kernels
-    all4 = _ALL4_FNS[kernel]
-    rows = [all4(row.tobytes(), BUCKET_CHARS) for row in masked]
-    return np.array(rows, dtype=np.int64).reshape(len(masked), 4)
+    if kernel is Kernel.BYTELUT or kernel is Kernel.SIMD:
+        masked = mask_blocks(blocks, prefix_lens)
+        batched = count_blocks_bytelut if kernel is Kernel.BYTELUT else count_blocks_simd
+        counts = batched(masked)
+        counts[:, A] -= BUCKET_CHARS - prefix_lens  # masked-off fields decode as A
+        return counts if symbol is None else counts[np.arange(len(counts)), symbol]
+    rows = list(zip(blocks, prefix_lens.tolist()))
+    if symbol is None:
+        all4 = _ALL4_FNS[kernel]
+        counts = [all4(row.tobytes(), prefix) for row, prefix in rows]
+        return np.array(counts, dtype=np.int64).reshape(len(rows), 4)
+    count = _COUNT_FNS[kernel]
+    counts = [count(row.tobytes(), prefix, s) for (row, prefix), s in zip(rows, symbol.tolist())]
+    return np.array(counts, dtype=np.int64)

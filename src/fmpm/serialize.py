@@ -25,11 +25,15 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .index import FmIndex, OccBucket, RecordSpan, SA_STRIDE
-from .kernels import BUCKET_BYTES, BUCKET_CHARS
+from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, RecordSpan, SA_STRIDE
+from .kernels import BUCKET_CHARS
 
 MAGIC = b"FMPM"
 VERSION = 1
+
+# Largest single read.  A corrupt count in a short stream then fails as
+# truncated instead of asking for one huge buffer.
+_READ_CHUNK = 1 << 24
 
 
 class IndexFormatError(Exception):
@@ -70,7 +74,15 @@ class _CrcReader:
         self.crc = 0
 
     def read(self, size: int, what: str) -> bytes:
-        data = self._source.read(size)
+        parts = []
+        left = size
+        while left:
+            part = self._source.read(min(left, _READ_CHUNK))
+            if not part:
+                break
+            parts.append(part)
+            left -= len(part)
+        data = b"".join(parts)  # one part is returned as it is, not copied
         if len(data) != size:
             raise TruncatedStreamError(
                 f"stream ended inside {what}: wanted {size} bytes, got {len(data)}"
@@ -86,13 +98,10 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<HH", VERSION, 0))
     w.write(struct.pack("<QIIQ", index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row))
     w.write(struct.pack("<5Q", *index.c))
-    w.write(struct.pack("<Q", len(index.buckets)))
-    for bucket in index.buckets:
-        w.write(struct.pack("<4Q", *bucket.base))
-        w.write(bucket.chars)
-    w.write(struct.pack("<Q", len(index.sa_samples)))
-    if index.sa_samples:
-        w.write(struct.pack(f"<{len(index.sa_samples)}Q", *index.sa_samples))
+    w.write(struct.pack("<Q", index.bucket_count))
+    w.write(index.table)
+    w.write(struct.pack("<Q", len(index.samples) // SAMPLE_DTYPE.itemsize))
+    w.write(index.samples)
     w.write(struct.pack("<I", len(index.records)))
     for record in index.records:
         name = record.name.encode("utf-8")
@@ -125,15 +134,11 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         raise IndexFormatError(
             f"bucket count {bucket_count} does not match n={n} (expected {expected_buckets})"
         )
-    buckets = []
-    for _ in range(bucket_count):
-        base = struct.unpack("<4Q", r.read(32, "bucket base"))
-        chars = r.read(BUCKET_BYTES, "bucket chars")
-        buckets.append(OccBucket(base=base, chars=chars))
+    table = r.read(bucket_count * BUCKET_RECORD.itemsize, "buckets")
     (sample_count,) = struct.unpack("<Q", r.read(8, "sample count"))
     if sample_count != n // SA_STRIDE + 1:
         raise IndexFormatError(f"sample count {sample_count} does not match n={n}")
-    samples = struct.unpack(f"<{sample_count}Q", r.read(8 * sample_count, "samples"))
+    samples = r.read(sample_count * SAMPLE_DTYPE.itemsize, "samples")
     (record_count,) = struct.unpack("<I", r.read(4, "record count"))
     records = []
     for _ in range(record_count):
@@ -159,7 +164,7 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     return FmIndex(
         n=n,
         c=c,
-        buckets=tuple(buckets),
+        buckets=table,
         sentinel_row=sentinel_row,
         sa_samples=samples,
         records=tuple(records),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fmpm.alphabet import (
     AlphabetError,
@@ -8,6 +10,7 @@ from fmpm.alphabet import (
     decode,
     encode,
     is_dna,
+    is_dna_many,
     pack_2bit,
     pack_codes,
     unpack_2bit,
@@ -28,6 +31,12 @@ def test_is_dna():
     assert is_dna("ACGTacgt")
     assert not is_dna("ACGU")
     assert is_dna("")
+
+
+@given(st.lists(st.text(alphabet="ACGTacgtNn\u00e9\U0001f600") | st.text(), max_size=8))
+def test_is_dna_many_equals_is_dna(texts):
+    # lowercase, N and non-ASCII characters, one of them astral (one code point)
+    assert is_dna_many(texts).tolist() == [is_dna(t) for t in texts]
 
 
 def test_pack_single_bytes():

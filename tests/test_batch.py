@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpm.batch
+import fmpm.kernels
 import fmpm.search
 from fmpm.alphabet import encode_array, is_dna
-from fmpm.batch import index_view, inexact_search_frontier, locate_rows, rank_all4_many
+from fmpm.batch import (
+    index_view,
+    inexact_search_frontier,
+    locate_rows,
+    rank_all4_many,
+    rank_many,
+)
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
@@ -40,10 +47,13 @@ def test_rank_all4_many_equals_occ_all(n):
     view = index_view(index)
     positions = np.arange(-1, n + 1)
     want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
+    symbol = positions % 4
     for kernel in CONCRETE_KERNELS:
         got = rank_all4_many(view, positions, kernel)
         assert got.shape == (n + 2, 4)
         assert got.tolist() == want, kernel
+        got = rank_many(view, positions, symbol, kernel)
+        assert got.tolist() == [row[s] for row, s in zip(want, symbol.tolist())], kernel
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -59,6 +69,18 @@ def test_locate_rows_periodic_text():
     rows = np.arange(len(text) + 1)
     for kernel in CONCRETE_KERNELS:
         assert locate_rows(view, rows, kernel).tolist() == suffix_array_naive(text)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.SCALAR, Kernel.NIBBLE])
+def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
+    # each step needs the rank of the row's own symbol only
+    def all_four(block, prefix_len):
+        raise AssertionError("locate ran an all-four kernel")
+
+    monkeypatch.setitem(fmpm.kernels._ALL4_FNS, kernel, all_four)
+    text = _edge_text(257)
+    view = index_view(build_index(text))
+    assert locate_rows(view, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)
 
 
 def test_locate_rows_rejects_a_cycle():

@@ -95,6 +95,21 @@ def test_records_validation():
     check_index(index)
 
 
+def test_tuple_views_build_the_same_index():
+    # buckets and sa_samples given as tuples land in the same file sections
+    index = build_index(random_dna(random.Random(36), 300), [("r1", 0, 100), ("r2", 100, 200)])
+    rebuilt = FmIndex(
+        n=index.n,
+        c=index.c,
+        buckets=index.buckets,
+        sentinel_row=index.sentinel_row,
+        sa_samples=index.sa_samples,
+        records=index.records,
+    )
+    assert rebuilt == index
+    assert (rebuilt.table, rebuilt.samples) == (index.table, index.samples)
+
+
 def test_check_index_catches_tampering():
     index = build_index(random_dna(random.Random(34), 150))
     broken = FmIndex(

@@ -76,6 +76,18 @@ def test_truncated_everywhere():
             deserialize_index(io.BytesIO(blob[:cut]))
 
 
+def test_huge_count_in_short_file_is_truncated(tmp_path):
+    # n = 2**40 asks for 2**39 bucket bytes; the file holds a few hundred
+    blob = bytearray(roundtrip_bytes(build_index("ACAG")))
+    n = 1 << 40
+    blob[8:16] = struct.pack("<Q", n)
+    blob[72:80] = struct.pack("<Q", (n + 128) // 128)
+    path = tmp_path / "huge.fmi"
+    path.write_bytes(bytes(blob))
+    with open(path, "rb") as fh, pytest.raises(TruncatedStreamError):
+        deserialize_index(fh)
+
+
 def test_checksum_failure():
     blob = bytearray(roundtrip_bytes(build_index(random_dna(random.Random(75), 60))))
     blob[len(blob) // 2] ^= 0xFF
