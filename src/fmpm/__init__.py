@@ -12,7 +12,9 @@ first use (PEP 562), so `import fmpm` loads neither numpy nor any
 submodule.
 """
 
+import sys
 from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -87,6 +89,33 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
+
+
+class _Package(ModuleType):
+    """`fmpm.occ` is the occ function, as in `__all__`, never the submodule.
+
+    Loading `fmpm.occ` (which `fmpm.search` does) makes the import system
+    bind the submodule to the package's `occ`; the setter drops that one
+    binding and keeps any other value, so a caller can still patch it.
+    """
+
+    @property
+    def occ(self):
+        if "occ" in vars(self):
+            return vars(self)["occ"]
+        return import_module(".occ", self.__name__).occ
+
+    @occ.setter
+    def occ(self, value):
+        if value is not sys.modules.get(f"{self.__name__}.occ"):
+            vars(self)["occ"] = value
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 def __getattr__(name: str):

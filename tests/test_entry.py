@@ -26,12 +26,13 @@ def test_import_fmpm_loads_no_numpy_and_sets_nothing():
     out, _ = _python(
         "-c",
         "import os, sys, fmpm, fmpm.__main__\n"
+        "print(set(fmpm.__all__) <= set(dir(fmpm)))\n"
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('fmpm')))\n"
         "from fmpm import build_index\n"
         f"print(os.environ.get({fmpm.__main__.BLAS_THREADS_ENV!r}))",
         env=env,
     )
-    assert out == "['fmpm', 'fmpm.__main__']\nNone\n"
+    assert out == "True\n['fmpm', 'fmpm.__main__']\nNone\n"
 
 
 def test_every_public_name_resolves():
@@ -39,6 +40,22 @@ def test_every_public_name_resolves():
         assert getattr(fmpm, name) is not None, name
     with pytest.raises(AttributeError):
         fmpm.no_such_name
+
+
+@pytest.mark.parametrize(
+    "first", ["pass", "import fmpm.search", "fmpm.exact_search", "import fmpm.occ"]
+)
+def test_occ_is_the_function_whatever_has_been_loaded(first):
+    out, _ = _python(
+        "-c",
+        f"import fmpm\n{first}\n"
+        "from fmpm import occ, build_index\n"
+        "from fmpm.occ import occ as function\n"
+        "print(occ is function, fmpm.occ is function, fmpm.occ(build_index('ACAG'), 0, 4))\n"
+        "fmpm.occ = len\n"
+        "print(fmpm.occ is len)",
+    )
+    assert out == "True True 2\nTrue\n"
 
 
 def test_readme_library_imports_work_in_a_fresh_interpreter():
