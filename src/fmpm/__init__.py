@@ -12,9 +12,7 @@ first use (PEP 562), so `import fmpm` loads neither numpy nor any
 submodule.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -59,11 +57,12 @@ _EXPORTS = {
         "mask_bucket",
         "resolve_kernel",
     ),
-    "occ": ("OccPair", "bwt_char_at", "occ", "occ_all", "occ_pair_all"),
     "search": (
         "BwmInterval",
         "Hit",
         "MatchResult",
+        "OccPair",
+        "bwt_char_at",
         "collect_hits",
         "exact_search",
         "extend_backward",
@@ -71,6 +70,9 @@ _EXPORTS = {
         "init_interval",
         "locate_all",
         "locate_row",
+        "occ",
+        "occ_all",
+        "occ_pair_all",
         "psi_inverse",
         "psi_inverse_fused",
         "reconstruct_reference",
@@ -89,29 +91,6 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
-
-
-class _Package(ModuleType):
-    """`fmpm.occ` is the occ function, as in `__all__`, never the submodule.
-
-    Loading `fmpm.occ` (which `fmpm.search` does) makes the import system
-    bind the submodule to the package's `occ`; the setter drops that one
-    binding and keeps any other value, so a caller can still patch it.
-    """
-
-    @property
-    def occ(self):
-        if "occ" in vars(self):
-            return vars(self)["occ"]
-        return import_module(".occ", self.__name__).occ
-
-    @occ.setter
-    def occ(self, value):
-        if value is not sys.modules.get(f"{self.__name__}.occ"):
-            vars(self)["occ"] = value
-
-
-sys.modules[__name__].__class__ = _Package
 
 
 def __dir__():

@@ -1,12 +1,13 @@
-"""Batched queries: backward search and locate for many patterns at once.
+"""The query engine: backward search and locate for many patterns at once.
 
-The per-query functions in `fmpm.search` stay the public API and the
-reference the tests compare against.  Here each backward-search step of
-every pattern still in play, each round of one pattern's bounded-difference
-frontier, and each predecessor step of every row still being located is one
-call of `rank_many`: the buckets of all positions are gathered and the
-selected kernel counts their prefixes, in one numpy pass for `bytelut` and
-`simd`.  Locate asks for each row's own symbol only.
+`fmpm match` runs `match_many`, and every per-item function of
+`fmpm.search` is a thin wrapper over one call of a function here.  Each
+backward-search step of every pattern still in play, each round of one
+pattern's bounded-difference frontier, and each predecessor step of every
+row still being located is one call of `rank_many`: the buckets of all
+positions are gathered and the selected kernel counts their prefixes, in
+one numpy pass for `bytelut` and `simd`.  Locate asks for each row's own
+symbol only.
 """
 
 from __future__ import annotations
@@ -16,21 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .alphabet import A, encode_array, is_dna_many
-from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, SA_STRIDE
+from .index import FmIndex, IndexView, SA_STRIDE
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
-
-
-class IndexView(NamedTuple):
-    """The arrays of one FmIndex that batched queries read."""
-
-    n: int
-    sentinel_row: int
-    c: np.ndarray  # (5,) int64
-    blocks: np.ndarray  # (n_buckets, 32) uint8 packed transform
-    bases: np.ndarray  # (n_buckets, 4) int64 counts before each bucket
-    samples: np.ndarray  # int64 suffix-array entries of rows 0, 32, 64, ...
-    starts: np.ndarray  # int64 record starts
-    lengths: np.ndarray  # int64 record lengths
 
 
 class BatchHits(NamedTuple):
@@ -59,25 +47,6 @@ def _first_per_key(keys: Sequence[np.ndarray], tiebreak: np.ndarray) -> np.ndarr
     return order[first]
 
 
-def index_view(index: FmIndex) -> IndexView:
-    """Array views of the buckets and samples of `index`, and its record spans.
-
-    The blocks, bases and samples are read-only views of the index's own
-    bytes, not copies.
-    """
-    table = np.frombuffer(index.table, dtype=BUCKET_RECORD)
-    return IndexView(
-        n=index.n,
-        sentinel_row=index.sentinel_row,
-        c=np.array(index.c, dtype=np.int64),
-        blocks=table["chars"],
-        bases=table["base"],
-        samples=np.frombuffer(index.samples, dtype=SAMPLE_DTYPE),
-        starts=np.array([r.start for r in index.records], dtype=np.int64),
-        lengths=np.array([r.length for r in index.records], dtype=np.int64),
-    )
-
-
 def rank_many(
     view: IndexView,
     pos: np.ndarray,
@@ -88,9 +57,13 @@ def rank_many(
 
     The batched form of `occ` (shape (len(pos),)) and of `occ_all` (shape
     (len(pos), 4)): entries of `pos` must lie in [-1, n], and -1 gives
-    zeros.  With `symbol`, the per-bucket kernels count that symbol only.
+    zeros; nothing here checks that.  With `symbol`, the per-bucket
+    kernels count that symbol only.  This is the one place the terminator,
+    packed as A, is taken back off the A count.
     """
     pos = np.asarray(pos, dtype=np.int64)
+    if symbol is not None:
+        symbol = np.asarray(symbol, dtype=np.int64)
     bucket = np.maximum(pos, 0) // BUCKET_CHARS
     prefix = pos + 1 - bucket * BUCKET_CHARS  # 0 only at pos == -1
     counts = count_blocks(view.blocks[bucket], prefix, kernel, symbol)
@@ -101,21 +74,15 @@ def rank_many(
     return counts - (symbol == A) * after_terminator + view.bases[bucket, symbol]
 
 
-def rank_all4_many(
-    view: IndexView, pos: np.ndarray, kernel: Kernel | str | None = None
-) -> np.ndarray:
-    """Occurrences of each symbol in rows 0..pos[i], shape (len(pos), 4)."""
-    return rank_many(view, pos, None, kernel)
-
-
 def exact_search_many(
     view: IndexView, patterns: Sequence[str], kernel: Kernel | str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals (k, l) of ACGT patterns, like `exact_search` run on each.
+    """Intervals (k, l) of non-empty ACGT patterns, as `exact_search` gives them.
 
     Patterns are walked right to left in lockstep.  Step t ranks k - 1 and
     l of every pattern longer than t whose interval is still non-empty.
-    An empty result has k > l, though not the bounds exact_search reports.
+    A pattern stops at the step its interval empties, so an empty result
+    has k > l with the bounds of that step.
     """
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     codes = encode_array("".join(patterns)).astype(np.int64)
@@ -128,7 +95,7 @@ def exact_search_many(
         if not len(live):
             break
         symbol = codes[last[live] - t]
-        counts = rank_all4_many(view, np.concatenate([k[live] - 1, l[live]]), kernel)
+        counts = rank_many(view, np.concatenate([k[live] - 1, l[live]]), None, kernel)
         at = np.arange(len(live))
         base = view.c[symbol]
         k[live] = base + counts[at, symbol] + 1
@@ -156,7 +123,7 @@ def inexact_search_frontier(
     i, budget, k, l = (np.array([v], dtype=np.int64) for v in start)
     done = []
     while len(i):
-        counts = rank_all4_many(view, np.concatenate([k - 1, l]), kernel)
+        counts = rank_many(view, np.concatenate([k - 1, l]), None, kernel)
         k2 = view.c[:4] + counts[: len(i)] + 1
         l2 = view.c[:4] + counts[len(i) :]
         spend = budget > 0
@@ -186,6 +153,24 @@ def inexact_search_frontier(
     return k[kept], l[kept], used[kept]
 
 
+def bwt_symbols(view: IndexView, rows: np.ndarray) -> np.ndarray:
+    """Packed transform symbol at each row; the sentinel row reads as A."""
+    rows = np.asarray(rows, dtype=np.int64)
+    r = rows % BUCKET_CHARS
+    return (view.blocks[rows // BUCKET_CHARS, r >> 2] >> ((r & 3) << 1)) & 3
+
+
+def lf_step(
+    view: IndexView, rows: np.ndarray, kernel: Kernel | str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol at each row, row of the suffix one text position earlier).
+
+    No row may be the sentinel row, whose suffix has no predecessor.
+    """
+    symbol = bwt_symbols(view, rows)
+    return symbol, view.c[symbol] + rank_many(view, rows, symbol, kernel)
+
+
 def locate_rows(
     view: IndexView, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
@@ -208,9 +193,7 @@ def locate_rows(
         todo, rows = todo[walking], rows[walking]
         if not len(rows):
             return out
-        r = rows % BUCKET_CHARS
-        symbol = (view.blocks[rows // BUCKET_CHARS, r >> 2] >> ((r & 3) << 1)) & 3
-        rows = view.c[symbol] + rank_many(view, rows, symbol, kernel)
+        rows = lf_step(view, rows, kernel)[1]
         steps += 1
         if steps > view.n + 1:
             raise RuntimeError("predecessor walk did not terminate; index is corrupt")
@@ -262,7 +245,7 @@ def match_many(
     with characters outside ACGT are flagged degenerate and get no hits.
     """
     kernel = resolve_kernel(kernel)
-    view = index_view(index)
+    view = index.view
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     degenerate = ~is_dna_many(patterns)
     dna = np.flatnonzero(~degenerate)

@@ -7,9 +7,10 @@ import random
 import time
 from dataclasses import dataclass
 
+from .batch import match_many
 from .index import FmIndex
 from .kernels import CONCRETE_KERNELS, Kernel, count_fn, resolve_kernel
-from .search import collect_hits, exact_search, inexact_search, locate_all, reconstruct_reference
+from .search import reconstruct_reference
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,22 @@ def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
     return _Workload(exact_patterns, inexact_patterns, bucket_cases)
 
 
+def _hash_hits(digest, index: FmIndex, patterns: list[str], max_diff: int, kernel: Kernel) -> None:
+    """Answer every pattern as `fmpm match` does and hash its hits, pattern by pattern.
+
+    At max_diff 0 a hit is (record, offset); otherwise (record, offset, diffs).
+    """
+    hits = match_many(index, patterns, max_diff, kernel)
+    names = [r.name for r in index.records]
+    per_pattern: list[list[tuple]] = [[] for _ in patterns]
+    for pid, rec, offset, diffs in zip(
+        hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
+    ):
+        per_pattern[pid].append((names[rec], offset, diffs) if max_diff else (names[rec], offset))
+    for pattern_hits in per_pattern:
+        digest.update(repr(pattern_hits).encode())
+
+
 def run_bench(
     index: FmIndex,
     kernels: list[Kernel | str] | None = None,
@@ -65,8 +82,11 @@ def run_bench(
 ) -> list[BenchReport]:
     """Run every kernel over one seed-derived workload.
 
-    Answer checksums are computed from located hits only, so they must be
-    identical across kernels; throughputs are informational.
+    Each kernel counts sampled bucket prefixes one call at a time, then
+    answers the exact and the one-difference patterns as one `match_many`
+    batch each, the engine `fmpm match` runs.  Answer checksums are
+    computed from located hits only, so they must be identical across
+    kernels; throughputs are informational.
     """
     chosen = [resolve_kernel(k) for k in (kernels or list(CONCRETE_KERNELS))]
     workload = _build_workload(index, iterations, seed)
@@ -82,17 +102,11 @@ def run_bench(
         bucket_elapsed = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for pattern in workload.exact_patterns:
-            interval = exact_search(index, pattern, kernel)
-            hits = locate_all(index, interval, 0, len(pattern), kernel)
-            digest.update(repr([(h.record, h.offset) for h in hits]).encode())
+        _hash_hits(digest, index, workload.exact_patterns, 0, kernel)
         exact_elapsed = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        for pattern in workload.inexact_patterns:
-            matches = inexact_search(index, pattern, 1, kernel)
-            hits, _ = collect_hits(index, matches, len(pattern), kernel)
-            digest.update(repr([(h.record, h.offset, h.diffs) for h in hits]).encode())
+        _hash_hits(digest, index, workload.inexact_patterns, 1, kernel)
         inexact_elapsed = time.perf_counter() - t0
 
         reports.append(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +49,19 @@ BUCKET_RECORD = np.dtype([("base", "<i8", (4,)), ("chars", "u1", (BUCKET_BYTES,)
 SAMPLE_DTYPE = np.dtype("<i8")
 
 
+class IndexView(NamedTuple):
+    """The arrays of one FmIndex that the query engine (`fmpm.batch`) reads."""
+
+    n: int
+    sentinel_row: int
+    c: np.ndarray  # (5,) int64
+    blocks: np.ndarray  # (n_buckets, 32) uint8 packed transform
+    bases: np.ndarray  # (n_buckets, 4) int64 counts before each bucket
+    samples: np.ndarray  # int64 suffix-array entries of rows 0, 32, 64, ...
+    starts: np.ndarray  # int64 record starts
+    lengths: np.ndarray  # int64 record lengths
+
+
 @dataclass(frozen=True, init=False)
 class FmIndex:
     """Succinct FM-index over a concatenated DNA reference.
@@ -59,7 +72,7 @@ class FmIndex:
     terminator.  `table` is the bucket section of the v1 file, one
     `BUCKET_RECORD` per bucket, and `samples` its sample section, every
     32nd suffix-array entry; `buckets` and `sa_samples` are tuple views of
-    them, built on first use.
+    them, and `view` their arrays for queries, each built on first use.
     """
 
     n: int
@@ -112,6 +125,21 @@ class FmIndex:
     @cached_property
     def sa_samples(self) -> tuple[int, ...]:
         return tuple(np.frombuffer(self.samples, dtype=SAMPLE_DTYPE).tolist())
+
+    @cached_property
+    def view(self) -> IndexView:
+        """Blocks, bases and samples as read-only views of this index's bytes, not copies."""
+        table = np.frombuffer(self.table, dtype=BUCKET_RECORD)
+        return IndexView(
+            n=self.n,
+            sentinel_row=self.sentinel_row,
+            c=np.array(self.c, dtype=np.int64),
+            blocks=table["chars"],
+            bases=table["base"],
+            samples=np.frombuffer(self.samples, dtype=SAMPLE_DTYPE),
+            starts=np.array([r.start for r in self.records], dtype=np.int64),
+            lengths=np.array([r.length for r in self.records], dtype=np.int64),
+        )
 
 
 def build_c_table(totals: Sequence[int]) -> tuple[int, int, int, int, int]:

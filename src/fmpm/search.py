@@ -1,14 +1,40 @@
-"""Backward search, bounded-difference search, and position recovery."""
+"""Occurrence counts, backward search, bounded-difference search, and locate.
+
+One item at a time, as thin wrappers over the batch engine in
+`fmpm.batch`: each function checks its arguments, raising ValueError on
+any the engine would misread, and makes one call into the engine.  Every
+call pays numpy's per-call overhead, so callers with many patterns, rows
+or positions should hand them to `fmpm.batch` at once (`match_many` for
+whole queries).
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
-from .alphabet import SYMBOLS, encode, is_dna
-from .index import FmIndex, SA_STRIDE
-from .kernels import BUCKET_CHARS, Kernel, count_fn, resolve_kernel
-from .occ import occ, occ_pair_all
+import numpy as np
+
+from .alphabet import SYMBOLS, encode_array, is_dna
+from .batch import (
+    bwt_symbols,
+    exact_search_many,
+    inexact_search_frontier,
+    lf_step,
+    locate_hits,
+    locate_rows,
+    rank_many,
+)
+from .index import FmIndex
+from .kernels import Kernel, OccCounts, resolve_kernel
+
+_SYMBOL_BYTES = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
+
+
+class OccPair(NamedTuple):
+    """Occurrence counts at the two positions an interval update needs."""
+
+    at_low: OccCounts
+    at_high: OccCounts
 
 
 class BwmInterval(NamedTuple):
@@ -47,13 +73,72 @@ class Hit(NamedTuple):
     diffs: int
 
 
+def _check_symbol(symbol: int) -> None:
+    if not 0 <= symbol < 4:
+        raise ValueError(f"symbol code {symbol} outside [0, 4)")
+
+
+def _check_position(index: FmIndex, k: int) -> None:
+    """Occurrence counts are defined at positions -1 (none counted) to n."""
+    if not -1 <= k <= index.n:
+        raise ValueError(f"position {k} outside [-1, {index.n}]")
+
+
+def _check_row(index: FmIndex, i: int) -> None:
+    if not 0 <= i <= index.n:
+        raise ValueError(f"row {i} outside [0, {index.n}]")
+
+
+def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None) -> int:
+    """Occurrences of `symbol` in transform rows 0..k, inclusive.
+
+    k == -1 is the defined empty-prefix base case and returns 0.  The
+    terminator is packed as code 0 and not counted as an A.
+    """
+    kernel = resolve_kernel(kernel)
+    _check_symbol(symbol)
+    _check_position(index, k)
+    return int(rank_many(index.view, [k], [symbol], kernel)[0])
+
+
+def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCounts:
+    """All four occurrence counts at position k (k == -1 gives zeros)."""
+    kernel = resolve_kernel(kernel)
+    _check_position(index, k)
+    return OccCounts(*rank_many(index.view, [k], None, kernel)[0].tolist())
+
+
+def occ_pair_all(
+    index: FmIndex, low: int, high: int, kernel: Kernel | str | None = None
+) -> OccPair:
+    """Counts for all symbols at two positions, low <= high.
+
+    What an interval update needs: Occ at k-1 and l for every candidate
+    symbol, from one rank call.
+    """
+    kernel = resolve_kernel(kernel)
+    if low > high:
+        raise ValueError(f"pair positions out of order: {low} > {high}")
+    _check_position(index, low)
+    _check_position(index, high)
+    at_low, at_high = rank_many(index.view, [low, high], None, kernel).tolist()
+    return OccPair(at_low=OccCounts(*at_low), at_high=OccCounts(*at_high))
+
+
+def bwt_char_at(index: FmIndex, i: int) -> int | None:
+    """Symbol code stored at transform row i, or None at the sentinel row."""
+    _check_row(index, i)
+    if i == index.sentinel_row:
+        return None
+    return int(bwt_symbols(index.view, [i])[0])
+
+
 def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
     """Row range of rotations starting with `symbol`: [c[s]+1, c[s+1]].
 
     The +1 skips the terminator row, which sorts before everything.
     """
-    if not 0 <= symbol < 4:
-        raise ValueError(f"symbol code {symbol} outside [0, 4)")
+    _check_symbol(symbol)
     return BwmInterval(k=index.c[symbol] + 1, l=index.c[symbol + 1])
 
 
@@ -64,11 +149,15 @@ def extend_backward(
     kernel: Kernel | str | None = None,
 ) -> BwmInterval:
     """Narrow an interval to rotations prefixed by one more symbol."""
+    kernel = resolve_kernel(kernel)
     if interval.is_empty:
         raise ValueError("cannot extend an empty interval")
-    pair = occ_pair_all(index, interval.k - 1, interval.l, kernel)
+    _check_symbol(symbol)
+    _check_position(index, interval.k - 1)
+    _check_position(index, interval.l)
+    low, high = rank_many(index.view, [interval.k - 1, interval.l], [symbol] * 2, kernel).tolist()
     c = index.c[symbol]
-    return BwmInterval(k=c + pair.at_low[symbol] + 1, l=c + pair.at_high[symbol])
+    return BwmInterval(k=c + low + 1, l=c + high)
 
 
 def exact_search(
@@ -80,18 +169,13 @@ def exact_search(
     soon as the interval empties.  A pattern with characters outside ACGT
     yields an empty interval flagged degenerate rather than an error.
     """
+    kernel = resolve_kernel(kernel)
     if not pattern:
         raise ValueError("pattern is empty")
     if not is_dna(pattern):
         return BwmInterval(k=1, l=0, degenerate=True)
-    kernel = resolve_kernel(kernel)
-    codes = encode(pattern)
-    interval = init_interval(index, codes[-1])
-    for symbol in reversed(codes[:-1]):
-        if interval.is_empty:
-            break
-        interval = extend_backward(index, interval, symbol, kernel)
-    return interval
+    k, l = exact_search_many(index.view, [pattern], kernel)
+    return BwmInterval(k=int(k[0]), l=int(l[0]))
 
 
 def inexact_search(
@@ -102,61 +186,23 @@ def inexact_search(
 ) -> list[MatchResult]:
     """All intervals reachable within `max_diff` edits of `pattern`.
 
-    Explores the edit branches (skip a pattern character, insert a
-    reference character, match, mismatch) with an explicit work stack;
-    every branch spends one unit of budget except a match.  Branch
-    intervals are computed fresh from the interval the loop entered with,
-    and empty intervals are pruned: extending an empty interval can never
-    repopulate it.  Results are deduplicated by interval, keeping the
-    smallest difference count, and sorted for determinism.
+    The edit branches are: skip a pattern character, insert a reference
+    character, match, mismatch; every branch spends one unit of budget
+    except a match, and empty intervals are pruned.  One result per
+    interval, with its fewest differences, sorted by interval.
     """
+    kernel = resolve_kernel(kernel)
     if max_diff < 0:
         raise ValueError(f"difference budget {max_diff} is negative")
     if not pattern:
         raise ValueError("pattern is empty")
     if not is_dna(pattern):
         return []
-    kernel = resolve_kernel(kernel)
-    codes = encode(pattern)
-    c = index.c
-    best: dict[tuple[int, int], int] = {}
-    # (next pattern position, remaining budget, k, l); the full row range
-    # [0, n] makes the first extension coincide with init_interval.
-    stack = [(len(codes) - 1, max_diff, 0, index.n)]
-    while stack:
-        i, budget, k, l = stack.pop()
-        if i < 0:
-            used = max_diff - budget
-            key = (k, l)
-            prev = best.get(key)
-            if prev is None or used < prev:
-                best[key] = used
-            continue
-        if budget > 0:
-            # skip: consume the pattern character without extending
-            stack.append((i - 1, budget - 1, k, l))
-        pair = occ_pair_all(index, k - 1, l, kernel)
-        want = codes[i]
-        for symbol in range(4):
-            base = c[symbol]
-            k2 = base + pair.at_low[symbol] + 1
-            l2 = base + pair.at_high[symbol]
-            if k2 > l2:
-                continue
-            if budget > 0:
-                # insert: extend by a reference character, keep the pattern position
-                stack.append((i, budget - 1, k2, l2))
-            if symbol == want:
-                stack.append((i - 1, budget, k2, l2))
-            elif budget > 0:
-                stack.append((i - 1, budget - 1, k2, l2))
-    return sorted(
-        (
-            MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
-            for (k, l), used in best.items()
-        ),
-        key=lambda m: (m.interval.k, m.interval.l, m.diffs_used),
-    )
+    found = inexact_search_frontier(index.view, encode_array(pattern), max_diff, kernel)
+    return [
+        MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
+        for k, l, used in zip(*(column.tolist() for column in found))
+    ]
 
 
 def psi_inverse(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int | None:
@@ -172,40 +218,24 @@ def psi_inverse(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> i
 def psi_inverse_fused(
     index: FmIndex, i: int, kernel: Kernel | str | None = None
 ) -> tuple[int, int] | None:
-    """(symbol at row i, predecessor row) with a single bucket access."""
-    if not 0 <= i <= index.n:
-        raise ValueError(f"row {i} outside [0, {index.n}]")
+    """(symbol at row i, predecessor row), or None at the sentinel row."""
+    kernel = resolve_kernel(kernel)
+    _check_row(index, i)
     if i == index.sentinel_row:
         return None
-    j, r = divmod(i, BUCKET_CHARS)
-    bucket = index.buckets[j]
-    symbol = (bucket.chars[r >> 2] >> ((r & 3) << 1)) & 3
-    count = bucket.base[symbol] + count_fn(kernel)(bucket.chars, r + 1, symbol)
-    if symbol == 0 and index.sentinel_row <= i:
-        count -= 1
-    return symbol, index.c[symbol] + count
+    symbol, row = lf_step(index.view, [i], kernel)
+    return int(symbol[0]), int(row[0])
 
 
 def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int:
-    """Text position of row i, walking to the nearest sampled row.
+    """Text position of row i, walking predecessors to the nearest sampled row.
 
-    Steps backward through the text until reaching a row whose
-    suffix-array entry is stored (every 32nd row) or the sentinel row
-    (position 0), then adds back the number of steps taken.
+    The walk ends at a row whose suffix-array entry is stored (every 32nd
+    row) or at the sentinel row (position 0); the steps taken are added back.
     """
     kernel = resolve_kernel(kernel)
-    steps = 0
-    while True:
-        if i == index.sentinel_row:
-            return steps
-        if i % SA_STRIDE == 0:
-            return index.sa_samples[i // SA_STRIDE] + steps
-        stepped = psi_inverse_fused(index, i, kernel)
-        assert stepped is not None
-        i = stepped[1]
-        steps += 1
-        if steps > index.n + 1:
-            raise RuntimeError("predecessor walk did not terminate; index is corrupt")
+    _check_row(index, i)
+    return int(locate_rows(index.view, [i], kernel)[0])
 
 
 def locate_all(
@@ -215,31 +245,8 @@ def locate_all(
     pattern_len: int,
     kernel: Kernel | str | None = None,
 ) -> list[Hit]:
-    """Map every row of an interval to a record-relative hit.
-
-    Hits whose span cannot fit inside a single record are dropped: a
-    match using d differences covers at least pattern_len - d reference
-    characters, so anything forced across a record boundary (or past the
-    end of the reference) is an artifact of concatenation.
-    """
-    if interval.is_empty:
-        return []
-    kernel = resolve_kernel(kernel)
-    starts = [r.start for r in index.records]
-    min_span = max(pattern_len - diffs, 0)
-    hits = []
-    for row in range(interval.k, interval.l + 1):
-        pos = locate_row(index, row, kernel)
-        if pos >= index.n:
-            continue
-        which = bisect_right(starts, pos) - 1
-        record = index.records[which]
-        offset = pos - record.start
-        if offset + min_span > record.length:
-            continue
-        hits.append(Hit(record=record.name, offset=offset, global_pos=pos, diffs=diffs))
-    hits.sort(key=lambda h: h.global_pos)
-    return hits
+    """Record-relative hits of every row of one interval, as `collect_hits` keeps them."""
+    return collect_hits(index, [MatchResult(interval, diffs)], pattern_len, kernel)[0]
 
 
 def collect_hits(
@@ -249,18 +256,27 @@ def collect_hits(
     kernel: Kernel | str | None = None,
     max_hits: int | None = None,
 ) -> tuple[list[Hit], bool]:
-    """Merge hits from several intervals, keeping the fewest diffs per position.
+    """Hits of every row of the matches' intervals, fewest diffs per position.
 
-    Returns the sorted hits and whether `max_hits` truncated them.
+    Hits whose span cannot fit inside a single record are dropped: a
+    match using d differences covers at least pattern_len - d reference
+    characters, so anything forced across a record boundary (or past the
+    end of the reference) is an artifact of concatenation.  Returns the
+    hits sorted by position and whether `max_hits` truncated them.
     """
     kernel = resolve_kernel(kernel)
-    best: dict[int, Hit] = {}
-    for match in sorted(matches, key=lambda m: m.diffs_used):
-        for hit in locate_all(index, match.interval, match.diffs_used, pattern_len, kernel):
-            prev = best.get(hit.global_pos)
-            if prev is None or hit.diffs < prev.diffs:
-                best[hit.global_pos] = hit
-    hits = sorted(best.values(), key=lambda h: h.global_pos)
+    found = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches if not m.interval.is_empty]
+    for k, l, _ in found:
+        _check_row(index, k)
+        _check_row(index, l)
+    k, l, diffs = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    _, record, offset, diffs = locate_hits(
+        index.view, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
+    )
+    hits = []
+    for r, o, d in zip(record.tolist(), offset.tolist(), diffs.tolist()):
+        span = index.records[r]
+        hits.append(Hit(record=span.name, offset=o, global_pos=span.start + o, diffs=d))
     truncated = max_hits is not None and len(hits) > max_hits
     if truncated:
         hits = hits[:max_hits]
@@ -268,19 +284,15 @@ def collect_hits(
 
 
 def reconstruct_reference(index: FmIndex, kernel: Kernel | str | None = None) -> str:
-    """Rebuild the reference by walking predecessors from the last row.
+    """Rebuild the reference from one locate of every row.
 
-    Row 0 always holds the rotation starting with the terminator, whose
-    preceding character is the last of the text; n fused steps recover
-    the whole reference right to left.
+    The transform symbol of a row is the text character just before that
+    row's suffix, so it goes to position SA[row] - 1; the sentinel row's
+    (the terminator, before the whole text) goes nowhere.
     """
     kernel = resolve_kernel(kernel)
-    out = []
-    row = 0
-    for _ in range(index.n):
-        stepped = psi_inverse_fused(index, row, kernel)
-        if stepped is None:
-            raise RuntimeError("hit the sentinel row early; index is corrupt")
-        symbol, row = stepped
-        out.append(SYMBOLS[symbol])
-    return "".join(reversed(out))
+    view = index.view
+    rows = np.delete(np.arange(index.n + 1), index.sentinel_row)
+    text = np.zeros(index.n, dtype=np.uint8)
+    text[locate_rows(view, rows, kernel) - 1] = bwt_symbols(view, rows)
+    return _SYMBOL_BYTES[text].tobytes().decode("ascii")

@@ -1,18 +1,50 @@
-"""Independent reference implementations used to cross-check the package."""
+"""Independent reference implementations used to cross-check the package.
+
+The occurrence, search and locate functions below answer the library's
+per-item queries one item at a time: they read `FmIndex.buckets` one
+bucket at a time through the one-bucket kernels and share no code with
+the batch engine in `fmpm.batch`, which the library runs.
+"""
 
 from __future__ import annotations
 
 import random
 import struct
 import zlib
+from bisect import bisect_right
+from typing import Iterable
 
-from fmpm.alphabet import pack_codes
-from fmpm.kernels import count_bucket_scalar
+from fmpm.alphabet import A, encode, is_dna, pack_codes
+from fmpm.index import FmIndex, SA_STRIDE
+from fmpm.kernels import (
+    BUCKET_CHARS,
+    Kernel,
+    OccCounts,
+    all4_fn,
+    count_bucket_scalar,
+    count_fn,
+    resolve_kernel,
+)
+from fmpm.search import BwmInterval, Hit, MatchResult, OccPair, init_interval
 from fmpm.suffix import suffix_array_naive
+
+_ZERO = OccCounts(0, 0, 0, 0)
+
+# below one bucket, and at or one off multiples of the sample stride and the bucket
+EDGE_SIZES = sorted(
+    {1, 2, 3, 31, 77, 127} | {m + d for m in (32, 64, 96, 128, 256, 384) for d in (-1, 0, 1)}
+)
+PERIODIC_TEXTS = ["ACG" * 90, "A" * 130, ("acgt" * 70)[:257], "AAC" * 43]
 
 
 def random_dna(rng: random.Random, n: int) -> str:
     return "".join(rng.choice("ACGT") for _ in range(n))
+
+
+def edge_text(n: int) -> str:
+    """Random DNA of length n seeded by n, lowercase at odd n."""
+    text = random_dna(random.Random(n), n)
+    return text.lower() if n % 2 else text
 
 
 def random_bucket(rng: random.Random) -> bytes:
@@ -112,3 +144,281 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<QQ", start, length)
     return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None) -> int:
+    """Occurrences of `symbol` in transform rows 0..k, inclusive.
+
+    k == -1 is the defined empty-prefix base case and returns 0.  The
+    terminator is packed as code 0, so the raw A count is corrected down
+    by one once the prefix covers the sentinel row.
+    """
+    if not 0 <= symbol < 4:
+        raise ValueError(f"symbol code {symbol} outside [0, 4)")
+    if k < 0:
+        if k == -1:
+            return 0
+        raise ValueError(f"position {k} below -1")
+    if k > index.n:
+        raise ValueError(f"position {k} beyond transform end {index.n}")
+    j, r = divmod(k, BUCKET_CHARS)
+    bucket = index.buckets[j]
+    count = bucket.base[symbol] + count_fn(kernel)(bucket.chars, r + 1, symbol)
+    if symbol == A and index.sentinel_row <= k:
+        count -= 1
+    return count
+
+
+def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCounts:
+    """All four occurrence counts at position k (k == -1 gives zeros)."""
+    if k == -1:
+        return _ZERO
+    if not 0 <= k <= index.n:
+        raise ValueError(f"position {k} outside [-1, {index.n}]")
+    j, r = divmod(k, BUCKET_CHARS)
+    bucket = index.buckets[j]
+    inside = all4_fn(kernel)(bucket.chars, r + 1)
+    counts = [b + d for b, d in zip(bucket.base, inside)]
+    if index.sentinel_row <= k:
+        counts[A] -= 1
+    return OccCounts(*counts)
+
+
+def occ_pair_all(
+    index: FmIndex, low: int, high: int, kernel: Kernel | str | None = None
+) -> OccPair:
+    """Counts for all symbols at two positions, low <= high.
+
+    The workhorse of interval updates, which need Occ at k-1 and l for
+    every candidate symbol.  When both positions land in the same bucket
+    its packed block is fetched once and scanned for both prefixes.
+    """
+    if low > high:
+        raise ValueError(f"pair positions out of order: {low} > {high}")
+    kernel = resolve_kernel(kernel)
+    if low == high:
+        at = occ_all(index, high, kernel)
+        return OccPair(at_low=at, at_high=at)
+    if low < 0:
+        if low != -1:
+            raise ValueError(f"position {low} below -1")
+        return OccPair(at_low=_ZERO, at_high=occ_all(index, high, kernel))
+    if high > index.n:
+        raise ValueError(f"position {high} beyond transform end {index.n}")
+    j_low, r_low = divmod(low, BUCKET_CHARS)
+    j_high, r_high = divmod(high, BUCKET_CHARS)
+    if j_low != j_high:
+        return OccPair(
+            at_low=occ_all(index, low, kernel), at_high=occ_all(index, high, kernel)
+        )
+    bucket = index.buckets[j_low]
+    all4 = all4_fn(kernel)
+    inside_low = all4(bucket.chars, r_low + 1)
+    inside_high = all4(bucket.chars, r_high + 1)
+    counts_low = [b + d for b, d in zip(bucket.base, inside_low)]
+    counts_high = [b + d for b, d in zip(bucket.base, inside_high)]
+    if index.sentinel_row <= low:
+        counts_low[A] -= 1
+    if index.sentinel_row <= high:
+        counts_high[A] -= 1
+    return OccPair(at_low=OccCounts(*counts_low), at_high=OccCounts(*counts_high))
+
+
+def extend_backward(
+    index: FmIndex,
+    interval: BwmInterval,
+    symbol: int,
+    kernel: Kernel | str | None = None,
+) -> BwmInterval:
+    """Narrow an interval to rotations prefixed by one more symbol."""
+    if interval.is_empty:
+        raise ValueError("cannot extend an empty interval")
+    pair = occ_pair_all(index, interval.k - 1, interval.l, kernel)
+    c = index.c[symbol]
+    return BwmInterval(k=c + pair.at_low[symbol] + 1, l=c + pair.at_high[symbol])
+
+
+def exact_search(
+    index: FmIndex, pattern: str, kernel: Kernel | str | None = None
+) -> BwmInterval:
+    """Interval of rows whose rotations start with `pattern`.
+
+    Runs right to left, one interval update per character, stopping as
+    soon as the interval empties.  A pattern with characters outside ACGT
+    yields an empty interval flagged degenerate rather than an error.
+    """
+    if not pattern:
+        raise ValueError("pattern is empty")
+    if not is_dna(pattern):
+        return BwmInterval(k=1, l=0, degenerate=True)
+    kernel = resolve_kernel(kernel)
+    codes = encode(pattern)
+    interval = init_interval(index, codes[-1])
+    for symbol in reversed(codes[:-1]):
+        if interval.is_empty:
+            break
+        interval = extend_backward(index, interval, symbol, kernel)
+    return interval
+
+
+def inexact_search(
+    index: FmIndex,
+    pattern: str,
+    max_diff: int,
+    kernel: Kernel | str | None = None,
+) -> list[MatchResult]:
+    """All intervals reachable within `max_diff` edits of `pattern`.
+
+    Explores the edit branches (skip a pattern character, insert a
+    reference character, match, mismatch) with an explicit work stack;
+    every branch spends one unit of budget except a match.  Branch
+    intervals are computed fresh from the interval the loop entered with,
+    and empty intervals are pruned: extending an empty interval can never
+    repopulate it.  Results are deduplicated by interval, keeping the
+    smallest difference count, and sorted for determinism.
+    """
+    if max_diff < 0:
+        raise ValueError(f"difference budget {max_diff} is negative")
+    if not pattern:
+        raise ValueError("pattern is empty")
+    if not is_dna(pattern):
+        return []
+    kernel = resolve_kernel(kernel)
+    codes = encode(pattern)
+    c = index.c
+    best: dict[tuple[int, int], int] = {}
+    # (next pattern position, remaining budget, k, l); the full row range
+    # [0, n] makes the first extension coincide with init_interval.
+    stack = [(len(codes) - 1, max_diff, 0, index.n)]
+    while stack:
+        i, budget, k, l = stack.pop()
+        if i < 0:
+            used = max_diff - budget
+            key = (k, l)
+            prev = best.get(key)
+            if prev is None or used < prev:
+                best[key] = used
+            continue
+        if budget > 0:
+            # skip: consume the pattern character without extending
+            stack.append((i - 1, budget - 1, k, l))
+        pair = occ_pair_all(index, k - 1, l, kernel)
+        want = codes[i]
+        for symbol in range(4):
+            base = c[symbol]
+            k2 = base + pair.at_low[symbol] + 1
+            l2 = base + pair.at_high[symbol]
+            if k2 > l2:
+                continue
+            if budget > 0:
+                # insert: extend by a reference character, keep the pattern position
+                stack.append((i, budget - 1, k2, l2))
+            if symbol == want:
+                stack.append((i - 1, budget, k2, l2))
+            elif budget > 0:
+                stack.append((i - 1, budget - 1, k2, l2))
+    return sorted(
+        (
+            MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
+            for (k, l), used in best.items()
+        ),
+        key=lambda m: (m.interval.k, m.interval.l, m.diffs_used),
+    )
+
+
+def psi_inverse_fused(
+    index: FmIndex, i: int, kernel: Kernel | str | None = None
+) -> tuple[int, int] | None:
+    """(symbol at row i, predecessor row) with a single bucket access."""
+    if not 0 <= i <= index.n:
+        raise ValueError(f"row {i} outside [0, {index.n}]")
+    if i == index.sentinel_row:
+        return None
+    j, r = divmod(i, BUCKET_CHARS)
+    bucket = index.buckets[j]
+    symbol = (bucket.chars[r >> 2] >> ((r & 3) << 1)) & 3
+    count = bucket.base[symbol] + count_fn(kernel)(bucket.chars, r + 1, symbol)
+    if symbol == 0 and index.sentinel_row <= i:
+        count -= 1
+    return symbol, index.c[symbol] + count
+
+
+def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int:
+    """Text position of row i, walking to the nearest sampled row.
+
+    Steps backward through the text until reaching a row whose
+    suffix-array entry is stored (every 32nd row) or the sentinel row
+    (position 0), then adds back the number of steps taken.
+    """
+    kernel = resolve_kernel(kernel)
+    steps = 0
+    while True:
+        if i == index.sentinel_row:
+            return steps
+        if i % SA_STRIDE == 0:
+            return index.sa_samples[i // SA_STRIDE] + steps
+        stepped = psi_inverse_fused(index, i, kernel)
+        assert stepped is not None
+        i = stepped[1]
+        steps += 1
+        if steps > index.n + 1:
+            raise RuntimeError("predecessor walk did not terminate; index is corrupt")
+
+
+def locate_all(
+    index: FmIndex,
+    interval: BwmInterval,
+    diffs: int,
+    pattern_len: int,
+    kernel: Kernel | str | None = None,
+) -> list[Hit]:
+    """Map every row of an interval to a record-relative hit.
+
+    Hits whose span cannot fit inside a single record are dropped: a
+    match using d differences covers at least pattern_len - d reference
+    characters, so anything forced across a record boundary (or past the
+    end of the reference) is an artifact of concatenation.
+    """
+    if interval.is_empty:
+        return []
+    kernel = resolve_kernel(kernel)
+    starts = [r.start for r in index.records]
+    min_span = max(pattern_len - diffs, 0)
+    hits = []
+    for row in range(interval.k, interval.l + 1):
+        pos = locate_row(index, row, kernel)
+        if pos >= index.n:
+            continue
+        which = bisect_right(starts, pos) - 1
+        record = index.records[which]
+        offset = pos - record.start
+        if offset + min_span > record.length:
+            continue
+        hits.append(Hit(record=record.name, offset=offset, global_pos=pos, diffs=diffs))
+    hits.sort(key=lambda h: h.global_pos)
+    return hits
+
+
+def collect_hits(
+    index: FmIndex,
+    matches: Iterable[MatchResult],
+    pattern_len: int,
+    kernel: Kernel | str | None = None,
+    max_hits: int | None = None,
+) -> tuple[list[Hit], bool]:
+    """Merge hits from several intervals, keeping the fewest diffs per position.
+
+    Returns the sorted hits and whether `max_hits` truncated them.
+    """
+    kernel = resolve_kernel(kernel)
+    best: dict[int, Hit] = {}
+    for match in sorted(matches, key=lambda m: m.diffs_used):
+        for hit in locate_all(index, match.interval, match.diffs_used, pattern_len, kernel):
+            prev = best.get(hit.global_pos)
+            if prev is None or hit.diffs < prev.diffs:
+                best[hit.global_pos] = hit
+    hits = sorted(best.values(), key=lambda h: h.global_pos)
+    truncated = max_hits is not None and len(hits) > max_hits
+    if truncated:
+        hits = hits[:max_hits]
+    return hits, truncated

@@ -9,9 +9,11 @@ import io
 import random
 import time
 
+import numpy as np
 import pytest
 
-from fmpm.alphabet import A, G, pack_2bit
+from fmpm.alphabet import G, pack_2bit
+from fmpm.batch import locate_rows, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import (
     BUCKET_BYTES,
@@ -25,7 +27,6 @@ from fmpm.kernels import (
     count_bucket_simd,
 )
 from fmpm.bench import run_bench, format_summary
-from fmpm.occ import occ_all
 from fmpm.search import (
     BwmInterval,
     MatchResult,
@@ -33,7 +34,7 @@ from fmpm.search import (
     exact_search,
     inexact_search,
     locate_all,
-    locate_row,
+    occ,
 )
 from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import build_suffix_array, bwt_from_sa
@@ -102,8 +103,6 @@ def test_criterion_01_worked_example_tables():
     index = build_index(text)
     assert index.c == (0, 2, 3, 4, 4)
     assert index.sentinel_row == 1
-    from fmpm.occ import occ
-
     for k, row in enumerate(ACAG_OCC):
         for symbol in range(4):
             assert occ(index, symbol, k) == row[symbol], (symbol, k)
@@ -254,8 +253,8 @@ def test_criterion_08_position_recovery(suite8):
     begin = time.perf_counter()
     rows = 0
     for _, index, sa in suite8:
-        recovered = [locate_row(index, i) for i in range(index.n + 1)]
-        assert recovered == sa
+        recovered = locate_rows(index.view, np.arange(index.n + 1))
+        assert recovered.tolist() == sa
         rows += index.n + 1
     elapsed = time.perf_counter() - begin
     print(
@@ -268,16 +267,15 @@ def test_criterion_09_occurrence_row_sum_and_monotonicity(suite8):
     begin = time.perf_counter()
     checked = 0
     for _, index, _ in suite8:
-        prev = (0, 0, 0, 0)
-        sentinel_row = index.sentinel_row
-        for k in range(index.n + 1):
-            counts = occ_all(index, k)
-            assert sum(counts) == k + 1 - (1 if sentinel_row <= k else 0), (k,)
-            steps = [counts[s] - prev[s] for s in range(4)]
-            assert all(step in (0, 1) for step in steps), (k, steps)
-            assert sum(steps) == (0 if k == sentinel_row else 1), (k, steps)
-            prev = counts
-            checked += 1
+        k = np.arange(index.n + 1)
+        counts = rank_many(index.view, k)
+        bad = counts.sum(axis=1) != k + 1 - (k >= index.sentinel_row)
+        assert not bad.any(), k[bad][:5]
+        # from row to row exactly one symbol advances by one, except at the sentinel row
+        steps = np.diff(counts, axis=0, prepend=np.zeros((1, 4), dtype=counts.dtype))
+        bad = ~np.isin(steps, (0, 1)).all(axis=1) | (steps.sum(axis=1) != (k != index.sentinel_row))
+        assert not bad.any(), k[bad][:5]
+        checked += len(k)
     elapsed = time.perf_counter() - begin
     print(
         f"[criterion 9] occurrence row sums and monotonicity at {checked} positions "

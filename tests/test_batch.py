@@ -11,45 +11,38 @@ from hypothesis import strategies as st
 
 import fmpm.batch
 import fmpm.kernels
-import fmpm.search
 from fmpm.alphabet import encode_array, is_dna
-from fmpm.batch import (
-    index_view,
-    inexact_search_frontier,
-    locate_rows,
-    rank_all4_many,
-    rank_many,
-)
+from fmpm.batch import inexact_search_frontier, locate_rows, rank_many
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
-from fmpm.occ import occ_all
-from fmpm.search import MatchResult, collect_hits, exact_search, inexact_search
+from fmpm.search import MatchResult
 from fmpm.serialize import serialize_index
 from fmpm.suffix import suffix_array_naive
 
-from oracles import random_dna
-
-# below one bucket, and at or one off multiples of the sample stride and the bucket
-EDGE_SIZES = sorted(
-    {1, 2, 3, 31, 77, 127} | {m + d for m in (32, 64, 96, 128, 256, 384) for d in (-1, 0, 1)}
+import oracles
+from oracles import (
+    EDGE_SIZES,
+    PERIODIC_TEXTS,
+    collect_hits,
+    edge_text,
+    exact_search,
+    inexact_search,
+    occ_all,
+    random_dna,
 )
 
 
-def _edge_text(n):
-    text = random_dna(random.Random(n), n)
-    return text.lower() if n % 2 else text
-
-
+# rank_many for all four symbols, then for one symbol per position
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_rank_all4_many_equals_occ_all(n):
-    index = build_index(_edge_text(n))
-    view = index_view(index)
+    index = build_index(edge_text(n))
+    view = index.view
     positions = np.arange(-1, n + 1)
     want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
     symbol = positions % 4
     for kernel in CONCRETE_KERNELS:
-        got = rank_all4_many(view, positions, kernel)
+        got = rank_many(view, positions, None, kernel)
         assert got.shape == (n + 2, 4)
         assert got.tolist() == want, kernel
         got = rank_many(view, positions, symbol, kernel)
@@ -58,14 +51,14 @@ def test_rank_all4_many_equals_occ_all(n):
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_locate_rows_equals_naive_suffix_array(n):
-    text = _edge_text(n)
-    view = index_view(build_index(text))
+    text = edge_text(n)
+    view = build_index(text).view
     assert locate_rows(view, np.arange(n + 1)).tolist() == suffix_array_naive(text)
 
 
 def test_locate_rows_periodic_text():
     text = "ACG" * 90
-    view = index_view(build_index(text))
+    view = build_index(text).view
     rows = np.arange(len(text) + 1)
     for kernel in CONCRETE_KERNELS:
         assert locate_rows(view, rows, kernel).tolist() == suffix_array_naive(text)
@@ -78,14 +71,14 @@ def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
         raise AssertionError("locate ran an all-four kernel")
 
     monkeypatch.setitem(fmpm.kernels._ALL4_FNS, kernel, all_four)
-    text = _edge_text(257)
-    view = index_view(build_index(text))
+    text = edge_text(257)
+    view = build_index(text).view
     assert locate_rows(view, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)
 
 
 def test_locate_rows_rejects_a_cycle():
     # an all-A transform with C[A] = -1 maps row 1 to itself, never reaching a sample
-    view = index_view(build_index(random_dna(random.Random(7), 100)))
+    view = build_index(random_dna(random.Random(7), 100)).view
     view = view._replace(
         c=np.array([-1, 0, 0, 0, 100]),
         blocks=np.zeros_like(view.blocks),
@@ -107,17 +100,16 @@ def _search_triples(index, pattern, max_diff):
 
 
 FRONTIER_SIZES = sorted({1, 2, 3, 77} | {m + d for m in (32, 64, 128, 256) for d in (-1, 0, 1)})
-PERIODIC_TEXTS = ["ACG" * 90, "A" * 130, ("acgt" * 70)[:257], "AAC" * 43]
 
 
 @pytest.mark.parametrize(
     "text",
-    [_edge_text(n) for n in FRONTIER_SIZES] + PERIODIC_TEXTS,
+    [edge_text(n) for n in FRONTIER_SIZES] + PERIODIC_TEXTS,
     ids=[f"n{n}" for n in FRONTIER_SIZES] + [f"periodic{j}" for j in range(len(PERIODIC_TEXTS))],
 )
 def test_inexact_frontier_equals_inexact_search(text):
     index = build_index(text)
-    view = index_view(index)
+    view = index.view
     rng = random.Random(len(text))
     start = rng.randrange(len(text))
     patterns = [text[start : start + 6], random_dna(rng, 4).lower(), random_dna(rng, 7)]
@@ -144,7 +136,7 @@ def test_inexact_frontier_property(text, pattern, data):
     max_diff = data.draw(st.integers(min_value=0, max_value=min(len(pattern) - 1, 3)))
     index = build_index(text)
     want = _search_triples(index, pattern, max_diff)
-    view = index_view(index)
+    view = index.view
     for kernel in CONCRETE_KERNELS:
         assert _frontier_triples(view, pattern, max_diff, kernel) == want, kernel
 
@@ -154,20 +146,20 @@ def test_inexact_frontier_merges_repeated_states(monkeypatch):
     # the frontier ranks that state once, the per-pattern search once per path.
     text = "ACG" * 90
     index = build_index(text)
-    view = index_view(index)
+    view = index.view
     ranked, pair_calls = [], []
-    rank, pair = fmpm.batch.rank_all4_many, fmpm.search.occ_pair_all
+    rank, pair = fmpm.batch.rank_many, oracles.occ_pair_all
 
-    def counted_rank(view, pos, kernel=None):
+    def counted_rank(view, pos, symbol=None, kernel=None):
         ranked.append(len(pos))
-        return rank(view, pos, kernel)
+        return rank(view, pos, symbol, kernel)
 
     def counted_pair(*args):
         pair_calls.append(1)
         return pair(*args)
 
-    monkeypatch.setattr(fmpm.batch, "rank_all4_many", counted_rank)
-    monkeypatch.setattr(fmpm.search, "occ_pair_all", counted_pair)
+    monkeypatch.setattr(fmpm.batch, "rank_many", counted_rank)
+    monkeypatch.setattr(oracles, "occ_pair_all", counted_pair)
     for pattern in ["ACGACGACGA", "CGTACGACG", "GGACGAC"]:
         ranked.clear()
         pair_calls.clear()

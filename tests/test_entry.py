@@ -42,15 +42,13 @@ def test_every_public_name_resolves():
         fmpm.no_such_name
 
 
-@pytest.mark.parametrize(
-    "first", ["pass", "import fmpm.search", "fmpm.exact_search", "import fmpm.occ"]
-)
+@pytest.mark.parametrize("first", ["pass", "import fmpm.search", "fmpm.exact_search"])
 def test_occ_is_the_function_whatever_has_been_loaded(first):
     out, _ = _python(
         "-c",
         f"import fmpm\n{first}\n"
         "from fmpm import occ, build_index\n"
-        "from fmpm.occ import occ as function\n"
+        "from fmpm.search import occ as function\n"
         "print(occ is function, fmpm.occ is function, fmpm.occ(build_index('ACAG'), 0, 4))\n"
         "fmpm.occ = len\n"
         "print(fmpm.occ is len)",
@@ -87,7 +85,7 @@ def test_match_child_imports_no_search_build_or_bench_code(tmp_path):
     assert out == "0\tref\t1\t0\n0\tref\t7\t0\n"
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
     assert {"fmpm.batch", "numpy"} <= loaded
-    assert not loaded & {"fmpm.search", "fmpm.occ", "fmpm.bench", "fmpm.fasta", "hashlib"}
+    assert not loaded & {"fmpm.search", "fmpm.bench", "fmpm.fasta", "hashlib"}
 
 
 def test_entry_sets_one_blas_thread_only_when_unset(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from fmpm.alphabet import A, C, G, T, SYMBOLS, TERMINATOR
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, OccCounts
-from fmpm.occ import bwt_char_at, occ, occ_all, occ_pair_all
+from fmpm.search import bwt_char_at, occ, occ_all, occ_pair_all
 from fmpm.suffix import build_suffix_array, bwt_from_sa
 
 from oracles import bwt_prefix_counts, random_dna

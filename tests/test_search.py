@@ -221,7 +221,7 @@ def test_psi_inverse_steps_suffix_array():
 
 
 def test_fused_equals_composed():
-    from fmpm.occ import bwt_char_at
+    from fmpm.search import bwt_char_at
 
     text = random_dna(random.Random(60), 350)
     index = build_index(text)

@@ -1,0 +1,226 @@
+"""The per-item library functions of `fmpm.search` against the per-item
+oracles, under every kernel, and their argument checks.
+
+Each library function is a wrapper over one call into the batch engine;
+the oracles in `oracles.py` read the index one bucket at a time with the
+scalar kernel and share no code with that engine.
+"""
+
+import random
+
+import pytest
+
+import fmpm.search
+import oracles
+from fmpm.index import build_index
+from fmpm.kernels import CONCRETE_KERNELS, Kernel
+from fmpm.search import (
+    BwmInterval,
+    MatchResult,
+    bwt_char_at,
+    collect_hits,
+    exact_search,
+    extend_backward,
+    inexact_search,
+    init_interval,
+    locate_all,
+    locate_row,
+    occ,
+    occ_all,
+    occ_pair_all,
+    psi_inverse,
+    psi_inverse_fused,
+    reconstruct_reference,
+)
+
+from oracles import EDGE_SIZES, PERIODIC_TEXTS, edge_text, random_dna
+
+SCALAR = Kernel.SCALAR
+TEXTS = [edge_text(n) for n in EDGE_SIZES] + PERIODIC_TEXTS
+IDS = [f"n{n}" for n in EDGE_SIZES] + [f"periodic{j}" for j in range(len(PERIODIC_TEXTS))]
+# distances from the lower to the upper position of an occurrence pair:
+# the same position, the same bucket, and one or two buckets apart
+PAIR_GAPS = (0, 1, 5, 127, 128, 200)
+
+
+def _indexed(text):
+    """The index of `text` cut into up to three records, so locate drops hits."""
+    n = len(text)
+    bounds = sorted({0, n // 3, 2 * n // 3, n})
+    records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return build_index(text, records)
+
+
+def _patterns(text, count, rng):
+    """Substrings (some mutated, some lowercase) and random patterns of `text`."""
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 9)
+        start = rng.randrange(max(1, len(text) - m + 1))
+        pattern = text[start : start + m] if rng.random() < 0.6 else random_dna(rng, m)
+        if rng.random() < 0.3:
+            j = rng.randrange(len(pattern))
+            pattern = pattern[:j] + rng.choice("ACGT") + pattern[j + 1 :]
+        out.append(pattern.lower() if rng.random() < 0.3 else pattern)
+    return out
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=IDS)
+def test_occ_wrappers_equal_oracles(text):
+    index = _indexed(text)
+    n = index.n
+    positions = range(-1, n + 1)
+    want_all = {k: oracles.occ_all(index, k, SCALAR) for k in positions}
+    for kernel in CONCRETE_KERNELS:
+        for k in positions:
+            assert occ_all(index, k, kernel) == want_all[k], (k, kernel)
+            symbol = k % 4
+            assert occ(index, symbol, k, kernel) == want_all[k][symbol], (k, kernel)
+            high = min(n, k + PAIR_GAPS[k % len(PAIR_GAPS)])
+            want = oracles.occ_pair_all(index, k, high, SCALAR)
+            assert occ_pair_all(index, k, high, kernel) == want, (k, high, kernel)
+    assert [occ(index, s, k) for k in positions for s in range(4)] == [
+        want_all[k][s] for k in positions for s in range(4)
+    ]
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=IDS)
+def test_bwt_char_and_psi_inverse_equal_oracle(text):
+    index = _indexed(text)
+    for i in range(index.n + 1):
+        want = oracles.psi_inverse_fused(index, i, SCALAR)
+        assert bwt_char_at(index, i) == (None if want is None else want[0]), i
+        for kernel in CONCRETE_KERNELS:
+            assert psi_inverse_fused(index, i, kernel) == want, (i, kernel)
+            assert psi_inverse(index, i, kernel) == (None if want is None else want[1])
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=IDS)
+def test_exact_search_equals_oracle(text):
+    index = _indexed(text)
+    patterns = _patterns(text, 16, random.Random(len(text))) + ["ANG", "n", "acgT"]
+    for pattern in patterns:
+        want = oracles.exact_search(index, pattern, SCALAR)
+        for kernel in CONCRETE_KERNELS:
+            # empty results included: the same (k, l) bounds and degenerate flag
+            assert tuple(exact_search(index, pattern, kernel)) == tuple(want), (pattern, kernel)
+    for first in range(4):
+        interval = init_interval(index, first)
+        if interval.is_empty:
+            continue
+        for symbol in range(4):
+            want = oracles.extend_backward(index, interval, symbol, SCALAR)
+            for kernel in CONCRETE_KERNELS:
+                assert extend_backward(index, interval, symbol, kernel) == want
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=IDS)
+def test_inexact_search_and_collect_hits_equal_oracles(text):
+    index = _indexed(text)
+    rng = random.Random(len(text) + 1)
+    start = rng.randrange(len(text))
+    pattern = text[start : start + 6]
+    for max_diff in range(4):
+        want = oracles.inexact_search(index, pattern, max_diff, SCALAR)
+        for kernel in CONCRETE_KERNELS:
+            assert inexact_search(index, pattern, max_diff, kernel) == want, (max_diff, kernel)
+    assert inexact_search(index, "ANG", 1) == oracles.inexact_search(index, "ANG", 1) == []
+    # intervals overlap, and one position can be reached with 0 or 1 differences
+    matches = oracles.inexact_search(index, pattern, 1, SCALAR)
+    for max_hits in (None, 0, 1):
+        want = oracles.collect_hits(index, matches, len(pattern), SCALAR, max_hits)
+        for kernel in CONCRETE_KERNELS:
+            got = collect_hits(index, matches, len(pattern), kernel, max_hits)
+            assert got == want, (max_hits, kernel)
+    assert collect_hits(index, [], 3) == ([], False)
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=IDS)
+def test_locate_and_reconstruct_equal_oracles(text):
+    index = _indexed(text)
+    n = index.n
+    rows = sorted({*range(0, n + 1, 37), index.sentinel_row, n})
+    for kernel in CONCRETE_KERNELS:
+        for i in rows:
+            assert locate_row(index, i, kernel) == oracles.locate_row(index, i, SCALAR), (i, kernel)
+        assert reconstruct_reference(index, kernel) == text.upper(), kernel
+    rng = random.Random(len(text) + 2)
+    # row 0 is the terminator's suffix, at position n, which is never a hit
+    intervals = [BwmInterval(0, min(n, 40)), BwmInterval(3, 2)]
+    intervals += [oracles.exact_search(index, p, SCALAR) for p in _patterns(text, 4, rng)]
+    for j, interval in enumerate(intervals):
+        diffs = j % 3  # a hit must fit 4 - diffs characters inside its record
+        want = oracles.locate_all(index, interval, diffs, 4, SCALAR)
+        for kernel in CONCRETE_KERNELS:
+            assert locate_all(index, interval, diffs, 4, kernel) == want, (interval, kernel)
+
+
+def _engine_refused(*args, **kwargs):
+    raise AssertionError("the engine ran on arguments the wrapper should have refused")
+
+
+def test_bad_arguments_raise_before_the_engine(monkeypatch):
+    index = build_index(random_dna(random.Random(9), 130))
+    n = index.n
+    for name in (
+        "bwt_symbols",
+        "exact_search_many",
+        "inexact_search_frontier",
+        "lf_step",
+        "locate_hits",
+        "locate_rows",
+        "rank_many",
+    ):
+        monkeypatch.setattr(fmpm.search, name, _engine_refused)
+    calls = [
+        lambda: occ(index, -1, 0),
+        lambda: occ(index, 4, 0),
+        lambda: occ(index, 0, -2),
+        lambda: occ(index, 0, -5),
+        lambda: occ(index, 0, n + 1),
+        lambda: occ_all(index, -2),
+        lambda: occ_all(index, n + 1),
+        lambda: occ_pair_all(index, 3, 2),
+        lambda: occ_pair_all(index, -2, -2),
+        lambda: occ_pair_all(index, -5, 2),
+        lambda: occ_pair_all(index, -1, n + 1),
+        lambda: bwt_char_at(index, -1),
+        lambda: bwt_char_at(index, n + 1),
+        lambda: init_interval(index, 4),
+        lambda: extend_backward(index, BwmInterval(5, 4), 0),
+        lambda: extend_backward(index, BwmInterval(1, 4), 4),
+        lambda: extend_backward(index, BwmInterval(-1, 4), 0),
+        lambda: extend_backward(index, BwmInterval(1, n + 1), 0),
+        lambda: exact_search(index, ""),
+        lambda: inexact_search(index, "ACG", -1),
+        lambda: inexact_search(index, "", 1),
+        lambda: psi_inverse(index, -1),
+        lambda: psi_inverse_fused(index, n + 1),
+        lambda: locate_row(index, -1),
+        lambda: locate_row(index, -32),
+        lambda: locate_row(index, n + 1),
+        lambda: locate_row(index, 128 + 32),
+        lambda: locate_all(index, BwmInterval(-1, 3), 0, 2),
+        lambda: locate_all(index, BwmInterval(1, n + 1), 0, 2),
+        lambda: collect_hits(index, [MatchResult(BwmInterval(0, n + 1), 0)], 2),
+    ]
+    bad_kernel = "no-such-kernel"
+    calls += [
+        lambda: occ(index, 0, -1, bad_kernel),
+        lambda: occ_all(index, 0, bad_kernel),
+        lambda: occ_pair_all(index, 0, 1, bad_kernel),
+        lambda: extend_backward(index, BwmInterval(1, n), 0, bad_kernel),
+        lambda: exact_search(index, "A", bad_kernel),
+        lambda: inexact_search(index, "AC", 1, bad_kernel),
+        lambda: psi_inverse_fused(index, index.sentinel_row, bad_kernel),
+        lambda: locate_row(index, 0, bad_kernel),
+        lambda: locate_all(index, BwmInterval(0, 0), 0, 1, bad_kernel),
+        lambda: collect_hits(index, [], 1, bad_kernel),
+        lambda: reconstruct_reference(index, bad_kernel),
+    ]
+    for j, call in enumerate(calls):
+        try:
+            call()
+        except ValueError:
+            continue
+        pytest.fail(f"call {j} raised no ValueError")
