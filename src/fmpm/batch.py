@@ -2,12 +2,12 @@
 
 `fmpm match` runs `match_many`, and every per-item function of
 `fmpm.search` is a thin wrapper over one call of a function here.  Each
-backward-search step of every pattern still in play, each round of one
-pattern's bounded-difference frontier, and each predecessor step of every
-row still being located is one call of `rank_many`: the buckets of all
-positions are gathered and the selected kernel counts their prefixes, in
-one numpy pass for `bytelut` and `simd`.  Locate asks for each row's own
-symbol only.
+backward-search step of every pattern still in play, each round of the
+one bounded-difference frontier of all patterns, and each predecessor
+step of every row still being located is one call of `rank_many`: the
+buckets of all positions are gathered and the selected kernel counts
+their prefixes, in one numpy pass for `bytelut` and `simd`.  Locate asks
+for each row's own symbol only.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from .alphabet import A, encode_array, is_dna_many
 from .index import FmIndex, IndexView, SA_STRIDE
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
+from .serialize import IndexFormatError
 
 
 class BatchHits(NamedTuple):
@@ -74,22 +75,24 @@ def rank_many(
     return counts - (symbol == A) * after_terminator + view.bases[bucket, symbol]
 
 
-def exact_search_many(
-    view: IndexView, patterns: Sequence[str], kernel: Kernel | str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals (k, l) of non-empty ACGT patterns, as `exact_search` gives them.
+def _walk_back(
+    view: IndexView,
+    codes: np.ndarray,
+    last: np.ndarray,
+    lengths: np.ndarray,
+    kernel: Kernel | str | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward search of the lengths[j] codes ending at codes[last[j]], all j in lockstep.
 
-    Patterns are walked right to left in lockstep.  Step t ranks k - 1 and
-    l of every pattern longer than t whose interval is still non-empty.
-    A pattern stops at the step its interval empties, so an empty result
-    has k > l with the bounds of that step.
+    Step t ranks k - 1 and l of every walk longer than t whose interval is
+    still non-empty; a walk stops at the step its interval empties, so an
+    empty result has k > l with the bounds of that step.  Returns (k, l,
+    width), width the number of codes each walk consumed.
     """
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    codes = encode_array("".join(patterns)).astype(np.int64)
-    last = np.cumsum(lengths) - 1
     symbol = codes[last]
     k = view.c[symbol] + 1
     l = view.c[symbol + 1]
+    width = np.ones_like(last)
     for t in range(1, int(lengths.max(initial=0))):
         live = np.flatnonzero((lengths > t) & (k <= l))
         if not len(live):
@@ -100,57 +103,135 @@ def exact_search_many(
         base = view.c[symbol]
         k[live] = base + counts[at, symbol] + 1
         l[live] = base + counts[at + len(live), symbol]
+        width[live] = t + 1
+    return k, l, width
+
+
+def _encode(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes of all patterns end to end, length of each)."""
+    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    return encode_array("".join(patterns)).astype(np.int64), lengths
+
+
+def exact_search_many(
+    view: IndexView, patterns: Sequence[str], kernel: Kernel | str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals (k, l) of non-empty ACGT patterns, as `exact_search` gives them.
+
+    Patterns are walked right to left in lockstep, each stopping at the
+    step its interval empties.
+    """
+    codes, lengths = _encode(patterns)
+    k, l, _ = _walk_back(view, codes, np.cumsum(lengths) - 1, lengths, kernel)
     return k, l
 
 
-def inexact_search_frontier(
-    view: IndexView, codes: np.ndarray, max_diff: int, kernel: Kernel | str | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intervals within `max_diff` edits of one ACGT pattern, like `inexact_search`.
+def difference_bounds(
+    view: IndexView, codes: np.ndarray, lengths: np.ndarray, kernel: Kernel | str | None = None
+) -> np.ndarray:
+    """D(i) of every prefix W[0..i] of patterns given end to end, laid out like `codes`.
 
-    Returns (k, l, used) arrays, one entry per interval with its fewest
-    differences, sorted by (k, l).  The search runs in rounds over the
-    whole frontier of live states (i, budget, k, l): one rank call on k - 1
-    and l of every state gives all eight Occ values each needs, and the
-    skip, insert, match and mismatch children are built from them at once,
-    with empty intervals pruned.  Children that agree on (i, k, l) are
-    merged into the one with the largest budget, which reaches every
-    interval the others reach with no more differences.
+    D(i) counts disjoint pieces of W[0..i] absent from the text, taken
+    greedily right to left: W[s..i] is the shortest absent suffix and
+    D(i) = 1 + D(s - 1), or 0 if W[0..i] occurs.  An alignment of W[0..i]
+    to any substring of the text edits every absent piece at least once,
+    so D(i) never exceeds the fewest differences it needs (BWA's bound, Li
+    and Durbin 2009, from backward search alone).  The walks of all prefix
+    ends run in lockstep, in at most max(lengths) rank rounds.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    # the full row range [0, n] makes the first extension the initial interval
-    start = (len(codes) - 1, max_diff, 0, view.n)
-    i, budget, k, l = (np.array([v], dtype=np.int64) for v in start)
-    done = []
-    while len(i):
-        counts = rank_many(view, np.concatenate([k - 1, l]), None, kernel)
+    ends = np.arange(len(codes))
+    starts = np.cumsum(lengths) - lengths
+    offset = ends - np.repeat(starts, lengths)
+    k, l, width = _walk_back(view, codes, ends, offset + 1, kernel)
+    # the slot past the end holds D(-1) = 0
+    before = np.where(width <= offset, ends - width, len(codes))
+    bound = np.zeros(len(codes) + 1, dtype=np.int64)
+    for i in range(int(lengths.max(initial=0))):
+        at = starts[lengths > i] + i
+        bound[at] = np.where(k[at] > l[at], 1 + bound[before[at]], 0)
+    return bound[:-1]
+
+
+def inexact_search_many(
+    view: IndexView,
+    patterns: Sequence[str],
+    max_diff: int,
+    kernel: Kernel | str | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals within `max_diff` edits of non-empty ACGT patterns, like `inexact_search`.
+
+    Returns (pattern, k, l, used) arrays, one entry per interval of a
+    pattern with its fewest differences, sorted by (pattern, k, l).  The
+    search runs in rounds over one frontier of live states (pattern, i,
+    budget, k, l) of all patterns, admitting one more pattern per round so
+    that only a few patterns' widest rounds are live at once.  One rank
+    call on k - 1 and l of every state gives all eight Occ values each
+    needs, and the skip, insert, match and mismatch children are built from
+    them at once.  A child is pruned when its interval is empty or its
+    budget is below `difference_bounds` of what is left of its pattern.
+    Children that agree on (pattern, i, k, l) are merged into the one with
+    the largest budget, which reaches every interval the others reach with
+    no more differences.
+    """
+    codes, lengths = _encode(patterns)
+    starts = np.cumsum(lengths) - lengths
+    bound = difference_bounds(view, codes, lengths, kernel)
+    slots = int(lengths.max(initial=0)) + 1
+    children = np.zeros((5, 0), dtype=np.int64)  # rows: pattern, i, budget, k, l
+    done = [np.zeros((4, 0), dtype=np.int64)]
+    admitted = 0
+    while True:
+        if admitted < len(patterns):
+            # the full row range [0, n] makes the first extension the initial interval
+            start = [[admitted], [lengths[admitted] - 1], [max_diff], [0], [view.n]]
+            children = np.concatenate([children, start], axis=1)
+            admitted += 1
+        pattern, i, budget, k, l = children
+        finished = i < 0
+        done.append(np.stack([pattern, k, l, max_diff - budget])[:, finished])
+        live = np.flatnonzero(~finished)
+        live = live[budget[live] >= bound[starts[pattern[live]] + i[live]]]
+        # one key per (pattern, i) and one per (k, l): (n + 1)**2 fits in
+        # int64, since the suffix sort refuses longer references
+        place, interval = pattern[live] * slots + i[live], k[live] * (view.n + 1) + l[live]
+        live = live[_first_per_key([place, interval], -budget[live])]
+        children = children[:, live]
+        pattern, i, budget, k, l = children
+        if not len(i):
+            if admitted == len(patterns):
+                break
+            continue
+        # about half the positions of a round repeat; each is ranked once
+        pos, back = np.unique(np.concatenate([k - 1, l]), return_inverse=True)
+        counts = rank_many(view, pos, None, kernel)[back]
         k2 = view.c[:4] + counts[: len(i)] + 1
         l2 = view.c[:4] + counts[len(i) :]
         spend = budget > 0
-        miss = np.arange(4) != codes[i, None]
+        miss = np.arange(4) != codes[starts[pattern] + i, None]
         # insert: extend by a reference character, keep the pattern position;
         # match and mismatch: extend and consume the pattern character
         nonempty = k2 <= l2
-        insert = nonempty & spend[:, None]
-        step = nonempty & (spend[:, None] | ~miss)
-        row_i, sym_i = np.nonzero(insert)
-        row_s, sym_s = np.nonzero(step)
+        row_i, sym_i = np.nonzero(nonempty & spend[:, None])
+        row_s, sym_s = np.nonzero(nonempty & (spend[:, None] | ~miss))
         # skip: consume the pattern character without extending
         skip = np.flatnonzero(spend)
-        i = np.concatenate([i[row_i], i[row_s] - 1, i[skip] - 1])
-        budget = np.concatenate(
-            [budget[row_i] - 1, budget[row_s] - miss[row_s, sym_s], budget[skip] - 1]
+        children = np.concatenate(
+            [
+                [pattern[row_i], i[row_i], budget[row_i] - 1, k2[row_i, sym_i], l2[row_i, sym_i]],
+                [
+                    pattern[row_s],
+                    i[row_s] - 1,
+                    budget[row_s] - miss[row_s, sym_s],
+                    k2[row_s, sym_s],
+                    l2[row_s, sym_s],
+                ],
+                [pattern[skip], i[skip] - 1, budget[skip] - 1, k[skip], l[skip]],
+            ],
+            axis=1,
         )
-        k = np.concatenate([k2[row_i, sym_i], k2[row_s, sym_s], k[skip]])
-        l = np.concatenate([l2[row_i, sym_i], l2[row_s, sym_s], l[skip]])
-        finished = i < 0
-        done.append((k[finished], l[finished], max_diff - budget[finished]))
-        i, budget, k, l = i[~finished], budget[~finished], k[~finished], l[~finished]
-        kept = _first_per_key([i, k, l], -budget)
-        i, budget, k, l = i[kept], budget[kept], k[kept], l[kept]
-    k, l, used = (np.concatenate(parts) for parts in zip(*done))
-    kept = _first_per_key([k, l], used)
-    return k[kept], l[kept], used[kept]
+    pattern, k, l, used = np.concatenate(done, axis=1)
+    kept = _first_per_key([pattern, k, l], used)
+    return pattern[kept], k[kept], l[kept], used[kept]
 
 
 def bwt_symbols(view: IndexView, rows: np.ndarray) -> np.ndarray:
@@ -178,7 +259,9 @@ def locate_rows(
 
     All rows step to their predecessors together; a row leaves the walk at
     the sentinel row or at a sampled row, after the same number of steps
-    as every other row leaving then.
+    as every other row leaving then.  Raises IndexFormatError, as a load
+    does for a bad file, when a position falls outside [0, n] or a walk
+    does not terminate: only a corrupt sample or transform does that.
     """
     rows = np.asarray(rows, dtype=np.int64)
     out = np.empty(len(rows), dtype=np.int64)
@@ -192,11 +275,13 @@ def locate_rows(
         walking = ~(at_sentinel | sampled)
         todo, rows = todo[walking], rows[walking]
         if not len(rows):
+            if len(out) and not 0 <= out.min() <= out.max() <= view.n:
+                raise IndexFormatError(f"a sampled position lies outside [0, {view.n}]")
             return out
         rows = lf_step(view, rows, kernel)[1]
         steps += 1
         if steps > view.n + 1:
-            raise RuntimeError("predecessor walk did not terminate; index is corrupt")
+            raise IndexFormatError("predecessor walk did not terminate; index is corrupt")
 
 
 def locate_hits(
@@ -240,9 +325,9 @@ def match_many(
     """Hits of every pattern: what `collect_hits` gives for each, in one pass.
 
     Exact search (max_diff 0) walks all patterns in lockstep; a positive
-    budget walks one pattern's edit frontier at a time with
-    `inexact_search_frontier`.  Locate is batched either way.  Patterns
-    with characters outside ACGT are flagged degenerate and get no hits.
+    budget runs all patterns' edit frontiers as one with
+    `inexact_search_many`.  Locate is batched either way.  Patterns with
+    characters outside ACGT are flagged degenerate and get no hits.
     """
     kernel = resolve_kernel(kernel)
     view = index.view
@@ -254,12 +339,8 @@ def match_many(
         found = k <= l
         intervals = [dna[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
     else:
-        found = [np.zeros((4, 0), dtype=np.int64)]
-        for pid in dna.tolist():
-            codes = encode_array(patterns[pid])
-            k, l, used = inexact_search_frontier(view, codes, max_diff, kernel)
-            found.append(np.stack([np.full_like(k, pid), k, l, used]))
-        intervals = list(np.concatenate(found, axis=1))
+        pattern, k, l, used = inexact_search_many(view, [patterns[i] for i in dna], max_diff, kernel)
+        intervals = [dna[pattern], k, l, used]
     pattern, record, offset, diffs = locate_hits(view, *intervals, lengths, kernel)
 
     truncated = np.zeros(len(patterns), dtype=bool)

@@ -7,9 +7,11 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .batch import match_many
 from .index import FmIndex
-from .kernels import CONCRETE_KERNELS, Kernel, count_fn, resolve_kernel
+from .kernels import CONCRETE_KERNELS, Kernel, count_blocks, resolve_kernel
 from .search import reconstruct_reference
 
 
@@ -27,7 +29,10 @@ class BenchReport:
 class _Workload:
     exact_patterns: list[str]
     inexact_patterns: list[str]
-    bucket_cases: list[tuple[bytes, int, int]]
+    # sampled bucket prefixes, one per row: packed bucket, prefix length, symbol
+    blocks: np.ndarray
+    prefix_lens: np.ndarray
+    symbols: np.ndarray
 
 
 def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
@@ -49,13 +54,14 @@ def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
             )
         exact_patterns.append(pattern)
     inexact_patterns = exact_patterns[: max(1, iterations // 4)]
-    bucket_cases = []
-    for _ in range(max(256, iterations)):
-        j = rng.randrange(len(index.buckets))
-        bucket_cases.append(
-            (index.buckets[j].chars, rng.randint(0, 128), rng.randrange(4))
-        )
-    return _Workload(exact_patterns, inexact_patterns, bucket_cases)
+    cases = [
+        (rng.randrange(index.bucket_count), rng.randint(0, 128), rng.randrange(4))
+        for _ in range(max(256, iterations))
+    ]
+    bucket, prefix_lens, symbols = np.array(cases, dtype=np.int64).T
+    return _Workload(
+        exact_patterns, inexact_patterns, index.view.blocks[bucket], prefix_lens, symbols
+    )
 
 
 def _hash_hits(digest, index: FmIndex, patterns: list[str], max_diff: int, kernel: Kernel) -> None:
@@ -82,11 +88,11 @@ def run_bench(
 ) -> list[BenchReport]:
     """Run every kernel over one seed-derived workload.
 
-    Each kernel counts sampled bucket prefixes one call at a time, then
-    answers the exact and the one-difference patterns as one `match_many`
-    batch each, the engine `fmpm match` runs.  Answer checksums are
-    computed from located hits only, so they must be identical across
-    kernels; throughputs are informational.
+    Each kernel counts sampled bucket prefixes with one `count_blocks`
+    call, then answers the exact and the one-difference patterns as one
+    `match_many` batch each: the kernel entry and the engine `fmpm match`
+    runs.  Answer checksums are computed from located hits only, so they
+    must be identical across kernels; throughputs are informational.
     """
     chosen = [resolve_kernel(k) for k in (kernels or list(CONCRETE_KERNELS))]
     workload = _build_workload(index, iterations, seed)
@@ -95,10 +101,8 @@ def run_bench(
         digest = hashlib.sha256()
         begin = time.perf_counter()
 
-        fn = count_fn(kernel)
         t0 = time.perf_counter()
-        for chars, prefix_len, symbol in workload.bucket_cases:
-            fn(chars, prefix_len, symbol)
+        count_blocks(workload.blocks, workload.prefix_lens, kernel, workload.symbols)
         bucket_elapsed = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -112,7 +116,7 @@ def run_bench(
         reports.append(
             BenchReport(
                 kernel=kernel.value,
-                bucket_counts_per_sec=len(workload.bucket_cases) / max(bucket_elapsed, 1e-9),
+                bucket_counts_per_sec=len(workload.symbols) / max(bucket_elapsed, 1e-9),
                 exact_qps=len(workload.exact_patterns) / max(exact_elapsed, 1e-9),
                 inexact_qps=len(workload.inexact_patterns) / max(inexact_elapsed, 1e-9),
                 wall_seconds=time.perf_counter() - begin,

@@ -14,11 +14,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .alphabet import SYMBOLS, encode_array, is_dna
+from .alphabet import SYMBOLS, is_dna
 from .batch import (
     bwt_symbols,
     exact_search_many,
-    inexact_search_frontier,
+    inexact_search_many,
     lf_step,
     locate_hits,
     locate_rows,
@@ -198,7 +198,7 @@ def inexact_search(
         raise ValueError("pattern is empty")
     if not is_dna(pattern):
         return []
-    found = inexact_search_frontier(index.view, encode_array(pattern), max_diff, kernel)
+    _, *found = inexact_search_many(index.view, [pattern], max_diff, kernel)
     return [
         MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
         for k, l, used in zip(*(column.tolist() for column in found))

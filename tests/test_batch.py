@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 import fmpm.batch
 import fmpm.kernels
 from fmpm.alphabet import encode_array, is_dna
-from fmpm.batch import inexact_search_frontier, locate_rows, rank_many
+from fmpm.batch import difference_bounds, inexact_search_many, locate_rows, rank_many
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
 from fmpm.search import MatchResult
-from fmpm.serialize import serialize_index
+from fmpm.serialize import IndexFormatError, serialize_index
 from fmpm.suffix import suffix_array_naive
 
 import oracles
@@ -85,12 +85,12 @@ def test_locate_rows_rejects_a_cycle():
         bases=np.zeros_like(view.bases),
         sentinel_row=100,
     )
-    with pytest.raises(RuntimeError, match="did not terminate"):
+    with pytest.raises(IndexFormatError, match="did not terminate"):
         locate_rows(view, np.array([1]))
 
 
 def _frontier_triples(view, pattern, max_diff, kernel):
-    k, l, used = inexact_search_frontier(view, encode_array(pattern), max_diff, kernel)
+    _, k, l, used = inexact_search_many(view, [pattern], max_diff, kernel)
     return list(zip(k.tolist(), l.tolist(), used.tolist()))
 
 
@@ -166,6 +166,108 @@ def test_inexact_frontier_merges_repeated_states(monkeypatch):
         want = _search_triples(index, pattern, 2)
         assert _frontier_triples(view, pattern, 2, Kernel.BYTELUT) == want
         assert sum(ranked) < 2 * len(pair_calls), pattern
+
+
+def _batch(text, rng):
+    """Patterns of 2 to 40 characters: a substring of the text, two that share
+    its prefix, a random 2-mer, lowercase ones and duplicates."""
+    start = rng.randrange(len(text))
+    present = text[start : start + 21]
+    short = random_dna(rng, 2)
+    return [
+        present,
+        (present[:8] + random_dna(rng, 5)).lower(),
+        present + random_dna(rng, 40 - len(present)),
+        short,
+        present,
+        short.lower(),
+    ]
+
+
+def _many_quads(view, patterns, max_diff, kernel):
+    found = inexact_search_many(view, patterns, max_diff, kernel)
+    return list(zip(*(column.tolist() for column in found)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [edge_text(n) for n in EDGE_SIZES] + PERIODIC_TEXTS,
+    ids=[f"n{n}" for n in EDGE_SIZES] + [f"periodic{j}" for j in range(len(PERIODIC_TEXTS))],
+)
+def test_inexact_search_many_equals_oracle(text):
+    index = build_index(text)
+    patterns = _batch(text, random.Random(len(text)))
+    for max_diff in (1, 2, 3):
+        want, answers = [], {}
+        for pid, pattern in enumerate(patterns):
+            if pattern not in answers:
+                matches = inexact_search(index, pattern, max_diff, Kernel.BYTELUT)
+                answers[pattern] = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
+            want += [(pid, *triple) for triple in answers[pattern]]
+        for kernel in CONCRETE_KERNELS:
+            got = _many_quads(index.view, patterns, max_diff, kernel)
+            assert got == want, (max_diff, kernel)
+
+
+def _fewest_edits_per_prefix(pattern, text):
+    """For each prefix of `pattern`, its edit distance to the closest substring
+    of `text`, the empty one included."""
+    row = [0] * (len(text) + 1)  # a substring may start anywhere
+    fewest = []
+    for a, ch in enumerate(pattern, 1):
+        prev, row = row, [a] * (len(text) + 1)
+        for j, t in enumerate(text, 1):
+            row[j] = min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (ch != t))
+        fewest.append(min(row))
+    return fewest
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(alphabet="ACGT", min_size=1, max_size=200)
+    | st.builds(
+        lambda unit, n: (unit * n)[:n],
+        st.sampled_from(["A", "AC", "ACG", "AACG"]),
+        st.integers(min_value=1, max_value=200),
+    ),
+    st.lists(st.text(alphabet="ACGTacgt", min_size=1, max_size=40), min_size=1, max_size=4),
+)
+def test_difference_bounds_are_admissible(text, patterns):
+    # D(i) must never exceed the differences W[0..i] needs, or the search
+    # would prune a state that reaches an interval
+    view = build_index(text).view
+    codes = encode_array("".join(patterns)).astype(np.int64)
+    lengths = np.array([len(p) for p in patterns])
+    bound = difference_bounds(view, codes, lengths).tolist()
+    for pattern in patterns:
+        head, bound = bound[: len(pattern)], bound[len(pattern) :]
+        fewest = _fewest_edits_per_prefix(pattern.upper(), text)
+        assert all(d <= f for d, f in zip(head, fewest)), (pattern, head, fewest)
+    assert bound == []
+
+
+def test_inexact_search_many_rank_rounds(monkeypatch):
+    # D takes at most m rank rounds, and admitting one pattern per round
+    # leaves P - 1 + m + z frontier rounds; a loop over the patterns would
+    # make about P * (m + z) rank calls
+    text = edge_text(385)
+    rng = random.Random(12)
+    patterns = [text[start : start + 16] for start in rng.sample(range(369), 6)]
+    patterns += [random_dna(rng, rng.randint(8, 16)) for _ in range(6)]
+    view = build_index(text).view
+    calls = []
+    rank = fmpm.batch.rank_many
+
+    def counted_rank(view, pos, symbol=None, kernel=None):
+        calls.append(len(pos))
+        return rank(view, pos, symbol, kernel)
+
+    monkeypatch.setattr(fmpm.batch, "rank_many", counted_rank)
+    longest = max(len(p) for p in patterns)
+    for max_diff in (1, 2, 3):
+        calls.clear()
+        inexact_search_many(view, patterns, max_diff, Kernel.BYTELUT)
+        assert len(calls) <= len(patterns) + 2 * longest + max_diff, max_diff
 
 
 def _oracle(index, patterns, max_diff, max_hits):

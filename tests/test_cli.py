@@ -1,3 +1,4 @@
+import random
 import struct
 import subprocess
 import sys
@@ -148,6 +149,26 @@ def test_non_utf8_record_name_exits_corrupt(acag_index, capsys):
     _rewrite_with_crc(acag_index, name_at, b"\xff1")
     assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_CORRUPT
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sample", [1000 + 1000, 2**64 - 1], ids=["n+1000", "minus-one"])
+def test_out_of_range_sample_exits_corrupt(tmp_path, capsys, sample):
+    # row 32 starts with A, so `-p A` reads sample 1 (SA[32]) to locate it
+    rng = random.Random(5)
+    reference = "".join(rng.choice("ACGT") for _ in range(1000))
+    fasta, fmi = tmp_path / "ref.fa", tmp_path / "ref.fmi"
+    fasta.write_text(">r1\n" + reference + "\n")
+    assert main(["index", str(fasta), "-o", str(fmi)]) == EXIT_OK
+    assert main(["match", str(fmi), "-p", "A"]) == EXIT_OK
+    capsys.readouterr()
+    buckets = (1000 + 1 + 127) // 128
+    # header with C table and bucket count, buckets, sample count, sample 0
+    sample_1 = 80 + 64 * buckets + 8 + 8
+    _rewrite_with_crc(fmi, sample_1, struct.pack("<Q", sample))
+    assert main(["match", str(fmi), "-p", "A"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "outside [0, 1000]" in captured.err
 
 
 def test_not_an_index(tmp_path):

@@ -165,7 +165,7 @@ def test_bad_arguments_raise_before_the_engine(monkeypatch):
     for name in (
         "bwt_symbols",
         "exact_search_many",
-        "inexact_search_frontier",
+        "inexact_search_many",
         "lf_step",
         "locate_hits",
         "locate_rows",
