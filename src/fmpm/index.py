@@ -8,9 +8,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .alphabet import CHARS_PER_BYTE, SYMBOLS, TERMINATOR, encode_array
-from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
-from .suffix import build_suffix_array, bwt_from_sa
+from .alphabet import CHARS_PER_BYTE, encode_array
+from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks
+from .suffix import bwt_codes, suffix_array
 
 SA_STRIDE = 32
 
@@ -158,17 +158,22 @@ def build_index(
     """Build the full index for a reference string.
 
     `records` names stretches of the reference as (name, start, length)
-    triples; they must tile [0, n) contiguously.  Omitted, the whole
-    reference becomes a single record called "ref".
+    triples; they must tile [0, n) contiguously, which is checked before
+    the suffix sort.  Omitted, the whole reference becomes a single record
+    called "ref".
     """
-    sa = build_suffix_array(reference)
-    bwt, sentinel_row = bwt_from_sa(reference, sa)
-    n = len(reference)
+    codes = encode_array(reference)
+    n = len(codes)
+    spans = _normalize_records(records, n)
+    sa = suffix_array(codes)
+    bwt, sentinel_row = bwt_codes(codes, sa)
+    del codes
     n_buckets = n // BUCKET_CHARS + 1
 
-    # the terminator packs as code 0, so the A lane counts it
+    # the terminator is coded as A, so the A lane counts it
     lanes = np.full(n_buckets * BUCKET_CHARS, _PADDING, dtype=np.uint8)
-    lanes[: n + 1] = encode_array(bwt.replace(TERMINATOR, SYMBOLS[0]))
+    lanes[: n + 1] = bwt
+    del bwt
     by_bucket = lanes.reshape(n_buckets, BUCKET_CHARS)
     inside = np.stack([(by_bucket == s).sum(axis=1) for s in range(4)], axis=1)
     bases = np.cumsum(inside, axis=0) - inside
@@ -188,8 +193,8 @@ def build_index(
         c=c,
         buckets=table.tobytes(),
         sentinel_row=sentinel_row,
-        sa_samples=np.array(sa[::SA_STRIDE], dtype=SAMPLE_DTYPE).tobytes(),
-        records=_normalize_records(records, n),
+        sa_samples=sa[::SA_STRIDE].astype(SAMPLE_DTYPE).tobytes(),
+        records=spans,
     )
 
 
@@ -215,39 +220,61 @@ def _normalize_records(
 
 
 def check_index(index: FmIndex) -> None:
-    """Validate structural invariants; raises ValueError on any violation."""
-    n = index.n
+    """Validate structural invariants; raises ValueError on any violation.
+
+    Checks, over the arrays of `index.view`: the bucket and sample counts;
+    the bases against the exclusive running sum of every block's counts
+    (all blocks counted in one `count_blocks` call); zero padding past the
+    transform; the C table against the block totals; an A field (the
+    terminator) at the sentinel row; samples within [0, n], sample 0 being
+    n (row 0 is the terminator suffix); and records tiling [0, n).
+
+    Without walking the transform it cannot see a change that keeps every
+    block's counts, such as two fields swapped inside one block, nor a
+    sample rewritten to another value within [0, n].
+    """
+    view = index.view
+    n = view.n
     if n <= 0:
         raise ValueError("index covers an empty reference")
-    if index.c[0] != 0 or index.c[4] != n:
-        raise ValueError(f"C table endpoints wrong: {index.c}")
-    if any(a > b for a, b in zip(index.c, index.c[1:])):
-        raise ValueError(f"C table not non-decreasing: {index.c}")
-    expected_buckets = (n + 1 + BUCKET_CHARS - 1) // BUCKET_CHARS
-    if index.bucket_count != expected_buckets:
-        raise ValueError(
-            f"expected {expected_buckets} buckets for n={n}, found {index.bucket_count}"
-        )
-    if not 0 <= index.sentinel_row <= n:
-        raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
-    if len(index.sa_samples) != n // SA_STRIDE + 1:
-        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {len(index.sa_samples)}")
-    if any(not 0 <= s <= n for s in index.sa_samples):
-        raise ValueError("suffix-array sample out of range")
+    n_buckets = n // BUCKET_CHARS + 1
+    if index.bucket_count != n_buckets:
+        raise ValueError(f"expected {n_buckets} buckets for n={n}, found {index.bucket_count}")
+    if len(view.samples) != n // SA_STRIDE + 1:
+        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {len(view.samples)}")
+    if not 0 <= view.sentinel_row <= n:
+        raise ValueError(f"sentinel row {view.sentinel_row} outside [0, {n}]")
 
-    base = (0, 0, 0, 0)
-    remaining = n + 1
-    for j, bucket in enumerate(index.buckets):
-        if bucket.base != base:
-            raise ValueError(f"bucket {j} base {bucket.base} breaks telescoping ({base})")
-        inside_len = min(BUCKET_CHARS, remaining)
-        inside = count_bucket_all4(bucket.chars, inside_len, kernel=Kernel.SCALAR)
-        padding = count_bucket_all4(bucket.chars, BUCKET_CHARS, kernel=Kernel.SCALAR)
-        if padding.a - inside.a != BUCKET_CHARS - inside_len or (
-            padding.c != inside.c or padding.g != inside.g or padding.t != inside.t
-        ):
-            raise ValueError(f"bucket {j} padding fields are not zero")
-        base = tuple(b + d for b, d in zip(base, inside))
-        remaining -= inside_len
+    last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
+    prefix_lens = np.full(n_buckets, BUCKET_CHARS, dtype=np.int64)
+    prefix_lens[-1] = last
+    inside = count_blocks(view.blocks, prefix_lens, Kernel.BYTELUT)
+    expected = np.cumsum(inside, axis=0) - inside
+    wrong = np.flatnonzero((view.bases != expected).any(axis=1))
+    if len(wrong):
+        j = wrong[0]
+        raise ValueError(
+            f"bucket {j} base {tuple(view.bases[j].tolist())} breaks telescoping "
+            f"({tuple(expected[j].tolist())})"
+        )
+    # field r of a block is bits 2r and 2r + 1 of its little-endian bytes
+    if int.from_bytes(view.blocks[-1].tobytes(), "little") >> (2 * last):
+        raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
+    totals = inside.sum(axis=0)
+    totals[0] -= 1  # the terminator is packed as A
+    c = build_c_table(totals.tolist())
+    if tuple(index.c) != c:
+        raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
+    row = view.sentinel_row
+    if view.blocks[row // BUCKET_CHARS, row % BUCKET_CHARS >> 2] >> 2 * (row & 3) & 3:
+        raise ValueError(f"sentinel row {row} does not hold the terminator's A field")
+    bad = np.flatnonzero((view.samples < 0) | (view.samples > n))
+    if len(bad):
+        j = bad[0]
+        raise ValueError(
+            f"suffix-array sample {j} out of range: {view.samples[j]} outside [0, {n}]"
+        )
+    if view.samples[0] != n:
+        raise ValueError(f"suffix-array sample 0 is {view.samples[0]}, not n={n}")
 
     _normalize_records([(r.name, r.start, r.length) for r in index.records], n)

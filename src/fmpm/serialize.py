@@ -25,7 +25,7 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, RecordSpan, SA_STRIDE
+from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, RecordSpan, SA_STRIDE, check_index
 from .kernels import BUCKET_CHARS
 
 MAGIC = b"FMPM"
@@ -114,7 +114,7 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
 
 
 def deserialize_index(source: BinaryIO) -> FmIndex:
-    """Read an index written by serialize_index, verifying the checksum."""
+    """Read an index written by serialize_index, verifying the checksum and `check_index`."""
     r = _CrcReader(source)
     magic = r.read(4, "magic")
     if magic != MAGIC:
@@ -157,11 +157,7 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     (stored,) = struct.unpack("<I", trailer)
     if stored != computed:
         raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
-    if sentinel_row > n:
-        raise IndexFormatError(f"sentinel row {sentinel_row} outside [0, {n}]")
-    if c[0] != 0 or c[4] != n or any(a > b for a, b in zip(c, c[1:])):
-        raise IndexFormatError(f"C table {c} is not a non-decreasing run from 0 to n={n}")
-    return FmIndex(
+    index = FmIndex(
         n=n,
         c=c,
         buckets=table,
@@ -169,3 +165,8 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         sa_samples=samples,
         records=tuple(records),
     )
+    try:
+        check_index(index)
+    except ValueError as exc:
+        raise IndexFormatError(str(exc)) from None
+    return index

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import TERMINATOR, encode_array
+from .alphabet import SYMBOLS, TERMINATOR, encode_array
 
 # Characters packed into each suffix's seed rank.  A seed holds SEED_WIDTH
 # base-5 digits (terminator and past-the-end 0, A..T 1..4), and
@@ -15,6 +15,9 @@ SEED_WIDTH = 24
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# marks the terminator's row while the transform codes are gathered
+_TERMINATOR_MARK = len(SYMBOLS)
+
 
 def suffix_array_naive(reference: str) -> list[int]:
     """Comparison-sort oracle: sort all suffixes of reference + terminator.
@@ -22,13 +25,20 @@ def suffix_array_naive(reference: str) -> list[int]:
     Materializes every suffix, so keep inputs small (a few thousand chars).
     ASCII ordering of '$' < 'A' < 'C' < 'G' < 'T' matches the code order.
     """
-    _validate(reference)
+    if not reference:
+        raise ValueError("reference is empty")
+    encode_array(reference)
     text = reference.upper() + TERMINATOR
     return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def build_suffix_array(reference: str) -> list[int]:
-    """Suffix array of reference + terminator by numpy prefix doubling.
+    """Suffix array of reference + terminator, as a list (see suffix_array)."""
+    return suffix_array(encode_array(reference)).tolist()
+
+
+def suffix_array(codes: np.ndarray) -> np.ndarray:
+    """Suffix array of a coded reference + terminator, by numpy prefix doubling.
 
     Ranks are seeded from each suffix's first SEED_WIDTH characters packed
     into one int64, then refined by rank doubling (Manber & Myers 1993):
@@ -38,73 +48,92 @@ def build_suffix_array(reference: str) -> list[int]:
     2007).  With h the longest repeated substring, that is
     ceil(log2((h + 1) / SEED_WIDTH)) rounds after the seed, each one
     O(m log m) in the m suffixes still tied; O(n log^2 n) at worst.
-    Agrees with suffix_array_naive on every input.
+    Suffix positions and ranks are int32 while they fit; only the sort
+    keys are int64.  Agrees with suffix_array_naive on every input.
     """
-    codes = _validate(reference)
+    if not len(codes):
+        raise ValueError("reference is empty")
     n = len(codes) + 1
     if n > _INT64_MAX // n:  # the rank-pair keys reach n * n - 1
         raise ValueError(f"reference of {n - 1} characters is too long to rank in int64")
+    index_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
-    digits = np.zeros(n + SEED_WIDTH - 1, dtype=np.int64)
-    digits[: n - 1] = codes + 1
+    digits = np.zeros(n + SEED_WIDTH - 1, dtype=np.uint8)
+    np.add(codes, 1, out=digits[: n - 1])
     key = np.zeros(n, dtype=np.int64)
     for j in range(SEED_WIDTH):
         key *= 5
         key += digits[j : j + n]
     del digits
 
+    # the first sort: every suffix is one unresolved group, in text order
+    sa = members = np.argsort(key).astype(index_type)
+    key = key[sa]
+    tied = np.arange(n, dtype=index_type)  # ascending SA indices of unresolved groups
     # rank[i] is the number of suffixes whose tied prefix sorts below that
     # of suffix i: the SA index where i's group starts.  Groups refined in
     # a round keep their start, so untouched ranks stay valid.
-    rank = np.empty(n, dtype=np.int64)
-    sa = np.arange(n, dtype=np.int64)
-    tied = np.arange(n, dtype=np.int64)  # ascending SA indices of unresolved groups
+    rank = np.empty(n, dtype=index_type)
     width = SEED_WIDTH
     while True:
+        # boundary[j]: a new group starts at sorted member j (or j == end)
+        boundary = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=boundary[1:-1])
+        del key
+        heads = np.where(boundary[:-1], tied, 0)
+        rank[members] = np.maximum.accumulate(heads, out=heads)
+        del heads, members
+        tied = tied[~(boundary[:-1] & boundary[1:])]
+        if not len(tied):
+            return sa
+        # a tied suffix's first `width` characters hold no terminator, since
+        # the terminator occurs once; so i + width < n for every member
+        members = sa[tied]
+        key = rank[members].astype(np.int64)
+        key *= n
+        key += rank[members + width]
+        width *= 2
         # any sort will do: members left tied are sorted again next round,
         # and the loop ends only once every key in a round is distinct
         order = np.argsort(key)
         key = key[order]
-        members = sa[tied[order]]
+        members = members[order]
         del order
         sa[tied] = members
-        # boundary[j]: a new group starts at sorted member j (or j == end)
-        boundary = np.ones(len(key) + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=boundary[1:-1])
-        heads = np.where(boundary[:-1], tied, 0)
-        rank[members] = np.maximum.accumulate(heads, out=heads)
-        tied = tied[~(boundary[:-1] & boundary[1:])]
-        if not len(tied):
-            return sa.tolist()
-        # a tied suffix's first `width` characters hold no terminator, since
-        # the terminator occurs once; so i + width < n for every member
-        members = sa[tied]
-        key = rank[members] * n + rank[members + width]
-        width *= 2
 
 
 def bwt_from_sa(reference: str, sa: Sequence[int]) -> tuple[str, int]:
-    """Burrows-Wheeler transform of reference + terminator.
+    """Burrows-Wheeler transform of reference + terminator (see bwt_codes).
 
-    Row i holds the character preceding suffix sa[i], the terminator for
-    the row whose suffix starts at position 0.  Returns the transform and
-    the row index holding the terminator.
+    Returns the transform as a string, the terminator in its row, and the
+    row index holding the terminator.
     """
-    text = reference.upper()
-    if len(sa) != len(text) + 1:
+    codes, sentinel_row = bwt_codes(encode_array(reference), np.asarray(sa))
+    chars = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)[codes]
+    chars[sentinel_row] = ord(TERMINATOR)
+    return chars.tobytes().decode("ascii"), sentinel_row
+
+
+def bwt_codes(codes: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, int]:
+    """Burrows-Wheeler transform codes of a coded reference + terminator.
+
+    Row i holds the code of the character preceding suffix sa[i]; the row
+    whose suffix starts at position 0 holds the terminator, coded as A (0).
+    Returns the codes and that row's index.
+    """
+    if len(sa) != len(codes) + 1:
         raise ValueError(
-            f"suffix array length {len(sa)} does not match reference length {len(text)}"
+            f"suffix array length {len(sa)} does not match reference length {len(codes)}"
         )
-    positions = np.asarray(sa, dtype=np.int64)
-    at_start = np.flatnonzero(positions == 0)
-    if not len(at_start):
+    # entry p of the shifted codes is the code before suffix p; the
+    # terminator gets 4, above every symbol, so its row is the maximum
+    shifted = np.empty(len(codes) + 1, dtype=np.uint8)
+    shifted[0] = _TERMINATOR_MARK
+    shifted[1:] = codes
+    out = shifted[sa]
+    del shifted
+    sentinel_row = int(out.argmax())
+    if out[sentinel_row] != _TERMINATOR_MARK:
         raise ValueError("suffix array holds no entry for position 0")
-    # byte p of the shifted text is the character before suffix p
-    shifted = np.frombuffer((TERMINATOR + text).encode("ascii"), dtype=np.uint8)
-    return shifted[positions].tobytes().decode("ascii"), int(at_start[0])
-
-
-def _validate(reference: str) -> np.ndarray:
-    if not reference:
-        raise ValueError("reference is empty")
-    return encode_array(reference)
+    out[sentinel_row] = 0
+    return out, sentinel_row

@@ -171,6 +171,34 @@ def test_out_of_range_sample_exits_corrupt(tmp_path, capsys, sample):
     assert "outside [0, 1000]" in captured.err
 
 
+@pytest.fixture()
+def two_record_index(tmp_path):
+    rng = random.Random(9)
+    fasta, fmi = tmp_path / "two.fa", tmp_path / "two.fmi"
+    fasta.write_text("".join(f">r{j}\n{''.join(rng.choices('ACGT', k=2500))}\n" for j in (1, 2)))
+    assert main(["index", str(fasta), "-o", str(fmi)]) == EXIT_OK
+    return fmi
+
+
+# bucket j of the file: four 8-byte bases at 80 + 64 * j, then its 32 packed
+# bytes; 5,001 transform fields fill buckets 0 to 39
+@pytest.mark.parametrize("bucket", [0, 5, 19, 39])
+def test_zeroed_bucket_block_exits_corrupt(two_record_index, capsys, bucket):
+    _rewrite_with_crc(two_record_index, 80 + 64 * bucket + 32, bytes(32))
+    assert main(["match", str(two_record_index), "-p", "ACGTA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fmpm: corrupt index: ")
+
+
+def test_huge_bucket_base_exits_corrupt(two_record_index, capsys):
+    _rewrite_with_crc(two_record_index, 80 + 64 * 5, struct.pack("<Q", 10**6))  # bucket 5's A base
+    assert main(["match", str(two_record_index), "-p", "ACGTA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bucket 5 base" in captured.err
+
+
 def test_not_an_index(tmp_path):
     bogus = tmp_path / "bogus.fmi"
     bogus.write_bytes(b"this is not an index file at all")

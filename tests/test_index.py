@@ -1,12 +1,16 @@
 import io
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmpm.alphabet import TERMINATOR
+import fmpm.index
+from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
+    BUCKET_RECORD,
     FmIndex,
     RecordSpan,
     SA_STRIDE,
@@ -16,7 +20,7 @@ from fmpm.index import (
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
 from fmpm.serialize import serialize_index
-from fmpm.suffix import build_suffix_array, bwt_from_sa
+from fmpm.suffix import build_suffix_array, bwt_from_sa, suffix_array
 
 from oracles import random_dna, reference_index_bytes
 
@@ -135,6 +139,96 @@ def test_check_index_catches_tampering():
     )
     with pytest.raises(ValueError):
         check_index(broken)
+
+
+def _patched(data, offset, value):
+    out = bytearray(data)
+    out[offset : offset + len(value)] = value
+    return bytes(out)
+
+
+# a 300-char, two-record index: three buckets, the last holding 45 fields
+_CHECKED = build_index(random_dna(random.Random(37), 300), [("r1", 0, 120), ("r2", 120, 180)])
+_LAST_BLOCK = 2 * 64 + 32  # offset of the last bucket's packed block in the table
+
+
+def _non_terminator_row(index):
+    blocks = np.frombuffer(index.table, dtype=BUCKET_RECORD)["chars"]
+    bits = np.unpackbits(blocks, bitorder="little")
+    fields = bits[0::2] | bits[1::2] << 1  # field r of the transform
+    return int(np.flatnonzero(fields[: index.n + 1])[0])
+
+
+@pytest.mark.parametrize(
+    "message, fields",
+    [
+        # bucket 1's block zeroed: bucket 2's base no longer telescopes
+        ("telescoping", dict(buckets=_patched(_CHECKED.table, 64 + 32, bytes(32)))),
+        # bucket 1's A base set to 10**6
+        ("telescoping", dict(buckets=_patched(_CHECKED.table, 64, (10**6).to_bytes(8, "little")))),
+        # field 127 of the last block, past the end of the transform
+        ("padding", dict(buckets=_patched(_CHECKED.table, _LAST_BLOCK + 31, b"\x40"))),
+        # field 4 of the last block changed: no later base counts it, the C table does
+        ("C table", dict(buckets=_patched(_CHECKED.table, _LAST_BLOCK + 1, b"\xff"))),
+        ("C table", dict(c=(0, _CHECKED.c[1] + 1, *_CHECKED.c[2:]))),
+        ("sentinel row .* outside", dict(sentinel_row=_CHECKED.n + 1)),
+        ("terminator", dict(sentinel_row=_non_terminator_row(_CHECKED))),
+        # sample 1 set to n + 1, then to 2**64 - 1 (-1 as the file's int64)
+        ("outside \\[0, 300\\]", dict(sa_samples=_patched(_CHECKED.samples, 8, (301).to_bytes(8, "little")))),
+        ("outside \\[0, 300\\]", dict(sa_samples=_patched(_CHECKED.samples, 8, b"\xff" * 8))),
+        ("sample 0", dict(sa_samples=_patched(_CHECKED.samples, 0, bytes(8)))),
+        ("records cover", dict(records=_CHECKED.records[:1])),
+    ],
+    ids=[
+        "zeroed-block",
+        "huge-base",
+        "padding",
+        "last-block-field",
+        "c-table",
+        "sentinel-range",
+        "sentinel-field",
+        "sample-range",
+        "sample-negative",
+        "sample-0",
+        "records",
+    ],
+)
+def test_check_index_catches_each_broken_invariant(message, fields):
+    check_index(_CHECKED)
+    kept = dict(
+        n=_CHECKED.n,
+        c=_CHECKED.c,
+        buckets=_CHECKED.table,
+        sentinel_row=_CHECKED.sentinel_row,
+        sa_samples=_CHECKED.samples,
+        records=_CHECKED.records,
+    )
+    with pytest.raises(ValueError, match=message):
+        check_index(FmIndex(**{**kept, **fields}))
+
+
+def test_bad_records_rejected_before_the_sort(monkeypatch):
+    def no_sort(codes):
+        raise AssertionError("the suffix sort ran")
+
+    monkeypatch.setattr(fmpm.index, "suffix_array", no_sort)
+    with pytest.raises(ValueError, match="records cover 3 of 400000 characters"):
+        build_index("ACGT" * 100000, [("a", 0, 3)])
+    with pytest.raises(ValueError, match="does not tile"):
+        build_index("ACGT" * 100000, [("a", 0, 3), ("b", 4, 399996)])
+
+
+def test_build_memory_per_character():
+    # tracemalloc counts numpy's buffers, so the peak repeats exactly
+    text = random_dna(random.Random(38), 300_000)
+    assert suffix_array(encode_array(text)).dtype == np.int32
+    tracemalloc.start()
+    try:
+        build_index(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(text) <= 32, f"build peaked at {peak / len(text):.1f} B/char"
 
 
 def test_final_bucket_padding_is_zero():

@@ -1,12 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpm.suffix
-from fmpm.alphabet import AlphabetError, TERMINATOR, encode
-from fmpm.suffix import SEED_WIDTH, build_suffix_array, bwt_from_sa, suffix_array_naive
+from fmpm.alphabet import AlphabetError, TERMINATOR, encode, encode_array
+from fmpm.suffix import (
+    SEED_WIDTH,
+    build_suffix_array,
+    bwt_codes,
+    bwt_from_sa,
+    suffix_array,
+    suffix_array_naive,
+)
 
 from oracles import random_dna
 
@@ -125,3 +133,13 @@ def test_bwt_is_permutation_of_text_plus_terminator():
 def test_bwt_rejects_wrong_sa_length():
     with pytest.raises(ValueError):
         bwt_from_sa("ACAG", [0, 1, 2])
+
+
+def test_bwt_codes_hold_the_terminator_as_a():
+    codes = encode_array("ACAG")
+    sa = suffix_array(codes)
+    assert sa.dtype == np.int32
+    bwt, sentinel_row = bwt_codes(codes, sa)
+    assert (bwt.tolist(), sentinel_row) == ([2, 0, 1, 0, 0], 1)  # G$CAA
+    with pytest.raises(ValueError, match="no entry for position 0"):
+        bwt_codes(codes, np.array([4, 1, 2, 1, 3]))
