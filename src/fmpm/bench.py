@@ -41,7 +41,7 @@ def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
     text = reconstruct_reference(index, kernel=Kernel.BYTELUT)
     exact_patterns = []
     for _ in range(iterations):
-        length = rng.randint(8, min(24, len(text)))
+        length = rng.randint(min(8, len(text)), min(24, len(text)))
         start = rng.randint(0, len(text) - length)
         pattern = text[start : start + length]
         if rng.random() < 0.5:

@@ -14,9 +14,6 @@ from .suffix import bwt_codes, suffix_array
 
 SA_STRIDE = 32
 
-# lane value past the end of the transform: counted in no lane, packed as 0
-_PADDING = 4
-
 
 @dataclass(frozen=True)
 class RecordSpan:
@@ -170,24 +167,19 @@ def build_index(
     del codes
     n_buckets = n // BUCKET_CHARS + 1
 
-    # the terminator is coded as A, so the A lane counts it
-    lanes = np.full(n_buckets * BUCKET_CHARS, _PADDING, dtype=np.uint8)
+    # the terminator is coded as A; padding past the transform packs as 0
+    lanes = np.zeros(n_buckets * BUCKET_CHARS, dtype=np.uint8)
     lanes[: n + 1] = bwt
     del bwt
-    by_bucket = lanes.reshape(n_buckets, BUCKET_CHARS)
-    inside = np.stack([(by_bucket == s).sum(axis=1) for s in range(4)], axis=1)
-    bases = np.cumsum(inside, axis=0) - inside
-
-    totals = inside.sum(axis=0)
-    totals[0] -= 1  # the terminator is not a reference character
-    c = build_c_table(totals.tolist())
-
-    quads = (lanes & 3).reshape(-1, CHARS_PER_BYTE)
-    table = np.empty(n_buckets, dtype=BUCKET_RECORD)
-    table["base"] = bases
-    table["chars"] = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).reshape(
+    quads = lanes.reshape(-1, CHARS_PER_BYTE)
+    blocks = (quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6).reshape(
         n_buckets, BUCKET_BYTES
     )
+    del lanes, quads
+    bases, c = _bases_and_c(blocks, n)
+    table = np.empty(n_buckets, dtype=BUCKET_RECORD)
+    table["base"] = bases
+    table["chars"] = blocks
     return FmIndex(
         n=n,
         c=c,
@@ -196,6 +188,21 @@ def build_index(
         sa_samples=sa[::SA_STRIDE].astype(SAMPLE_DTYPE).tobytes(),
         records=spans,
     )
+
+
+def _bases_and_c(blocks: np.ndarray, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each block's base and the C table, from a packed transform of n + 1 fields.
+
+    Counts the transform fields of every block in one `count_blocks` call;
+    the bases are the exclusive running sum of those counts, and C the
+    exclusive sums of their totals less the terminator, which is packed as A.
+    """
+    prefix_lens = np.full(len(blocks), BUCKET_CHARS, dtype=np.int64)
+    prefix_lens[-1] = n + 1 - (len(blocks) - 1) * BUCKET_CHARS
+    inside = count_blocks(blocks, prefix_lens, Kernel.BYTELUT)
+    totals = inside.sum(axis=0)
+    totals[0] -= 1
+    return np.cumsum(inside, axis=0) - inside, build_c_table(totals.tolist())
 
 
 def _normalize_records(
@@ -224,10 +231,11 @@ def check_index(index: FmIndex) -> None:
 
     Checks, over the arrays of `index.view`: the bucket and sample counts;
     the bases against the exclusive running sum of every block's counts
-    (all blocks counted in one `count_blocks` call); zero padding past the
-    transform; the C table against the block totals; an A field (the
-    terminator) at the sentinel row; samples within [0, n], sample 0 being
-    n (row 0 is the terminator suffix); and records tiling [0, n).
+    and the C table against the block totals (both derived as
+    `build_index` derives them, in one `count_blocks` call); zero padding
+    past the transform; an A field (the terminator) at the sentinel row;
+    samples within [0, n], sample 0 being n (row 0 is the terminator
+    suffix); and records tiling [0, n).
 
     Without walking the transform it cannot see a change that keeps every
     block's counts, such as two fields swapped inside one block, nor a
@@ -246,10 +254,7 @@ def check_index(index: FmIndex) -> None:
         raise ValueError(f"sentinel row {view.sentinel_row} outside [0, {n}]")
 
     last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
-    prefix_lens = np.full(n_buckets, BUCKET_CHARS, dtype=np.int64)
-    prefix_lens[-1] = last
-    inside = count_blocks(view.blocks, prefix_lens, Kernel.BYTELUT)
-    expected = np.cumsum(inside, axis=0) - inside
+    expected, c = _bases_and_c(view.blocks, n)
     wrong = np.flatnonzero((view.bases != expected).any(axis=1))
     if len(wrong):
         j = wrong[0]
@@ -260,9 +265,6 @@ def check_index(index: FmIndex) -> None:
     # field r of a block is bits 2r and 2r + 1 of its little-endian bytes
     if int.from_bytes(view.blocks[-1].tobytes(), "little") >> (2 * last):
         raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
-    totals = inside.sum(axis=0)
-    totals[0] -= 1  # the terminator is packed as A
-    c = build_c_table(totals.tolist())
     if tuple(index.c) != c:
         raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
     row = view.sentinel_row

@@ -2,16 +2,25 @@
 
 A bucket stores 128 two-bit symbols in 32 bytes.  Every kernel answers the
 same question: how many times does a symbol occur among the first
-`prefix_len` characters of the bucket?  Four implementations are provided:
+`prefix_len` characters of the bucket?  Each of the four kernels has one
+counting body:
 
-* scalar    - per-character unpacking; the ground-truth oracle.
-* bytelut   - 256-entry per-byte count tables.
+* scalar    - per-character unpacking, one symbol or all four; the
+              ground-truth oracle.
+* bytelut   - one pass over a 256-entry table that packs a byte's four
+              counts into 8-bit lanes; a one-symbol count is one lane.
 * nibble    - three-phase half-byte pipeline (lookup, extraction,
               aggregation) run on plain 64-bit integers, one 8-byte group
-              at a time, mirroring in-register lane arithmetic.
-* simd      - the same pipeline vectorized with numpy uint8/uint64 lanes,
-              over a batch of buckets at once (`count_blocks_simd`); the
-              one-bucket kernel is its one-row case.
+              at a time, mirroring in-register lane arithmetic: each group
+              is looked up once, then extracted and summed once per
+              requested symbol.
+* simd      - the same pipeline vectorized with numpy uint8/uint64 lanes
+              over a batch of buckets (`count_blocks_simd`); a one-bucket
+              count is its one-row case.
+
+`count_bucket_all4` (one bucket) and `count_blocks` (a batch; `bytelut`
+runs its table over all rows at once) are the two functions that take a
+kernel by name.  `count_bucket_<kernel>` counts one symbol in one bucket.
 
 The nibble pipeline works on complemented low-nibble counts so that a
 sum-of-absolute-differences against the high-nibble counts folds both
@@ -25,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +44,9 @@ BUCKET_CHARS = 128
 BUCKET_BYTES = 32
 
 _GROUP_BYTES = 8
-_NIBBLE_MASK = 0x0F0F0F0F0F0F0F0F
 _LOW2_MASK = 0x0303030303030303
 _HIGH6_FILL = 0xFCFCFCFCFCFCFCFC
-# 8 bytes * 255 and 32 bytes * 255: the SAD value of an all-zero count
-_GROUP_SAD_CEILING = 2040
+# 32 bytes * 255: the SAD value of an all-zero count
 _BUCKET_SAD_CEILING = 8160
 
 
@@ -79,20 +86,12 @@ class NibbleTables(NamedTuple):
 TABLES = NibbleTables.build()
 
 
-def _build_byte_tables() -> tuple[list[list[int]], list[int]]:
-    per_symbol = [[0] * 256 for _ in range(4)]
-    packed = [0] * 256
-    for b in range(256):
-        for shift in (0, 2, 4, 6):
-            code = (b >> shift) & 3
-            per_symbol[code][b] += 1
-        packed[b] = sum(per_symbol[s][b] << (s << 3) for s in range(4))
-    return per_symbol, packed
-
-
-# _BYTE_COUNTS[s][b]: occurrences of symbol s among the 4 fields of byte b.
-# _BYTE_COUNTS_PACKED[b]: the same four counts packed 8 bits per symbol.
-_BYTE_COUNTS, _BYTE_COUNTS_PACKED = _build_byte_tables()
+# _BYTE_COUNTS_PACKED[b]: occurrences of each symbol s among the 4 fields of
+# byte b, in bits [8s, 8s + 8)
+_BYTE_COUNTS_PACKED = [
+    sum(1 << (((b >> shift) & 3) << 3) for shift in (0, 2, 4, 6)) for b in range(256)
+]
+_ALL_SYMBOLS = (0, 1, 2, 3)
 
 _NP_LO = np.frombuffer(TABLES.lo, dtype=np.uint8)
 _NP_HI = np.frombuffer(TABLES.hi, dtype=np.uint8)
@@ -139,6 +138,10 @@ def mask_bucket(block: bytes, prefix_len: int) -> bytes:
 def count_bucket_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
     """Reference count: unpack and compare one character at a time."""
     _check_bucket(block, prefix_len)
+    return _count_scalar(block, prefix_len, symbol)
+
+
+def _count_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
     count = 0
     for j in range(prefix_len):
         if (block[j >> 2] >> ((j & 3) << 1)) & 3 == symbol:
@@ -146,84 +149,17 @@ def count_bucket_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
     return count
 
 
-def count_bucket_bytelut(block: bytes, prefix_len: int, symbol: int) -> int:
-    """Count via a 256-entry per-byte table plus a short tail loop."""
-    _check_bucket(block, prefix_len)
-    full, rem = divmod(prefix_len, 4)
-    table = _BYTE_COUNTS[symbol]
-    count = sum(map(table.__getitem__, block[:full]))
-    if rem:
-        b = block[full]
-        for f in range(rem):
-            if (b >> (f << 1)) & 3 == symbol:
-                count += 1
-    return count
-
-
-def count_bucket_nibble(
-    block: bytes,
-    prefix_len: int,
-    symbol: int,
-    trace: KernelTrace | None = None,
-) -> int:
-    """Three-phase half-byte count over four 8-byte groups.
-
-    Phase 1 (lookup): each byte's low nibble indexes the complemented
-    count table and its high nibble the plain one, yielding two 64-bit
-    words per group.  Phase 2 (extraction): both words shift right by
-    2*symbol so the wanted count lands in bits [0,1] of every byte; the
-    complemented word is topped up with ones, the plain word masked to
-    its low two bits.  Phase 3 (aggregation): a per-group SAD equals
-    2040 - group_count, so the bucket count is 8160 minus the SAD total.
-    Positions masked off as padding decode as symbol A and are subtracted
-    again at the end.
-    """
-    _check_bucket(block, prefix_len)
-    masked = mask_bucket(block, prefix_len)
-    lo_t, hi_t = TABLES
-    shift = symbol << 1
-    sad_total = 0
-    for g in range(0, BUCKET_BYTES, _GROUP_BYTES):
-        lo_w = 0
-        hi_w = 0
-        for i in range(_GROUP_BYTES):
-            b = masked[g + i]
-            off = i << 3
-            lo_w |= lo_t[b & 0x0F] << off
-            hi_w |= hi_t[b >> 4] << off
-        # 64-bit-wide shifts; bits bleeding across byte lanes are wiped
-        # by the fill/mask step, which only keeps bits [0,1] meaningful.
-        shifted_lo = (lo_w >> shift) | _HIGH6_FILL
-        shifted_hi = (hi_w >> shift) & _LOW2_MASK
-        sad = 0
-        for off in range(0, 64, 8):
-            sad += abs(((shifted_lo >> off) & 0xFF) - ((shifted_hi >> off) & 0xFF))
-        sad_total += sad
-        if trace is not None:
-            trace.masked_words.append(int.from_bytes(masked[g : g + _GROUP_BYTES], "little"))
-            trace.lookup_lo_words.append(lo_w)
-            trace.lookup_hi_words.append(hi_w)
-            trace.group_sads.append(sad)
-    raw = _BUCKET_SAD_CEILING - sad_total
-    count = raw - (BUCKET_CHARS - prefix_len) if symbol == A else raw
-    if trace is not None:
-        trace.sad_total = sad_total
-        trace.raw_count = raw
-        trace.count = count
-    return count
-
-
-def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
-    """Nibble pipeline vectorized over numpy lanes (little-endian layout)."""
-    _check_bucket(block, prefix_len)
-    return _all4_simd(block, prefix_len)[symbol]
-
-
 def _all4_scalar(block: bytes, prefix_len: int) -> OccCounts:
     counts = [0, 0, 0, 0]
     for j in range(prefix_len):
         counts[(block[j >> 2] >> ((j & 3) << 1)) & 3] += 1
     return OccCounts(*counts)
+
+
+def count_bucket_bytelut(block: bytes, prefix_len: int, symbol: int) -> int:
+    """One symbol's lane of the packed byte-table count."""
+    _check_bucket(block, prefix_len)
+    return _all4_bytelut(block, prefix_len)[symbol]
 
 
 def _all4_bytelut(block: bytes, prefix_len: int) -> OccCounts:
@@ -238,11 +174,36 @@ def _all4_bytelut(block: bytes, prefix_len: int) -> OccCounts:
     return OccCounts(*counts)
 
 
-def _all4_nibble(block: bytes, prefix_len: int) -> OccCounts:
-    """One lookup pass, four independent extractions, then aggregation."""
+def count_bucket_nibble(
+    block: bytes,
+    prefix_len: int,
+    symbol: int,
+    trace: KernelTrace | None = None,
+) -> int:
+    """The nibble pipeline for one symbol; `trace` records its intermediate values."""
+    _check_bucket(block, prefix_len)
+    return _nibble(block, prefix_len, (symbol,), trace)[0]
+
+
+def _nibble(
+    block: bytes, prefix_len: int, symbols: tuple[int, ...], trace: KernelTrace | None = None
+) -> list[int]:
+    """Three-phase half-byte counts of each of `symbols` over four 8-byte groups.
+
+    Phase 1 (lookup): each byte's low nibble indexes the complemented
+    count table and its high nibble the plain one, yielding two 64-bit
+    words per group, once for all symbols.  Phase 2 (extraction): per
+    symbol, both words shift right by 2*symbol so the wanted count lands
+    in bits [0,1] of every byte; the complemented word is topped up with
+    ones, the plain word masked to its low two bits.  Phase 3
+    (aggregation): a per-group SAD equals 2040 - group_count, so the
+    bucket count is 8160 minus the SAD total.  Positions masked off as
+    padding decode as symbol A and are subtracted again at the end.
+    `trace` records the SADs of the last symbol, so pass it with one.
+    """
     masked = mask_bucket(block, prefix_len)
     lo_t, hi_t = TABLES
-    sads = [0, 0, 0, 0]
+    sads = [0] * len(symbols)
     for g in range(0, BUCKET_BYTES, _GROUP_BYTES):
         lo_w = 0
         hi_w = 0
@@ -251,24 +212,35 @@ def _all4_nibble(block: bytes, prefix_len: int) -> OccCounts:
             off = i << 3
             lo_w |= lo_t[b & 0x0F] << off
             hi_w |= hi_t[b >> 4] << off
-        for s in range(4):
-            sh = s << 1
-            shifted_lo = (lo_w >> sh) | _HIGH6_FILL
-            shifted_hi = (hi_w >> sh) & _LOW2_MASK
+        for j, symbol in enumerate(symbols):
+            shift = symbol << 1
+            # 64-bit-wide shifts; bits bleeding across byte lanes are wiped
+            # by the fill/mask step, which only keeps bits [0,1] meaningful.
+            shifted_lo = (lo_w >> shift) | _HIGH6_FILL
+            shifted_hi = (hi_w >> shift) & _LOW2_MASK
             sad = 0
             for off in range(0, 64, 8):
                 sad += abs(((shifted_lo >> off) & 0xFF) - ((shifted_hi >> off) & 0xFF))
-            sads[s] += sad
-    counts = [_BUCKET_SAD_CEILING - s for s in sads]
-    counts[A] -= BUCKET_CHARS - prefix_len
-    return OccCounts(*counts)
+            sads[j] += sad
+        if trace is not None:
+            trace.masked_words.append(int.from_bytes(masked[g : g + _GROUP_BYTES], "little"))
+            trace.lookup_lo_words.append(lo_w)
+            trace.lookup_hi_words.append(hi_w)
+            trace.group_sads.append(sad)
+    padding = BUCKET_CHARS - prefix_len
+    counts = [
+        _BUCKET_SAD_CEILING - sad - (padding if s == A else 0) for sad, s in zip(sads, symbols)
+    ]
+    if trace is not None:
+        trace.sad_total = sads[-1]
+        trace.raw_count = _BUCKET_SAD_CEILING - sads[-1]
+        trace.count = counts[-1]
+    return counts
 
 
-def _all4_simd(block: bytes, prefix_len: int) -> OccCounts:
-    masked = np.frombuffer(mask_bucket(block, prefix_len), dtype=np.uint8)
-    counts = count_blocks_simd(masked[np.newaxis])[0].tolist()
-    counts[A] -= BUCKET_CHARS - prefix_len
-    return OccCounts(*counts)
+def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
+    """One symbol of the nibble pipeline vectorized over numpy lanes."""
+    return count_bucket_all4(block, prefix_len, Kernel.SIMD)[symbol]
 
 
 # _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
@@ -329,20 +301,6 @@ CONCRETE_KERNELS = (Kernel.SCALAR, Kernel.BYTELUT, Kernel.NIBBLE, Kernel.SIMD)
 
 ENV_KERNEL = "FMPM_KERNEL"
 
-_COUNT_FNS: dict[Kernel, Callable[[bytes, int, int], int]] = {
-    Kernel.SCALAR: count_bucket_scalar,
-    Kernel.BYTELUT: count_bucket_bytelut,
-    Kernel.NIBBLE: count_bucket_nibble,
-    Kernel.SIMD: count_bucket_simd,
-}
-
-_ALL4_FNS: dict[Kernel, Callable[[bytes, int], OccCounts]] = {
-    Kernel.SCALAR: _all4_scalar,
-    Kernel.BYTELUT: _all4_bytelut,
-    Kernel.NIBBLE: _all4_nibble,
-    Kernel.SIMD: _all4_simd,
-}
-
 
 def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     """Normalize a kernel selection to a concrete kernel.
@@ -368,20 +326,20 @@ def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     return kernel
 
 
-def count_fn(kernel: Kernel | str | None = None) -> Callable[[bytes, int, int], int]:
-    return _COUNT_FNS[resolve_kernel(kernel)]
-
-
-def all4_fn(kernel: Kernel | str | None = None) -> Callable[[bytes, int], OccCounts]:
-    return _ALL4_FNS[resolve_kernel(kernel)]
-
-
 def count_bucket_all4(
     block: bytes, prefix_len: int, kernel: Kernel | str | None = None
 ) -> OccCounts:
     """All four symbol counts for one bucket prefix in a single pass."""
     _check_bucket(block, prefix_len)
-    return all4_fn(kernel)(block, prefix_len)
+    kernel = resolve_kernel(kernel)
+    if kernel is Kernel.SCALAR:
+        return _all4_scalar(block, prefix_len)
+    if kernel is Kernel.BYTELUT:
+        return _all4_bytelut(block, prefix_len)
+    if kernel is Kernel.NIBBLE:
+        return OccCounts(*_nibble(block, prefix_len, _ALL_SYMBOLS))
+    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
+    return OccCounts(*count_blocks(row, np.array([prefix_len]), kernel)[0].tolist())
 
 
 def count_blocks(
@@ -404,11 +362,18 @@ def count_blocks(
         counts = batched(masked)
         counts[:, A] -= BUCKET_CHARS - prefix_lens  # masked-off fields decode as A
         return counts if symbol is None else counts[np.arange(len(counts)), symbol]
-    rows = list(zip(blocks, prefix_lens.tolist()))
+    rows = [row.tobytes() for row in blocks]
+    prefixes = prefix_lens.tolist()
     if symbol is None:
-        all4 = _ALL4_FNS[kernel]
-        counts = [all4(row.tobytes(), prefix) for row, prefix in rows]
+        if kernel is Kernel.SCALAR:
+            counts = list(map(_all4_scalar, rows, prefixes))
+        else:
+            counts = [_nibble(row, prefix, _ALL_SYMBOLS) for row, prefix in zip(rows, prefixes)]
         return np.array(counts, dtype=np.int64).reshape(len(rows), 4)
-    count = _COUNT_FNS[kernel]
-    counts = [count(row.tobytes(), prefix, s) for (row, prefix), s in zip(rows, symbol.tolist())]
+    if kernel is Kernel.SCALAR:
+        counts = list(map(_count_scalar, rows, prefixes, symbol.tolist()))
+    else:
+        counts = [
+            _nibble(row, prefix, (s,))[0] for row, prefix, s in zip(rows, prefixes, symbol.tolist())
+        ]
     return np.array(counts, dtype=np.int64)

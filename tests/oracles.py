@@ -20,15 +20,24 @@ from fmpm.kernels import (
     BUCKET_CHARS,
     Kernel,
     OccCounts,
-    all4_fn,
+    count_bucket_all4,
+    count_bucket_bytelut,
+    count_bucket_nibble,
     count_bucket_scalar,
-    count_fn,
+    count_bucket_simd,
     resolve_kernel,
 )
 from fmpm.search import BwmInterval, Hit, MatchResult, OccPair, init_interval
 from fmpm.suffix import suffix_array_naive
 
 _ZERO = OccCounts(0, 0, 0, 0)
+# the public one-symbol count of each kernel
+_COUNT_BUCKET = {
+    Kernel.SCALAR: count_bucket_scalar,
+    Kernel.BYTELUT: count_bucket_bytelut,
+    Kernel.NIBBLE: count_bucket_nibble,
+    Kernel.SIMD: count_bucket_simd,
+}
 
 # below one bucket, and at or one off multiples of the sample stride and the bucket
 EDGE_SIZES = sorted(
@@ -163,7 +172,7 @@ def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None)
         raise ValueError(f"position {k} beyond transform end {index.n}")
     j, r = divmod(k, BUCKET_CHARS)
     bucket = index.buckets[j]
-    count = bucket.base[symbol] + count_fn(kernel)(bucket.chars, r + 1, symbol)
+    count = bucket.base[symbol] + _COUNT_BUCKET[resolve_kernel(kernel)](bucket.chars, r + 1, symbol)
     if symbol == A and index.sentinel_row <= k:
         count -= 1
     return count
@@ -177,7 +186,7 @@ def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCo
         raise ValueError(f"position {k} outside [-1, {index.n}]")
     j, r = divmod(k, BUCKET_CHARS)
     bucket = index.buckets[j]
-    inside = all4_fn(kernel)(bucket.chars, r + 1)
+    inside = count_bucket_all4(bucket.chars, r + 1, kernel)
     counts = [b + d for b, d in zip(bucket.base, inside)]
     if index.sentinel_row <= k:
         counts[A] -= 1
@@ -212,9 +221,8 @@ def occ_pair_all(
             at_low=occ_all(index, low, kernel), at_high=occ_all(index, high, kernel)
         )
     bucket = index.buckets[j_low]
-    all4 = all4_fn(kernel)
-    inside_low = all4(bucket.chars, r_low + 1)
-    inside_high = all4(bucket.chars, r_high + 1)
+    inside_low = count_bucket_all4(bucket.chars, r_low + 1, kernel)
+    inside_high = count_bucket_all4(bucket.chars, r_high + 1, kernel)
     counts_low = [b + d for b, d in zip(bucket.base, inside_low)]
     counts_high = [b + d for b, d in zip(bucket.base, inside_high)]
     if index.sentinel_row <= low:
@@ -337,7 +345,7 @@ def psi_inverse_fused(
     j, r = divmod(i, BUCKET_CHARS)
     bucket = index.buckets[j]
     symbol = (bucket.chars[r >> 2] >> ((r & 3) << 1)) & 3
-    count = bucket.base[symbol] + count_fn(kernel)(bucket.chars, r + 1, symbol)
+    count = bucket.base[symbol] + _COUNT_BUCKET[resolve_kernel(kernel)](bucket.chars, r + 1, symbol)
     if symbol == 0 and index.sentinel_row <= i:
         count -= 1
     return symbol, index.c[symbol] + count

@@ -70,7 +70,18 @@ def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
     def all_four(block, prefix_len):
         raise AssertionError("locate ran an all-four kernel")
 
-    monkeypatch.setitem(fmpm.kernels._ALL4_FNS, kernel, all_four)
+    nibble = fmpm.kernels._nibble
+
+    def one_symbol_nibble(block, prefix_len, symbols, trace=None):
+        if len(symbols) > 1:
+            all_four(block, prefix_len)
+        return nibble(block, prefix_len, symbols, trace)
+
+    # scalar has an all-four body; nibble runs one pipeline asked for one or four symbols
+    if kernel is Kernel.SCALAR:
+        monkeypatch.setattr(fmpm.kernels, "_all4_scalar", all_four)
+    else:
+        monkeypatch.setattr(fmpm.kernels, "_nibble", one_symbol_nibble)
     text = edge_text(257)
     view = build_index(text).view
     assert locate_rows(view, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)

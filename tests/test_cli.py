@@ -235,11 +235,14 @@ def test_multi_record_offsets(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_bench_checksums_agree(acag_index, tmp_path, capsys):
-    fasta = tmp_path / "ref2.fa"
-    fasta.write_text(">r1\n" + "ACGTTGCAAC" * 30 + "\n")
-    out = tmp_path / "ref2.fmi"
-    assert main(["index", str(fasta), "-o", str(out)]) == EXIT_OK
+@pytest.mark.parametrize("reference", ["ACGTTGCAAC" * 30, None], ids=["300-chars", "acag"])
+def test_bench_checksums_agree(reference, acag_index, tmp_path, capsys):
+    out = acag_index  # shorter than the shortest drawn pattern
+    if reference is not None:
+        fasta = tmp_path / "ref2.fa"
+        fasta.write_text(f">r1\n{reference}\n")
+        out = tmp_path / "ref2.fmi"
+        assert main(["index", str(fasta), "-o", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert main(["bench", str(out), "--iters", "10", "--seed", "3"]) == EXIT_OK
     captured = capsys.readouterr()

@@ -19,7 +19,7 @@ from fmpm.index import (
     check_index,
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
-from fmpm.serialize import serialize_index
+from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import build_suffix_array, bwt_from_sa, suffix_array
 
 from oracles import random_dna, reference_index_bytes
@@ -268,7 +268,10 @@ def test_file_bytes_match_reference_builder(n, cuts):
         text = text.lower()
     bounds = [0, *cuts, n]
     records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    assert _serialized(text, records) == reference_index_bytes(text, records)
+    data = _serialized(text, records)
+    assert data == reference_index_bytes(text, records)
+    # loading runs check_index, which derives bases and C as the build does
+    assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
 
 
 @st.composite

@@ -16,7 +16,6 @@ from fmpm.kernels import (
     count_bucket_nibble,
     count_bucket_scalar,
     count_bucket_simd,
-    count_fn,
     mask_bucket,
     resolve_kernel,
 )
@@ -193,8 +192,3 @@ def test_resolve_kernel_values_and_env(monkeypatch):
         resolve_kernel(None)
     with pytest.raises(ValueError):
         resolve_kernel("avx999")
-
-
-def test_count_fn_dispatch():
-    assert count_fn("scalar") is count_bucket_scalar
-    assert count_fn("nibble") is count_bucket_nibble
