@@ -6,8 +6,9 @@ backward-search step of every pattern still in play, each round of the
 one bounded-difference frontier of all patterns, and each predecessor
 step of every row still being located is one call of `rank_many`: the
 buckets of all positions are gathered and the selected kernel counts
-their prefixes, in one numpy pass for `bytelut` and `simd`.  Locate asks
-for each row's own symbol only.
+their prefixes, in one numpy pass for `bytelut` and `simd`.  Backward
+search and locate ask for one symbol per position; only the frontier asks
+for all four.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def _walk_back(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward search of the lengths[j] codes ending at codes[last[j]], all j in lockstep.
 
-    Step t ranks k - 1 and l of every walk longer than t whose interval is
-    still non-empty; a walk stops at the step its interval empties, so an
-    empty result has k > l with the bounds of that step.  Returns (k, l,
-    width), width the number of codes each walk consumed.
+    Step t ranks k - 1 and l, for the step's own symbol only, of every walk
+    longer than t whose interval is still non-empty; a walk stops at the
+    step its interval empties, so an empty result has k > l with the bounds
+    of that step.  Returns (k, l, width), width the number of codes each
+    walk consumed.
     """
     symbol = codes[last]
     k = view.c[symbol] + 1
@@ -98,11 +100,12 @@ def _walk_back(
         if not len(live):
             break
         symbol = codes[last[live] - t]
-        counts = rank_many(view, np.concatenate([k[live] - 1, l[live]]), None, kernel)
-        at = np.arange(len(live))
+        counts = rank_many(
+            view, np.concatenate([k[live] - 1, l[live]]), np.concatenate([symbol, symbol]), kernel
+        )
         base = view.c[symbol]
-        k[live] = base + counts[at, symbol] + 1
-        l[live] = base + counts[at + len(live), symbol]
+        k[live] = base + counts[: len(live)] + 1
+        l[live] = base + counts[len(live) :]
         width[live] = t + 1
     return k, l, width
 

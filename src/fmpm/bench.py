@@ -53,7 +53,8 @@ def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
                 + pattern[pos + 1 :]
             )
         exact_patterns.append(pattern)
-    inexact_patterns = exact_patterns[: max(1, iterations // 4)]
+    # one difference needs at least two characters, as `fmpm match -z 1` requires
+    inexact_patterns = [p for p in exact_patterns[: max(1, iterations // 4)] if len(p) > 1]
     cases = [
         (rng.randrange(index.bucket_count), rng.randint(0, 128), rng.randrange(4))
         for _ in range(max(256, iterations))

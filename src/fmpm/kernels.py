@@ -7,20 +7,23 @@ counting body:
 
 * scalar    - per-character unpacking, one symbol or all four; the
               ground-truth oracle.
-* bytelut   - one pass over a 256-entry table that packs a byte's four
-              counts into 8-bit lanes; a one-symbol count is one lane.
+* bytelut   - table lookups that pack a byte's four counts into 8-bit
+              lanes: 256 entries per byte for one bucket, and over a batch
+              65,536 entries per 16-bit word, derived from the byte table;
+              a one-symbol count reads one lane of the packed sum.
 * nibble    - three-phase half-byte pipeline (lookup, extraction,
               aggregation) run on plain 64-bit integers, one 8-byte group
               at a time, mirroring in-register lane arithmetic: each group
               is looked up once, then extracted and summed once per
               requested symbol.
 * simd      - the same pipeline vectorized with numpy uint8/uint64 lanes
-              over a batch of buckets (`count_blocks_simd`); a one-bucket
-              count is its one-row case.
+              over a batch of buckets (`count_blocks_simd`), shifting each
+              row once for its own symbol or four times for all four; a
+              one-bucket count is its one-row case.
 
 `count_bucket_all4` (one bucket) and `count_blocks` (a batch; `bytelut`
-runs its table over all rows at once) are the two functions that take a
-kernel by name.  `count_bucket_<kernel>` counts one symbol in one bucket.
+runs its word table over all rows at once) are the two functions that
+take a kernel by name.  `count_bucket_<kernel>` counts one symbol in one bucket.
 
 The nibble pipeline works on complemented low-nibble counts so that a
 sum-of-absolute-differences against the high-nibble counts folds both
@@ -240,7 +243,9 @@ def _nibble(
 
 def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
     """One symbol of the nibble pipeline vectorized over numpy lanes."""
-    return count_bucket_all4(block, prefix_len, Kernel.SIMD)[symbol]
+    _check_bucket(block, prefix_len)
+    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
+    return int(count_blocks(row, np.array([prefix_len]), Kernel.SIMD, np.array([symbol]))[0])
 
 
 # _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
@@ -251,41 +256,56 @@ _PREFIX_MASKS = np.array(
     ]
 )
 _NP_BYTE_COUNTS_PACKED = np.array(_BYTE_COUNTS_PACKED, dtype=np.uint32)
-_LANE_SHIFTS = np.arange(0, 32, 8, dtype=np.uint32)
+# _NP_WORD_COUNTS_PACKED[w]: the packed counts of both bytes of 16-bit word w,
+# entry (w >> 8) * 256 + (w & 0xFF) of the byte table's outer sum (256 KB)
+_NP_WORD_COUNTS_PACKED = (_NP_BYTE_COUNTS_PACKED[:, np.newaxis] + _NP_BYTE_COUNTS_PACKED).ravel()
 # one entry per symbol on a leading axis, so the extraction runs for all four at once
 _SYMBOL_SHIFTS = np.arange(0, 8, 2, dtype=np.uint64)[:, np.newaxis, np.newaxis]
 
 
 def mask_blocks(blocks: np.ndarray, prefix_lens: np.ndarray) -> np.ndarray:
     """mask_bucket over a batch: row i of `blocks` keeps prefix_lens[i] fields."""
-    return blocks & _PREFIX_MASKS[prefix_lens]
+    masked = np.take(_PREFIX_MASKS, prefix_lens, axis=0)
+    masked &= blocks
+    return masked
 
 
-def count_blocks_bytelut(masked: np.ndarray) -> np.ndarray:
-    """Four symbol counts over all 128 fields of each masked block, by byte table.
+def count_blocks_bytelut(masked: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+    """Symbol counts over all 128 fields of each masked block, by 16-bit word table.
 
-    Each table entry packs a byte's four counts into 8-bit lanes of one
-    uint32; a lane sums to at most 128 over 32 bytes, so lanes never carry.
+    Each block is read as 16 little-endian words, and each word's table
+    entry packs its four counts into 8-bit lanes of one uint32; a lane sums
+    to at most 128 over 16 words, so lanes never carry.  Without `symbol`,
+    all four lanes, shape (m, 4); with it, lane symbol[i] of row i, shape (m,).
     """
-    packed = _NP_BYTE_COUNTS_PACKED[masked].sum(axis=1, dtype=np.uint32)
-    return ((packed[:, np.newaxis] >> _LANE_SHIFTS) & 0xFF).astype(np.int64)
+    # einsum sums each row several times faster than .sum(axis=1) on 16 columns
+    packed = np.einsum("ij->i", np.take(_NP_WORD_COUNTS_PACKED, masked.view("<u2")))
+    if symbol is None:
+        # lane s is byte s of the little-endian word
+        return packed.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4).astype(np.int64)
+    return ((packed >> (symbol.astype(np.uint32) << 3)) & 0xFF).astype(np.int64)
 
 
-def count_blocks_simd(masked: np.ndarray) -> np.ndarray:
-    """The nibble pipeline over a batch of masked blocks, all four symbols.
+def count_blocks_simd(masked: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+    """The nibble pipeline over a batch of masked blocks, all four symbols or symbol[i].
 
     Phase 1 looks up both half-bytes of every byte once; phase 2 shifts
-    each symbol's field into bits [0, 1] of every byte lane; phase 3 takes
-    the per-block sum of absolute differences (max - min on unsigned
-    lanes, as psadbw does), giving 8160 - count.  Every field is counted,
-    so zeroed padding shows up in the A column.
+    the wanted symbol's field into bits [0, 1] of every byte lane, on a
+    leading axis once per symbol without `symbol` and once per row with
+    it; phase 3 takes the per-block sum of absolute differences (max - min
+    on unsigned lanes, as psadbw does), giving 8160 - count.  Every field
+    is counted, so zeroed padding shows up in the A count.
     """
-    lo = _NP_LO[masked & 0x0F].view("<u8")
-    hi = _NP_HI[masked >> 4].view("<u8")
-    lo_lanes = ((lo >> _SYMBOL_SHIFTS) | _NP_FILL).view(np.uint8)
-    hi_lanes = ((hi >> _SYMBOL_SHIFTS) & _NP_KEEP).view(np.uint8)
+    lo = np.take(_NP_LO, masked & 0x0F).view("<u8")
+    hi = np.take(_NP_HI, masked >> 4).view("<u8")
+    if symbol is None:
+        shifts = _SYMBOL_SHIFTS
+    else:
+        shifts = (symbol << 1).astype(np.uint64)[:, np.newaxis]
+    lo_lanes = ((lo >> shifts) | _NP_FILL).view(np.uint8)
+    hi_lanes = ((hi >> shifts) & _NP_KEEP).view(np.uint8)
     diffs = np.maximum(lo_lanes, hi_lanes) - np.minimum(lo_lanes, hi_lanes)
-    return (_BUCKET_SAD_CEILING - diffs.sum(axis=2, dtype=np.int64)).T
+    return (_BUCKET_SAD_CEILING - np.einsum("...j->...", diffs, dtype=np.int64)).T
 
 
 class Kernel(str, Enum):
@@ -309,8 +329,8 @@ def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     auto.  Auto resolves to the byte-table kernel.  On one 32-byte bucket
     numpy's per-call dispatch makes the lane kernel several times slower
     than table lookups.  Over a batch of buckets (`count_blocks`) the lanes
-    pay that cost once per call and come within a few times of the packed
-    byte table, which still counts fastest there.
+    pay that cost once per call, yet still take about 4x as long per row as
+    the packed 16-bit word table for one symbol and about 10x for all four.
     """
     if type(kernel) is Kernel:
         return Kernel.BYTELUT if kernel is Kernel.AUTO else kernel
@@ -353,15 +373,19 @@ def count_blocks(
     Without `symbol`, all four counts, shape (m, 4); with it, the count of
     symbol[i] in block i, shape (m,).  `bytelut` and `simd` count whole
     masked blocks in one numpy pass; `scalar` and `nibble` stay one-bucket
-    kernels run row by row, and with `symbol` they count that symbol only.
+    kernels run row by row.  With `symbol`, every kernel counts that symbol
+    only.
     """
     kernel = resolve_kernel(kernel)
     if kernel is Kernel.BYTELUT or kernel is Kernel.SIMD:
-        masked = mask_blocks(blocks, prefix_lens)
         batched = count_blocks_bytelut if kernel is Kernel.BYTELUT else count_blocks_simd
-        counts = batched(masked)
-        counts[:, A] -= BUCKET_CHARS - prefix_lens  # masked-off fields decode as A
-        return counts if symbol is None else counts[np.arange(len(counts)), symbol]
+        counts = batched(mask_blocks(blocks, prefix_lens), symbol)
+        padding = BUCKET_CHARS - prefix_lens  # masked-off fields decode as A
+        if symbol is None:
+            counts[:, A] -= padding
+        else:
+            counts -= (symbol == A) * padding
+        return counts
     rows = [row.tobytes() for row in blocks]
     prefixes = prefix_lens.tolist()
     if symbol is None:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import fmpm.batch
 import fmpm.kernels
 from fmpm.alphabet import encode_array, is_dna
-from fmpm.batch import difference_bounds, inexact_search_many, locate_rows, rank_many
+from fmpm.batch import (
+    difference_bounds,
+    exact_search_many,
+    inexact_search_many,
+    locate_rows,
+    rank_many,
+)
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
@@ -64,11 +70,11 @@ def test_locate_rows_periodic_text():
         assert locate_rows(view, rows, kernel).tolist() == suffix_array_naive(text)
 
 
-@pytest.mark.parametrize("kernel", [Kernel.SCALAR, Kernel.NIBBLE])
-def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
-    # each step needs the rank of the row's own symbol only
+def _forbid_all_four(kernel, monkeypatch):
+    """Make `kernel` fail when asked for all four counts of a bucket."""
+
     def all_four(block, prefix_len):
-        raise AssertionError("locate ran an all-four kernel")
+        raise AssertionError("an all-four kernel ran")
 
     nibble = fmpm.kernels._nibble
 
@@ -82,9 +88,31 @@ def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
         monkeypatch.setattr(fmpm.kernels, "_all4_scalar", all_four)
     else:
         monkeypatch.setattr(fmpm.kernels, "_nibble", one_symbol_nibble)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.SCALAR, Kernel.NIBBLE])
+def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
+    # each step needs the rank of the row's own symbol only
+    _forbid_all_four(kernel, monkeypatch)
     text = edge_text(257)
     view = build_index(text).view
     assert locate_rows(view, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.SCALAR, Kernel.NIBBLE])
+def test_backward_search_counts_one_symbol_per_step(kernel, monkeypatch):
+    # each step extends by the pattern's own symbol, so it ranks that symbol only
+    text = edge_text(257)
+    index = build_index(text)
+    patterns = [text[i : i + 3 + i % 13] for i in range(0, 240, 11)] + ["TTTTTTTT", "ACGTACGA"]
+    codes = encode_array("".join(patterns)).astype(np.int64)
+    lengths = np.array([len(p) for p in patterns])
+    want = [(iv.k, iv.l) for iv in (exact_search(index, p, kernel) for p in patterns)]
+    want_bounds = difference_bounds(index.view, codes, lengths, Kernel.BYTELUT).tolist()
+    _forbid_all_four(kernel, monkeypatch)
+    k, l = exact_search_many(index.view, patterns, kernel)
+    assert list(zip(k.tolist(), l.tolist())) == want
+    assert difference_bounds(index.view, codes, lengths, kernel).tolist() == want_bounds
 
 
 def test_locate_rows_rejects_a_cycle():

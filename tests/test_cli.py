@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+import fmpm.bench
 from fmpm.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -235,8 +236,18 @@ def test_multi_record_offsets(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("reference", ["ACGTTGCAAC" * 30, None], ids=["300-chars", "acag"])
-def test_bench_checksums_agree(reference, acag_index, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "reference", ["ACGTTGCAAC" * 30, None, "A"], ids=["300-chars", "acag", "one-char"]
+)
+def test_bench_checksums_agree(reference, acag_index, tmp_path, capsys, monkeypatch):
+    match_many = fmpm.bench.match_many
+
+    def match_as_cli_allows(index, patterns, max_diff, kernel):
+        # `fmpm match` refuses -z at or above a pattern's length
+        assert all(len(p) > max_diff for p in patterns), (patterns, max_diff)
+        return match_many(index, patterns, max_diff, kernel)
+
+    monkeypatch.setattr(fmpm.bench, "match_many", match_as_cli_allows)
     out = acag_index  # shorter than the shortest drawn pattern
     if reference is not None:
         fasta = tmp_path / "ref2.fa"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fmpm.alphabet import A, C, G, T, pack_codes, pack_2bit
@@ -16,6 +17,7 @@ from fmpm.kernels import (
     count_bucket_nibble,
     count_bucket_scalar,
     count_bucket_simd,
+    count_blocks,
     mask_bucket,
     resolve_kernel,
 )
@@ -139,6 +141,39 @@ def test_kernels_agree_all_prefix_lengths():
                 assert count_bucket_bytelut(block, prefix_len, symbol) == want
                 assert count_bucket_nibble(block, prefix_len, symbol) == want
                 assert count_bucket_simd(block, prefix_len, symbol) == want
+
+
+# every (prefix length, symbol) pair, one row each
+_PREFIX_SYMBOL_CASES = [(p, s) for p in range(BUCKET_CHARS + 1) for s in range(4)]
+
+
+@pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+@pytest.mark.parametrize("m", [1, 2, 129, 5000])
+def test_count_blocks_equals_scalar_oracle(fill, m):
+    # all-zero blocks count every field as A; all-0xFF blocks fill the T lane to 128
+    rng = random.Random(m)
+    make = {
+        "random": random_bucket,
+        "zeros": lambda _: bytes(BUCKET_BYTES),
+        "ones": lambda _: b"\xff" * BUCKET_BYTES,
+    }[fill]
+    # the cases cycled to fill whole calls of m rows, each case at least once
+    total = -(-max(m, len(_PREFIX_SYMBOL_CASES)) // m) * m
+    cases = [_PREFIX_SYMBOL_CASES[i % len(_PREFIX_SYMBOL_CASES)] for i in range(total)]
+    for at in range(0, total, m):
+        prefix_lens, symbols = (np.array(column) for column in zip(*cases[at : at + m]))
+        rows = [make(rng) for _ in range(m)]
+        want = [
+            [count_bucket_scalar(row, p, s) for s in range(4)]
+            for row, p in zip(rows, prefix_lens.tolist())
+        ]
+        blocks = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(m, BUCKET_BYTES)
+        for kernel in CONCRETE_KERNELS:
+            got = count_blocks(blocks, prefix_lens, kernel)
+            assert got.dtype == np.int64 and got.tolist() == want, kernel
+            got = count_blocks(blocks, prefix_lens, kernel, symbols)
+            assert got.dtype == np.int64, kernel
+            assert got.tolist() == [w[s] for w, s in zip(want, symbols.tolist())], kernel
 
 
 def test_all4_matches_singles_and_sums_to_prefix():
