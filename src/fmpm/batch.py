@@ -8,7 +8,9 @@ step of every row still being located is one call of `rank_many`: the
 buckets of all positions are gathered and the selected kernel counts
 their prefixes, in one numpy pass for `bytelut` and `simd`.  Backward
 search and locate ask for one symbol per position; only the frontier asks
-for all four.
+for all four.  Locate walks each distinct row once, and a walk ends at
+another row being located as well as at a sample, so overlapping hits
+share their walks.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ def rank_many(
         symbol = np.asarray(symbol, dtype=np.int64)
     bucket = np.maximum(pos, 0) // BUCKET_CHARS
     prefix = pos + 1 - bucket * BUCKET_CHARS  # 0 only at pos == -1
-    counts = count_blocks(view.blocks[bucket], prefix, kernel, symbol)
+    counts = count_blocks(np.take(view.blocks, bucket, axis=0), prefix, kernel, symbol)
     after_terminator = pos >= view.sentinel_row  # the terminator is packed as A
     if symbol is None:
         counts[:, A] -= after_terminator
-        return counts + view.bases[bucket]
-    return counts - (symbol == A) * after_terminator + view.bases[bucket, symbol]
+        return counts + np.take(view.bases, bucket, axis=0)
+    base = view.bases.reshape(-1)[bucket * 4 + symbol]
+    return counts - (symbol == A) * after_terminator + base
 
 
 def _walk_back(
@@ -240,8 +243,8 @@ def inexact_search_many(
 def bwt_symbols(view: IndexView, rows: np.ndarray) -> np.ndarray:
     """Packed transform symbol at each row; the sentinel row reads as A."""
     rows = np.asarray(rows, dtype=np.int64)
-    r = rows % BUCKET_CHARS
-    return (view.blocks[rows // BUCKET_CHARS, r >> 2] >> ((r & 3) << 1)) & 3
+    # a block packs 128 rows into 32 bytes, so row r sits in byte r >> 2 of all blocks
+    return (view.blocks.reshape(-1)[rows >> 2] >> ((rows & 3) << 1)) & 3
 
 
 def lf_step(
@@ -249,7 +252,9 @@ def lf_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(symbol at each row, row of the suffix one text position earlier).
 
-    No row may be the sentinel row, whose suffix has no predecessor.
+    No row may be the sentinel row, whose suffix has no predecessor.  The
+    symbol is one byte of the flat blocks; `rank_many` gathers each row's
+    block once and counts that symbol only.
     """
     symbol = bwt_symbols(view, rows)
     return symbol, view.c[symbol] + rank_many(view, rows, symbol, kernel)
@@ -260,31 +265,63 @@ def locate_rows(
 ) -> np.ndarray:
     """Text position of every row, like `locate_row` run on each.
 
-    All rows step to their predecessors together; a row leaves the walk at
-    the sentinel row or at a sampled row, after the same number of steps
-    as every other row leaving then.  Raises IndexFormatError, as a load
-    does for a bad file, when a position falls outside [0, n] or a walk
-    does not terminate: only a corrupt sample or transform does that.
+    Each distinct row is located once, and all walks step to their
+    predecessors together.  A walk ends at the first stop row it reaches:
+    a sampled row, the sentinel row, or another row of this call.  A walk
+    from row b that meets row a after t steps gives SA[b] = SA[a] + t, so
+    overlapping hits share the rest of one walk; those positions are
+    resolved after the walks, along chains of such meetings, by pointer
+    jumping.  Raises IndexFormatError, as a load does for a bad file, when
+    a position falls outside [0, n] or a walk does not terminate (no stop
+    row within n + 1 steps, or meetings that form a cycle): only a corrupt
+    sample or transform does that.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    out = np.empty(len(rows), dtype=np.int64)
-    todo = np.arange(len(rows))
-    steps = 0
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    # the sentinel row is located too, at position 0, and never walks
+    rows, inverse = np.unique(np.append(rows, view.sentinel_row), return_inverse=True)
+    pos = np.zeros(len(rows), dtype=np.int64)
+    target = np.full(len(rows), -1, dtype=np.int64)  # the row a walk met, or -1
+    # one bit per stop row: every sampled row (bit 0 of every fourth byte)
+    # and every row located here
+    stop = np.zeros(view.n // 8 + 1, dtype=np.uint8)
+    stop[:: SA_STRIDE // 8] = 1
+    np.bitwise_or.at(stop, rows >> 3, np.left_shift(1, rows & 7).astype(np.uint8))
+    walking = np.flatnonzero(rows != view.sentinel_row)
+    at = rows[walking]
+    ended = at % SA_STRIDE == 0  # a row is not its own meeting
+    walks, stops = [], []  # per round: the walks that ended, at which stop rows
     while True:
-        at_sentinel = rows == view.sentinel_row
-        sampled = (rows % SA_STRIDE == 0) & ~at_sentinel
-        out[todo[at_sentinel]] = steps
-        out[todo[sampled]] = view.samples[rows[sampled] // SA_STRIDE] + steps
-        walking = ~(at_sentinel | sampled)
-        todo, rows = todo[walking], rows[walking]
-        if not len(rows):
-            if len(out) and not 0 <= out.min() <= out.max() <= view.n:
-                raise IndexFormatError(f"a sampled position lies outside [0, {view.n}]")
-            return out
-        rows = lf_step(view, rows, kernel)[1]
-        steps += 1
-        if steps > view.n + 1:
+        walks.append(walking[ended])
+        stops.append(at[ended])
+        walking, at = walking[~ended], at[~ended]
+        if not len(at):
+            break
+        if len(walks) > view.n + 1:
             raise IndexFormatError("predecessor walk did not terminate; index is corrupt")
+        at = lf_step(view, at, kernel)[1]
+        ended = (np.take(stop, at >> 3) >> (at & 7) & 1).astype(bool)
+    walk, row = np.concatenate(walks), np.concatenate(stops)
+    pos[walk] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])  # steps taken
+    sampled = (row % SA_STRIDE == 0) & (row != view.sentinel_row)
+    pos[walk[sampled]] += np.take(view.samples, row[sampled] // SA_STRIDE)
+    target[walk[~sampled]] = np.searchsorted(rows, row[~sampled])
+    # pos[i] of a walk that met row target[i] is its distance from there;
+    # each pass moves every unresolved walk on to its target's target, which
+    # resolves it when that target is resolved and halves every chain
+    pending = np.flatnonzero(target >= 0)
+    while len(pending):
+        via = target[pending]
+        pos[pending] += pos[via]
+        target[pending] = target[via]
+        left = pending[target[pending] >= 0]
+        if len(left) == len(pending):  # no chain ends: the rows meet in a cycle
+            raise IndexFormatError("predecessor walk did not terminate; rows meet in a cycle")
+        pending = left
+    if not 0 <= pos.min() <= pos.max() <= view.n:
+        raise IndexFormatError(f"a sampled position lies outside [0, {view.n}]")
+    return pos[inverse[:-1]]
 
 
 def locate_hits(

@@ -47,7 +47,13 @@ SAMPLE_DTYPE = np.dtype("<i8")
 
 
 class IndexView(NamedTuple):
-    """The arrays of one FmIndex that the query engine (`fmpm.batch`) reads."""
+    """The arrays of one FmIndex that the query engine (`fmpm.batch`) reads.
+
+    One field per array.  `blocks` and `bases` are C-contiguous, so the
+    engine gathers rows of them with `np.take`, and the flat views it needs
+    (`blocks.reshape(-1)` for the byte of one row, `bases.reshape(-1)` for
+    one base) are views, not copies.
+    """
 
     n: int
     sentinel_row: int
@@ -59,22 +65,25 @@ class IndexView(NamedTuple):
     lengths: np.ndarray  # int64 record lengths
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FmIndex:
     """Succinct FM-index over a concatenated DNA reference.
 
-    All fields are immutable; instances are safe to share across threads.
-    c[s] counts reference characters lexicographically below symbol s
-    (c[4] == n), and sentinel_row is the transform row holding the
-    terminator.  `table` is the bucket section of the v1 file, one
-    `BUCKET_RECORD` per bucket, and `samples` its sample section, every
-    32nd suffix-array entry; `buckets` and `sa_samples` are tuple views of
-    them, and `view` their arrays for queries, each built on first use.
+    All fields are immutable (the arrays are read-only); instances are safe
+    to share across threads.  c[s] counts reference characters
+    lexicographically below symbol s (c[4] == n), and sentinel_row is the
+    transform row holding the terminator.  `blocks` (n_buckets x 32 uint8)
+    and `bases` (n_buckets x 4 int64) are the two halves of the v1 file's
+    bucket records, each one C-contiguous array; `table` interleaves them
+    back into the file's bucket section.  `samples` is the sample section,
+    every 32nd suffix-array entry.  `buckets` and `sa_samples` are tuple
+    views, and `view` the arrays for queries, each built on first use.
     """
 
     n: int
     c: tuple[int, int, int, int, int]
-    table: bytes = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    bases: np.ndarray = field(repr=False)
     sentinel_row: int
     samples: bytes = field(repr=False)
     records: tuple[RecordSpan, ...]
@@ -83,40 +92,71 @@ class FmIndex:
         self,
         n: int,
         c: Sequence[int],
-        buckets: bytes | Sequence[OccBucket],
+        buckets: bytes | np.ndarray | Sequence[OccBucket],
         sentinel_row: int,
         sa_samples: bytes | Sequence[int],
         records: Sequence[RecordSpan],
     ) -> None:
-        """`buckets` and `sa_samples` are file sections or sequences of their items."""
-        if not isinstance(buckets, bytes):
+        """Split the bucket records into `blocks` and `bases`, once.
+
+        `buckets` is the file's bucket section, as bytes or as a
+        `BUCKET_RECORD` array, or a sequence of buckets; `sa_samples` is the
+        sample section or a sequence of samples.
+        """
+        if isinstance(buckets, bytes):
+            buckets = np.frombuffer(buckets, dtype=BUCKET_RECORD)
+        elif not isinstance(buckets, np.ndarray):
             table = np.empty(len(buckets), dtype=BUCKET_RECORD)
             table["base"] = [bucket.base for bucket in buckets]
             table["chars"] = [np.frombuffer(bucket.chars, dtype=np.uint8) for bucket in buckets]
-            buckets = table.tobytes()
+            buckets = table
+        blocks = np.ascontiguousarray(buckets["chars"])
+        bases = np.ascontiguousarray(buckets["base"], dtype=np.int64)
+        blocks.flags.writeable = bases.flags.writeable = False
         if not isinstance(sa_samples, bytes):
             sa_samples = np.array(sa_samples, dtype=SAMPLE_DTYPE).tobytes()
         for name, value in (
             ("n", n),
             ("c", tuple(c)),
-            ("table", buckets),
+            ("blocks", blocks),
+            ("bases", bases),
             ("sentinel_row", sentinel_row),
             ("samples", sa_samples),
             ("records", tuple(records)),
         ):
             object.__setattr__(self, name, value)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FmIndex):
+            return NotImplemented
+        return (
+            (self.n, self.c, self.sentinel_row, self.samples, self.records)
+            == (other.n, other.c, other.sentinel_row, other.samples, other.records)
+            and np.array_equal(self.blocks, other.blocks)
+            and np.array_equal(self.bases, other.bases)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.c, self.sentinel_row, self.records))
+
     @property
     def bucket_count(self) -> int:
-        return len(self.table) // BUCKET_RECORD.itemsize
+        return len(self.blocks)
+
+    @property
+    def table(self) -> bytes:
+        """The bucket section of the v1 file: one `BUCKET_RECORD` per bucket."""
+        table = np.empty(self.bucket_count, dtype=BUCKET_RECORD)
+        table["base"] = self.bases
+        table["chars"] = self.blocks
+        return table.tobytes()
 
     @cached_property
     def buckets(self) -> tuple[OccBucket, ...]:
-        table = np.frombuffer(self.table, dtype=BUCKET_RECORD)
-        blocks = table["chars"].tobytes()
+        blocks = self.blocks.tobytes()
         return tuple(
             OccBucket(base=tuple(base), chars=blocks[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
-            for j, base in enumerate(table["base"].tolist())
+            for j, base in enumerate(self.bases.tolist())
         )
 
     @cached_property
@@ -125,14 +165,13 @@ class FmIndex:
 
     @cached_property
     def view(self) -> IndexView:
-        """Blocks, bases and samples as read-only views of this index's bytes, not copies."""
-        table = np.frombuffer(self.table, dtype=BUCKET_RECORD)
+        """The index's arrays for queries; blocks, bases and samples are not copied."""
         return IndexView(
             n=self.n,
             sentinel_row=self.sentinel_row,
             c=np.array(self.c, dtype=np.int64),
-            blocks=table["chars"],
-            bases=table["base"],
+            blocks=self.blocks,
+            bases=self.bases,
             samples=np.frombuffer(self.samples, dtype=SAMPLE_DTYPE),
             starts=np.array([r.start for r in self.records], dtype=np.int64),
             lengths=np.array([r.length for r in self.records], dtype=np.int64),
@@ -183,7 +222,7 @@ def build_index(
     return FmIndex(
         n=n,
         c=c,
-        buckets=table.tobytes(),
+        buckets=table,
         sentinel_row=sentinel_row,
         sa_samples=sa[::SA_STRIDE].astype(SAMPLE_DTYPE).tobytes(),
         records=spans,
@@ -229,7 +268,8 @@ def _normalize_records(
 def check_index(index: FmIndex) -> None:
     """Validate structural invariants; raises ValueError on any violation.
 
-    Checks, over the arrays of `index.view`: the bucket and sample counts;
+    Checks, over `index.blocks`, `index.bases` and the other arrays of
+    `index.view`: the bucket and sample counts;
     the bases against the exclusive running sum of every block's counts
     and the C table against the block totals (both derived as
     `build_index` derives them, in one `count_blocks` call); zero padding
@@ -239,7 +279,10 @@ def check_index(index: FmIndex) -> None:
 
     Without walking the transform it cannot see a change that keeps every
     block's counts, such as two fields swapped inside one block, nor a
-    sample rewritten to another value within [0, n].
+    sample rewritten to another value within [0, n].  Such a transform can
+    send a predecessor walk round a cycle; `fmpm.batch.locate_rows` raises
+    for that, whether the walk never reaches a stop row or walks meet each
+    other in a cycle.
     """
     view = index.view
     n = view.n

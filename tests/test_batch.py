@@ -20,7 +20,7 @@ from fmpm.batch import (
     rank_many,
 )
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
-from fmpm.index import build_index
+from fmpm.index import SA_STRIDE, build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
 from fmpm.search import MatchResult
 from fmpm.serialize import IndexFormatError, serialize_index
@@ -126,6 +126,108 @@ def test_locate_rows_rejects_a_cycle():
     )
     with pytest.raises(IndexFormatError, match="did not terminate"):
         locate_rows(view, np.array([1]))
+
+
+def _two_row_cycles():
+    # an all-A transform maps row r below the sentinel to C[A] + r + 1 plus its
+    # bucket's A base: bases 127 and -1 send row 1 (bucket 0) to row 129 and
+    # row 129 (bucket 1) back to row 1, and likewise rows 2 and 130
+    view = build_index(random_dna(random.Random(7), 200)).view
+    bases = np.zeros_like(view.bases)
+    bases[:2, 0] = 127, -1
+    return view._replace(
+        c=np.array([0, 0, 0, 0, 200]),
+        blocks=np.zeros_like(view.blocks),
+        bases=bases,
+        sentinel_row=200,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [1, 1],  # the row of a cycle, passed twice
+        [1, 129],  # two located rows that map to each other
+        [129, 1, 129, 1],
+        [2, 1, 130, 129],  # two cycles
+        [1, 64],  # a row that reaches its own start, next to one that ends
+    ],
+)
+def test_locate_rows_rejects_cycles_among_located_rows(rows):
+    with pytest.raises(IndexFormatError, match="did not terminate"):
+        locate_rows(_two_row_cycles(), np.array(rows))
+
+
+def _own_walk_steps(text, rows):
+    """LF steps the rows take when each walks alone to a sampled row or the sentinel row."""
+    sa = suffix_array_naive(text)
+    row_of = [0] * len(sa)
+    for row, position in enumerate(sa):
+        row_of[position] = row
+    steps = 0
+    for row in rows:
+        while row % SA_STRIDE and sa[row]:
+            row, steps = row_of[sa[row] - 1], steps + 1
+    return steps
+
+
+@st.composite
+def locate_cases(draw):
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(min_value=1, max_value=127))
+    kind = draw(st.sampled_from(["random", "periodic", "planted"]))
+    if kind == "periodic":
+        unit = draw(st.text(alphabet="ACGT", min_size=1, max_size=40))
+        text = (unit * n)[:n]
+    else:
+        text = draw(st.text(alphabet="ACGT", min_size=n, max_size=n))
+    if kind == "planted":
+        block = draw(st.text(alphabet="ACGT", min_size=1, max_size=min(n, 60)))
+        for at in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)):
+            text = (text[:at] + block + text[at + len(block) :])[:n]
+    sa = suffix_array_naive(text)
+    which = draw(st.sampled_from(["multiset", "intervals", "all"]))
+    if which == "multiset":
+        rows = draw(st.lists(st.integers(min_value=0, max_value=n), max_size=60))
+        rows += rows[: draw(st.integers(min_value=0, max_value=len(rows)))]
+    elif which == "intervals":
+        # every row of the intervals of a few substrings; intervals may repeat or nest
+        rows = []
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            start = draw(st.integers(min_value=0, max_value=n - 1))
+            piece = text[start : start + draw(st.integers(min_value=1, max_value=8))]
+            rows += [r for r, p in enumerate(sa) if text.startswith(piece, p)]
+    else:
+        rows = list(range(n + 1))
+    return text, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(locate_cases())
+def test_locate_rows_property(case):
+    # locate equals the suffix array under every kernel, and never steps more
+    # rows than the distinct rows' own walks take
+    text, rows = case
+    view = build_index(text).view
+    want = [suffix_array_naive(text)[r] for r in rows]
+    bound = _own_walk_steps(text, set(rows))
+    lf_step = fmpm.batch.lf_step
+    stepped = []
+
+    def counted_lf_step(view, rows, kernel=None):
+        stepped.append(len(rows))
+        return lf_step(view, rows, kernel)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fmpm.batch, "lf_step", counted_lf_step)
+        for kernel in CONCRETE_KERNELS:
+            stepped.clear()
+            got = locate_rows(view, np.array(rows, dtype=np.int64), kernel)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, kernel
+            assert sum(stepped) <= bound, kernel
+            if len(set(rows)) == len(text) + 1:
+                # every row's predecessor is located too: one round of one step each
+                assert len(stepped) <= 1, kernel
 
 
 def _frontier_triples(view, pattern, max_diff, kernel):

@@ -17,7 +17,7 @@ from fmpm.serialize import (
     serialize_index,
 )
 
-from oracles import random_dna
+from oracles import EDGE_SIZES, edge_text, random_dna
 
 
 def roundtrip_bytes(index) -> bytes:
@@ -46,6 +46,22 @@ def test_serialized_bytes_are_stable():
     blob1 = roundtrip_bytes(index)
     blob2 = roundtrip_bytes(deserialize_index(io.BytesIO(blob1)))
     assert blob1 == blob2
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_blocks_and_bases_round_trip_at_edge_sizes(n):
+    # the index holds the bucket records as two contiguous read-only arrays,
+    # split on load and interleaved again on write
+    index = build_index(edge_text(n))
+    blob = roundtrip_bytes(index)
+    restored = deserialize_index(io.BytesIO(blob))
+    for held in (index, restored):
+        for array, shape in ((held.blocks, (n // 128 + 1, 32)), (held.bases, (n // 128 + 1, 4))):
+            assert array.shape == shape
+            assert array.flags.c_contiguous and not array.flags.writeable
+        assert held.view.blocks is held.blocks and held.view.bases is held.bases
+    assert roundtrip_bytes(restored) == blob
+    assert restored.table == index.table
 
 
 def test_byte_count_matches_stream():
