@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .alphabet import A, encode_array, is_dna_many
-from .index import FmIndex, IndexView, SA_STRIDE
+from .index import FmIndex, SA_STRIDE
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
 from .serialize import IndexFormatError
 
@@ -52,7 +52,7 @@ def _first_per_key(keys: Sequence[np.ndarray], tiebreak: np.ndarray) -> np.ndarr
 
 
 def rank_many(
-    view: IndexView,
+    index: FmIndex,
     pos: np.ndarray,
     symbol: np.ndarray | None = None,
     kernel: Kernel | str | None = None,
@@ -70,17 +70,17 @@ def rank_many(
         symbol = np.asarray(symbol, dtype=np.int64)
     bucket = np.maximum(pos, 0) // BUCKET_CHARS
     prefix = pos + 1 - bucket * BUCKET_CHARS  # 0 only at pos == -1
-    counts = count_blocks(np.take(view.blocks, bucket, axis=0), prefix, kernel, symbol)
-    after_terminator = pos >= view.sentinel_row  # the terminator is packed as A
+    counts = count_blocks(np.take(index.blocks, bucket, axis=0), prefix, kernel, symbol)
+    after_terminator = pos >= index.sentinel_row  # the terminator is packed as A
     if symbol is None:
         counts[:, A] -= after_terminator
-        return counts + np.take(view.bases, bucket, axis=0)
-    base = view.bases.reshape(-1)[bucket * 4 + symbol]
+        return counts + np.take(index.bases, bucket, axis=0)
+    base = index.bases.reshape(-1)[bucket * 4 + symbol]
     return counts - (symbol == A) * after_terminator + base
 
 
 def _walk_back(
-    view: IndexView,
+    index: FmIndex,
     codes: np.ndarray,
     last: np.ndarray,
     lengths: np.ndarray,
@@ -94,9 +94,10 @@ def _walk_back(
     of that step.  Returns (k, l, width), width the number of codes each
     walk consumed.
     """
+    c = np.asarray(index.c)
     symbol = codes[last]
-    k = view.c[symbol] + 1
-    l = view.c[symbol + 1]
+    k = c[symbol] + 1
+    l = c[symbol + 1]
     width = np.ones_like(last)
     for t in range(1, int(lengths.max(initial=0))):
         live = np.flatnonzero((lengths > t) & (k <= l))
@@ -104,9 +105,9 @@ def _walk_back(
             break
         symbol = codes[last[live] - t]
         counts = rank_many(
-            view, np.concatenate([k[live] - 1, l[live]]), np.concatenate([symbol, symbol]), kernel
+            index, np.concatenate([k[live] - 1, l[live]]), np.concatenate([symbol, symbol]), kernel
         )
-        base = view.c[symbol]
+        base = c[symbol]
         k[live] = base + counts[: len(live)] + 1
         l[live] = base + counts[len(live) :]
         width[live] = t + 1
@@ -120,7 +121,7 @@ def _encode(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_search_many(
-    view: IndexView, patterns: Sequence[str], kernel: Kernel | str | None = None
+    index: FmIndex, patterns: Sequence[str], kernel: Kernel | str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Intervals (k, l) of non-empty ACGT patterns, as `exact_search` gives them.
 
@@ -128,12 +129,12 @@ def exact_search_many(
     step its interval empties.
     """
     codes, lengths = _encode(patterns)
-    k, l, _ = _walk_back(view, codes, np.cumsum(lengths) - 1, lengths, kernel)
+    k, l, _ = _walk_back(index, codes, np.cumsum(lengths) - 1, lengths, kernel)
     return k, l
 
 
 def difference_bounds(
-    view: IndexView, codes: np.ndarray, lengths: np.ndarray, kernel: Kernel | str | None = None
+    index: FmIndex, codes: np.ndarray, lengths: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
     """D(i) of every prefix W[0..i] of patterns given end to end, laid out like `codes`.
 
@@ -148,7 +149,7 @@ def difference_bounds(
     ends = np.arange(len(codes))
     starts = np.cumsum(lengths) - lengths
     offset = ends - np.repeat(starts, lengths)
-    k, l, width = _walk_back(view, codes, ends, offset + 1, kernel)
+    k, l, width = _walk_back(index, codes, ends, offset + 1, kernel)
     # the slot past the end holds D(-1) = 0
     before = np.where(width <= offset, ends - width, len(codes))
     bound = np.zeros(len(codes) + 1, dtype=np.int64)
@@ -159,7 +160,7 @@ def difference_bounds(
 
 
 def inexact_search_many(
-    view: IndexView,
+    index: FmIndex,
     patterns: Sequence[str],
     max_diff: int,
     kernel: Kernel | str | None = None,
@@ -181,7 +182,8 @@ def inexact_search_many(
     """
     codes, lengths = _encode(patterns)
     starts = np.cumsum(lengths) - lengths
-    bound = difference_bounds(view, codes, lengths, kernel)
+    c = np.asarray(index.c)
+    bound = difference_bounds(index, codes, lengths, kernel)
     slots = int(lengths.max(initial=0)) + 1
     children = np.zeros((5, 0), dtype=np.int64)  # rows: pattern, i, budget, k, l
     done = [np.zeros((4, 0), dtype=np.int64)]
@@ -189,7 +191,7 @@ def inexact_search_many(
     while True:
         if admitted < len(patterns):
             # the full row range [0, n] makes the first extension the initial interval
-            start = [[admitted], [lengths[admitted] - 1], [max_diff], [0], [view.n]]
+            start = [[admitted], [lengths[admitted] - 1], [max_diff], [0], [index.n]]
             children = np.concatenate([children, start], axis=1)
             admitted += 1
         pattern, i, budget, k, l = children
@@ -199,7 +201,7 @@ def inexact_search_many(
         live = live[budget[live] >= bound[starts[pattern[live]] + i[live]]]
         # one key per (pattern, i) and one per (k, l): (n + 1)**2 fits in
         # int64, since the suffix sort refuses longer references
-        place, interval = pattern[live] * slots + i[live], k[live] * (view.n + 1) + l[live]
+        place, interval = pattern[live] * slots + i[live], k[live] * (index.n + 1) + l[live]
         live = live[_first_per_key([place, interval], -budget[live])]
         children = children[:, live]
         pattern, i, budget, k, l = children
@@ -209,9 +211,9 @@ def inexact_search_many(
             continue
         # about half the positions of a round repeat; each is ranked once
         pos, back = np.unique(np.concatenate([k - 1, l]), return_inverse=True)
-        counts = rank_many(view, pos, None, kernel)[back]
-        k2 = view.c[:4] + counts[: len(i)] + 1
-        l2 = view.c[:4] + counts[len(i) :]
+        counts = rank_many(index, pos, None, kernel)[back]
+        k2 = c[:4] + counts[: len(i)] + 1
+        l2 = c[:4] + counts[len(i) :]
         spend = budget > 0
         miss = np.arange(4) != codes[starts[pattern] + i, None]
         # insert: extend by a reference character, keep the pattern position;
@@ -240,15 +242,15 @@ def inexact_search_many(
     return pattern[kept], k[kept], l[kept], used[kept]
 
 
-def bwt_symbols(view: IndexView, rows: np.ndarray) -> np.ndarray:
+def bwt_symbols(index: FmIndex, rows: np.ndarray) -> np.ndarray:
     """Packed transform symbol at each row; the sentinel row reads as A."""
     rows = np.asarray(rows, dtype=np.int64)
     # a block packs 128 rows into 32 bytes, so row r sits in byte r >> 2 of all blocks
-    return (view.blocks.reshape(-1)[rows >> 2] >> ((rows & 3) << 1)) & 3
+    return (index.blocks.reshape(-1)[rows >> 2] >> ((rows & 3) << 1)) & 3
 
 
 def lf_step(
-    view: IndexView, rows: np.ndarray, kernel: Kernel | str | None = None
+    index: FmIndex, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(symbol at each row, row of the suffix one text position earlier).
 
@@ -256,12 +258,12 @@ def lf_step(
     symbol is one byte of the flat blocks; `rank_many` gathers each row's
     block once and counts that symbol only.
     """
-    symbol = bwt_symbols(view, rows)
-    return symbol, view.c[symbol] + rank_many(view, rows, symbol, kernel)
+    symbol = bwt_symbols(index, rows)
+    return symbol, np.asarray(index.c)[symbol] + rank_many(index, rows, symbol, kernel)
 
 
 def locate_rows(
-    view: IndexView, rows: np.ndarray, kernel: Kernel | str | None = None
+    index: FmIndex, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
     """Text position of every row, like `locate_row` run on each.
 
@@ -280,15 +282,15 @@ def locate_rows(
     if not len(rows):
         return np.zeros(0, dtype=np.int64)
     # the sentinel row is located too, at position 0, and never walks
-    rows, inverse = np.unique(np.append(rows, view.sentinel_row), return_inverse=True)
+    rows, inverse = np.unique(np.append(rows, index.sentinel_row), return_inverse=True)
     pos = np.zeros(len(rows), dtype=np.int64)
     target = np.full(len(rows), -1, dtype=np.int64)  # the row a walk met, or -1
     # one bit per stop row: every sampled row (bit 0 of every fourth byte)
     # and every row located here
-    stop = np.zeros(view.n // 8 + 1, dtype=np.uint8)
+    stop = np.zeros(index.n // 8 + 1, dtype=np.uint8)
     stop[:: SA_STRIDE // 8] = 1
     np.bitwise_or.at(stop, rows >> 3, np.left_shift(1, rows & 7).astype(np.uint8))
-    walking = np.flatnonzero(rows != view.sentinel_row)
+    walking = np.flatnonzero(rows != index.sentinel_row)
     at = rows[walking]
     ended = at % SA_STRIDE == 0  # a row is not its own meeting
     walks, stops = [], []  # per round: the walks that ended, at which stop rows
@@ -298,14 +300,14 @@ def locate_rows(
         walking, at = walking[~ended], at[~ended]
         if not len(at):
             break
-        if len(walks) > view.n + 1:
+        if len(walks) > index.n + 1:
             raise IndexFormatError("predecessor walk did not terminate; index is corrupt")
-        at = lf_step(view, at, kernel)[1]
+        at = lf_step(index, at, kernel)[1]
         ended = (np.take(stop, at >> 3) >> (at & 7) & 1).astype(bool)
     walk, row = np.concatenate(walks), np.concatenate(stops)
     pos[walk] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])  # steps taken
-    sampled = (row % SA_STRIDE == 0) & (row != view.sentinel_row)
-    pos[walk[sampled]] += np.take(view.samples, row[sampled] // SA_STRIDE)
+    sampled = (row % SA_STRIDE == 0) & (row != index.sentinel_row)
+    pos[walk[sampled]] += np.take(index.samples, row[sampled] // SA_STRIDE)
     target[walk[~sampled]] = np.searchsorted(rows, row[~sampled])
     # pos[i] of a walk that met row target[i] is its distance from there;
     # each pass moves every unresolved walk on to its target's target, which
@@ -319,13 +321,13 @@ def locate_rows(
         if len(left) == len(pending):  # no chain ends: the rows meet in a cycle
             raise IndexFormatError("predecessor walk did not terminate; rows meet in a cycle")
         pending = left
-    if not 0 <= pos.min() <= pos.max() <= view.n:
-        raise IndexFormatError(f"a sampled position lies outside [0, {view.n}]")
+    if not 0 <= pos.min() <= pos.max() <= index.n:
+        raise IndexFormatError(f"a sampled position lies outside [0, {index.n}]")
     return pos[inverse[:-1]]
 
 
 def locate_hits(
-    view: IndexView,
+    index: FmIndex,
     pattern: np.ndarray,
     k: np.ndarray,
     l: np.ndarray,
@@ -346,11 +348,11 @@ def locate_hits(
     rows = np.arange(int(widths.sum())) + np.repeat(k - first, widths)
     pattern = np.repeat(pattern, widths)
     diffs = np.repeat(diffs, widths)
-    pos = locate_rows(view, rows, kernel)
-    record = np.searchsorted(view.starts, pos, side="right") - 1
-    offset = pos - view.starts[record]
+    pos = locate_rows(index, rows, kernel)
+    record = np.searchsorted(index.starts, pos, side="right") - 1
+    offset = pos - index.starts[record]
     min_span = np.maximum(pattern_lengths[pattern] - diffs, 0)
-    kept = np.flatnonzero((pos < view.n) & (offset + min_span <= view.lengths[record]))
+    kept = np.flatnonzero((pos < index.n) & (offset + min_span <= index.lengths[record]))
     picked = kept[_first_per_key([pattern[kept], pos[kept]], diffs[kept])]
     return pattern[picked], record[picked], offset[picked], diffs[picked]
 
@@ -370,18 +372,17 @@ def match_many(
     characters outside ACGT are flagged degenerate and get no hits.
     """
     kernel = resolve_kernel(kernel)
-    view = index.view
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     degenerate = ~is_dna_many(patterns)
     dna = np.flatnonzero(~degenerate)
     if max_diff == 0:
-        k, l = exact_search_many(view, [patterns[i] for i in dna], kernel)
+        k, l = exact_search_many(index, [patterns[i] for i in dna], kernel)
         found = k <= l
         intervals = [dna[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
     else:
-        pattern, k, l, used = inexact_search_many(view, [patterns[i] for i in dna], max_diff, kernel)
+        pattern, k, l, used = inexact_search_many(index, [patterns[i] for i in dna], max_diff, kernel)
         intervals = [dna[pattern], k, l, used]
-    pattern, record, offset, diffs = locate_hits(view, *intervals, lengths, kernel)
+    pattern, record, offset, diffs = locate_hits(index, *intervals, lengths, kernel)
 
     truncated = np.zeros(len(patterns), dtype=bool)
     if max_hits is not None:

@@ -60,9 +60,7 @@ def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
         for _ in range(max(256, iterations))
     ]
     bucket, prefix_lens, symbols = np.array(cases, dtype=np.int64).T
-    return _Workload(
-        exact_patterns, inexact_patterns, index.view.blocks[bucket], prefix_lens, symbols
-    )
+    return _Workload(exact_patterns, inexact_patterns, index.blocks[bucket], prefix_lens, symbols)
 
 
 def _hash_hits(digest, index: FmIndex, patterns: list[str], max_diff: int, kernel: Kernel) -> None:

@@ -86,8 +86,12 @@ def _build_parser() -> _Parser:
 
 
 def _load_index(path: str) -> FmIndex:
+    """The one index a file holds; bytes after its checksum trailer make it corrupt."""
     with open(path, "rb") as fh:
-        return deserialize_index(fh)
+        index = deserialize_index(fh)
+        if fh.read(1):
+            raise IndexFormatError("bytes after the checksum trailer")
+    return index
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,45 +39,19 @@ class OccBucket:
     chars: bytes
 
 
-# One bucket as the v1 file stores it: four little-endian 64-bit bases
-# (written unsigned, never above n), then the 32-byte packed block.
-BUCKET_RECORD = np.dtype([("base", "<i8", (4,)), ("chars", "u1", (BUCKET_BYTES,))])
-# suffix-array samples as the v1 file stores them (u64, never above n)
-SAMPLE_DTYPE = np.dtype("<i8")
-
-
-class IndexView(NamedTuple):
-    """The arrays of one FmIndex that the query engine (`fmpm.batch`) reads.
-
-    One field per array.  `blocks` and `bases` are C-contiguous, so the
-    engine gathers rows of them with `np.take`, and the flat views it needs
-    (`blocks.reshape(-1)` for the byte of one row, `bases.reshape(-1)` for
-    one base) are views, not copies.
-    """
-
-    n: int
-    sentinel_row: int
-    c: np.ndarray  # (5,) int64
-    blocks: np.ndarray  # (n_buckets, 32) uint8 packed transform
-    bases: np.ndarray  # (n_buckets, 4) int64 counts before each bucket
-    samples: np.ndarray  # int64 suffix-array entries of rows 0, 32, 64, ...
-    starts: np.ndarray  # int64 record starts
-    lengths: np.ndarray  # int64 record lengths
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class FmIndex:
     """Succinct FM-index over a concatenated DNA reference.
 
-    All fields are immutable (the arrays are read-only); instances are safe
-    to share across threads.  c[s] counts reference characters
+    All fields are immutable (the arrays are read-only views); instances
+    are safe to share across threads.  c[s] counts reference characters
     lexicographically below symbol s (c[4] == n), and sentinel_row is the
     transform row holding the terminator.  `blocks` (n_buckets x 32 uint8)
-    and `bases` (n_buckets x 4 int64) are the two halves of the v1 file's
-    bucket records, each one C-contiguous array; `table` interleaves them
-    back into the file's bucket section.  `samples` is the sample section,
-    every 32nd suffix-array entry.  `buckets` and `sa_samples` are tuple
-    views, and `view` the arrays for queries, each built on first use.
+    holds each bucket's packed transform, `bases` (n_buckets x 4 int64) the
+    counts before it, and `samples` (int64) every 32nd suffix-array entry,
+    each one C-contiguous array.  The query engine (`fmpm.batch`) reads
+    these fields directly; `fmpm.serialize` alone knows how the v1 file
+    lays them out.
     """
 
     n: int
@@ -85,55 +59,27 @@ class FmIndex:
     blocks: np.ndarray = field(repr=False)
     bases: np.ndarray = field(repr=False)
     sentinel_row: int
-    samples: bytes = field(repr=False)
+    samples: np.ndarray = field(repr=False)
     records: tuple[RecordSpan, ...]
 
-    def __init__(
-        self,
-        n: int,
-        c: Sequence[int],
-        buckets: bytes | np.ndarray | Sequence[OccBucket],
-        sentinel_row: int,
-        sa_samples: bytes | Sequence[int],
-        records: Sequence[RecordSpan],
-    ) -> None:
-        """Split the bucket records into `blocks` and `bases`, once.
-
-        `buckets` is the file's bucket section, as bytes or as a
-        `BUCKET_RECORD` array, or a sequence of buckets; `sa_samples` is the
-        sample section or a sequence of samples.
-        """
-        if isinstance(buckets, bytes):
-            buckets = np.frombuffer(buckets, dtype=BUCKET_RECORD)
-        elif not isinstance(buckets, np.ndarray):
-            table = np.empty(len(buckets), dtype=BUCKET_RECORD)
-            table["base"] = [bucket.base for bucket in buckets]
-            table["chars"] = [np.frombuffer(bucket.chars, dtype=np.uint8) for bucket in buckets]
-            buckets = table
-        blocks = np.ascontiguousarray(buckets["chars"])
-        bases = np.ascontiguousarray(buckets["base"], dtype=np.int64)
-        blocks.flags.writeable = bases.flags.writeable = False
-        if not isinstance(sa_samples, bytes):
-            sa_samples = np.array(sa_samples, dtype=SAMPLE_DTYPE).tobytes()
-        for name, value in (
-            ("n", n),
-            ("c", tuple(c)),
-            ("blocks", blocks),
-            ("bases", bases),
-            ("sentinel_row", sentinel_row),
-            ("samples", sa_samples),
-            ("records", tuple(records)),
-        ):
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        # store read-only views, so a caller's own array keeps its write flag
+        for name, dtype in (("blocks", np.uint8), ("bases", np.int64), ("samples", np.int64)):
+            array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "records", tuple(self.records))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FmIndex):
             return NotImplemented
         return (
-            (self.n, self.c, self.sentinel_row, self.samples, self.records)
-            == (other.n, other.c, other.sentinel_row, other.samples, other.records)
+            (self.n, self.c, self.sentinel_row, self.records)
+            == (other.n, other.c, other.sentinel_row, other.records)
             and np.array_equal(self.blocks, other.blocks)
             and np.array_equal(self.bases, other.bases)
+            and np.array_equal(self.samples, other.samples)
         )
 
     def __hash__(self) -> int:
@@ -143,38 +89,24 @@ class FmIndex:
     def bucket_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def table(self) -> bytes:
-        """The bucket section of the v1 file: one `BUCKET_RECORD` per bucket."""
-        table = np.empty(self.bucket_count, dtype=BUCKET_RECORD)
-        table["base"] = self.bases
-        table["chars"] = self.blocks
-        return table.tobytes()
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """int64 start of each record."""
+        return np.array([r.start for r in self.records], dtype=np.int64)
 
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """int64 length of each record."""
+        return np.array([r.length for r in self.records], dtype=np.int64)
+
+    # one bucket at a time, for the per-bucket readers: perfbench/traced.py
+    # and the oracles of tests/oracles.py read `index.buckets[j].chars`
     @cached_property
     def buckets(self) -> tuple[OccBucket, ...]:
         blocks = self.blocks.tobytes()
         return tuple(
             OccBucket(base=tuple(base), chars=blocks[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
             for j, base in enumerate(self.bases.tolist())
-        )
-
-    @cached_property
-    def sa_samples(self) -> tuple[int, ...]:
-        return tuple(np.frombuffer(self.samples, dtype=SAMPLE_DTYPE).tolist())
-
-    @cached_property
-    def view(self) -> IndexView:
-        """The index's arrays for queries; blocks, bases and samples are not copied."""
-        return IndexView(
-            n=self.n,
-            sentinel_row=self.sentinel_row,
-            c=np.array(self.c, dtype=np.int64),
-            blocks=self.blocks,
-            bases=self.bases,
-            samples=np.frombuffer(self.samples, dtype=SAMPLE_DTYPE),
-            starts=np.array([r.start for r in self.records], dtype=np.int64),
-            lengths=np.array([r.length for r in self.records], dtype=np.int64),
         )
 
 
@@ -216,15 +148,13 @@ def build_index(
     )
     del lanes, quads
     bases, c = _bases_and_c(blocks, n)
-    table = np.empty(n_buckets, dtype=BUCKET_RECORD)
-    table["base"] = bases
-    table["chars"] = blocks
     return FmIndex(
         n=n,
         c=c,
-        buckets=table,
+        blocks=blocks,
+        bases=bases,
         sentinel_row=sentinel_row,
-        sa_samples=sa[::SA_STRIDE].astype(SAMPLE_DTYPE).tobytes(),
+        samples=sa[::SA_STRIDE],
         records=spans,
     )
 
@@ -268,58 +198,59 @@ def _normalize_records(
 def check_index(index: FmIndex) -> None:
     """Validate structural invariants; raises ValueError on any violation.
 
-    Checks, over `index.blocks`, `index.bases` and the other arrays of
-    `index.view`: the bucket and sample counts;
-    the bases against the exclusive running sum of every block's counts
-    and the C table against the block totals (both derived as
-    `build_index` derives them, in one `count_blocks` call); zero padding
-    past the transform; an A field (the terminator) at the sentinel row;
-    samples within [0, n], sample 0 being n (row 0 is the terminator
-    suffix); and records tiling [0, n).
+    Checks the bucket and sample counts; the bases against the exclusive
+    running sum of every block's counts and the C table against the block
+    totals (both derived as `build_index` derives them, in one
+    `count_blocks` call); zero padding past the transform; an A field (the
+    terminator) at the sentinel row; samples within [0, n], sample 0 being
+    n (row 0 is the terminator suffix); and records tiling [0, n).  The
+    header fields (n, c, sentinel_row, record spans) are compared as Python
+    ints, so an oversized one fails a check here instead of overflowing a
+    fixed-width array.
 
     Without walking the transform it cannot see a change that keeps every
-    block's counts, such as two fields swapped inside one block, nor a
-    sample rewritten to another value within [0, n].  Such a transform can
-    send a predecessor walk round a cycle; `fmpm.batch.locate_rows` raises
-    for that, whether the walk never reaches a stop row or walks meet each
+    block's counts, such as two fields swapped inside one block, a sample
+    rewritten to another value within [0, n], or the sentinel row moved to
+    another row that holds an A field.  Such a transform can send a
+    predecessor walk round a cycle; `fmpm.batch.locate_rows` raises for
+    that, whether the walk never reaches a stop row or walks meet each
     other in a cycle.
     """
-    view = index.view
-    n = view.n
+    n = index.n
     if n <= 0:
         raise ValueError("index covers an empty reference")
     n_buckets = n // BUCKET_CHARS + 1
     if index.bucket_count != n_buckets:
         raise ValueError(f"expected {n_buckets} buckets for n={n}, found {index.bucket_count}")
-    if len(view.samples) != n // SA_STRIDE + 1:
-        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {len(view.samples)}")
-    if not 0 <= view.sentinel_row <= n:
-        raise ValueError(f"sentinel row {view.sentinel_row} outside [0, {n}]")
+    if len(index.samples) != n // SA_STRIDE + 1:
+        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {len(index.samples)}")
+    if not 0 <= index.sentinel_row <= n:
+        raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
 
     last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
-    expected, c = _bases_and_c(view.blocks, n)
-    wrong = np.flatnonzero((view.bases != expected).any(axis=1))
+    expected, c = _bases_and_c(index.blocks, n)
+    wrong = np.flatnonzero((index.bases != expected).any(axis=1))
     if len(wrong):
         j = wrong[0]
         raise ValueError(
-            f"bucket {j} base {tuple(view.bases[j].tolist())} breaks telescoping "
+            f"bucket {j} base {tuple(index.bases[j].tolist())} breaks telescoping "
             f"({tuple(expected[j].tolist())})"
         )
     # field r of a block is bits 2r and 2r + 1 of its little-endian bytes
-    if int.from_bytes(view.blocks[-1].tobytes(), "little") >> (2 * last):
+    if int.from_bytes(index.blocks[-1].tobytes(), "little") >> (2 * last):
         raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
-    if tuple(index.c) != c:
+    if index.c != c:
         raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
-    row = view.sentinel_row
-    if view.blocks[row // BUCKET_CHARS, row % BUCKET_CHARS >> 2] >> 2 * (row & 3) & 3:
+    row = index.sentinel_row
+    if index.blocks[row // BUCKET_CHARS, row % BUCKET_CHARS >> 2] >> 2 * (row & 3) & 3:
         raise ValueError(f"sentinel row {row} does not hold the terminator's A field")
-    bad = np.flatnonzero((view.samples < 0) | (view.samples > n))
+    bad = np.flatnonzero((index.samples < 0) | (index.samples > n))
     if len(bad):
         j = bad[0]
         raise ValueError(
-            f"suffix-array sample {j} out of range: {view.samples[j]} outside [0, {n}]"
+            f"suffix-array sample {j} out of range: {index.samples[j]} outside [0, {n}]"
         )
-    if view.samples[0] != n:
-        raise ValueError(f"suffix-array sample 0 is {view.samples[0]}, not n={n}")
+    if index.samples[0] != n:
+        raise ValueError(f"suffix-array sample 0 is {index.samples[0]}, not n={n}")
 
     _normalize_records([(r.name, r.start, r.length) for r in index.records], n)

@@ -98,14 +98,14 @@ def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None)
     kernel = resolve_kernel(kernel)
     _check_symbol(symbol)
     _check_position(index, k)
-    return int(rank_many(index.view, [k], [symbol], kernel)[0])
+    return int(rank_many(index, [k], [symbol], kernel)[0])
 
 
 def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCounts:
     """All four occurrence counts at position k (k == -1 gives zeros)."""
     kernel = resolve_kernel(kernel)
     _check_position(index, k)
-    return OccCounts(*rank_many(index.view, [k], None, kernel)[0].tolist())
+    return OccCounts(*rank_many(index, [k], None, kernel)[0].tolist())
 
 
 def occ_pair_all(
@@ -121,7 +121,7 @@ def occ_pair_all(
         raise ValueError(f"pair positions out of order: {low} > {high}")
     _check_position(index, low)
     _check_position(index, high)
-    at_low, at_high = rank_many(index.view, [low, high], None, kernel).tolist()
+    at_low, at_high = rank_many(index, [low, high], None, kernel).tolist()
     return OccPair(at_low=OccCounts(*at_low), at_high=OccCounts(*at_high))
 
 
@@ -130,7 +130,7 @@ def bwt_char_at(index: FmIndex, i: int) -> int | None:
     _check_row(index, i)
     if i == index.sentinel_row:
         return None
-    return int(bwt_symbols(index.view, [i])[0])
+    return int(bwt_symbols(index, [i])[0])
 
 
 def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
@@ -155,7 +155,7 @@ def extend_backward(
     _check_symbol(symbol)
     _check_position(index, interval.k - 1)
     _check_position(index, interval.l)
-    low, high = rank_many(index.view, [interval.k - 1, interval.l], [symbol] * 2, kernel).tolist()
+    low, high = rank_many(index, [interval.k - 1, interval.l], [symbol] * 2, kernel).tolist()
     c = index.c[symbol]
     return BwmInterval(k=c + low + 1, l=c + high)
 
@@ -174,7 +174,7 @@ def exact_search(
         raise ValueError("pattern is empty")
     if not is_dna(pattern):
         return BwmInterval(k=1, l=0, degenerate=True)
-    k, l = exact_search_many(index.view, [pattern], kernel)
+    k, l = exact_search_many(index, [pattern], kernel)
     return BwmInterval(k=int(k[0]), l=int(l[0]))
 
 
@@ -198,7 +198,7 @@ def inexact_search(
         raise ValueError("pattern is empty")
     if not is_dna(pattern):
         return []
-    _, *found = inexact_search_many(index.view, [pattern], max_diff, kernel)
+    _, *found = inexact_search_many(index, [pattern], max_diff, kernel)
     return [
         MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
         for k, l, used in zip(*(column.tolist() for column in found))
@@ -223,7 +223,7 @@ def psi_inverse_fused(
     _check_row(index, i)
     if i == index.sentinel_row:
         return None
-    symbol, row = lf_step(index.view, [i], kernel)
+    symbol, row = lf_step(index, [i], kernel)
     return int(symbol[0]), int(row[0])
 
 
@@ -235,7 +235,7 @@ def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> in
     """
     kernel = resolve_kernel(kernel)
     _check_row(index, i)
-    return int(locate_rows(index.view, [i], kernel)[0])
+    return int(locate_rows(index, [i], kernel)[0])
 
 
 def locate_all(
@@ -271,7 +271,7 @@ def collect_hits(
         _check_row(index, l)
     k, l, diffs = np.array(found, dtype=np.int64).reshape(-1, 3).T
     _, record, offset, diffs = locate_hits(
-        index.view, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
+        index, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
     )
     hits = []
     for r, o, d in zip(record.tolist(), offset.tolist(), diffs.tolist()):
@@ -291,8 +291,7 @@ def reconstruct_reference(index: FmIndex, kernel: Kernel | str | None = None) ->
     (the terminator, before the whole text) goes nowhere.
     """
     kernel = resolve_kernel(kernel)
-    view = index.view
     rows = np.delete(np.arange(index.n + 1), index.sentinel_row)
     text = np.zeros(index.n, dtype=np.uint8)
-    text[locate_rows(view, rows, kernel) - 1] = bwt_symbols(view, rows)
+    text[locate_rows(index, rows, kernel) - 1] = bwt_symbols(index, rows)
     return _SYMBOL_BYTES[text].tobytes().decode("ascii")

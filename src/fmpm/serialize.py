@@ -4,7 +4,7 @@ Little-endian throughout, CRC32 of everything before the trailer:
 
     magic        4s   "FMPM"
     version      u16  1
-    flags        u16  0 (reserved)
+    flags        u16  0 (reserved; any other value is rejected)
     n            u64  reference length
     bucket_size  u32  128 (layout witness, fixed in version 1)
     sa_stride    u32  32  (layout witness, fixed in version 1)
@@ -25,11 +25,19 @@ import struct
 import zlib
 from typing import BinaryIO
 
-from .index import BUCKET_RECORD, SAMPLE_DTYPE, FmIndex, RecordSpan, SA_STRIDE, check_index
-from .kernels import BUCKET_CHARS
+import numpy as np
+
+from .index import FmIndex, RecordSpan, SA_STRIDE, check_index
+from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
 VERSION = 1
+
+# One bucket as the file stores it: four little-endian 64-bit bases
+# (written unsigned, never above n), then the 32-byte packed block.
+BUCKET_RECORD = np.dtype([("base", "<i8", (4,)), ("chars", "u1", (BUCKET_BYTES,))])
+# suffix-array samples as the file stores them (u64, never above n)
+SAMPLE_DTYPE = np.dtype("<i8")
 
 # Largest single read.  A corrupt count in a short stream then fails as
 # truncated instead of asking for one huge buffer.
@@ -62,7 +70,7 @@ class _CrcWriter:
         self.crc = 0
         self.written = 0
 
-    def write(self, data: bytes) -> None:
+    def write(self, data: bytes | np.ndarray) -> None:
         self.crc = zlib.crc32(data, self.crc)
         self._sink.write(data)
         self.written += len(data)
@@ -99,9 +107,12 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<QIIQ", index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row))
     w.write(struct.pack("<5Q", *index.c))
     w.write(struct.pack("<Q", index.bucket_count))
-    w.write(index.table)
-    w.write(struct.pack("<Q", len(index.samples) // SAMPLE_DTYPE.itemsize))
-    w.write(index.samples)
+    table = np.empty(index.bucket_count, dtype=BUCKET_RECORD)
+    table["base"] = index.bases
+    table["chars"] = index.blocks
+    w.write(table.view(np.uint8))
+    w.write(struct.pack("<Q", len(index.samples)))
+    w.write(index.samples.astype(SAMPLE_DTYPE, copy=False).view(np.uint8))
     w.write(struct.pack("<I", len(index.records)))
     for record in index.records:
         name = record.name.encode("utf-8")
@@ -119,9 +130,11 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     magic = r.read(4, "magic")
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}; not an index file")
-    version, _flags = struct.unpack("<HH", r.read(4, "header"))
+    version, flags = struct.unpack("<HH", r.read(4, "header"))
     if version != VERSION:
         raise VersionMismatchError(f"unsupported version {version}; expected {VERSION}")
+    if flags:
+        raise IndexFormatError(f"unknown flags {flags:#06x}; version {VERSION} reserves them as 0")
     n, bucket_size, sa_stride, sentinel_row = struct.unpack("<QIIQ", r.read(24, "header"))
     if bucket_size != BUCKET_CHARS or sa_stride != SA_STRIDE:
         raise IndexFormatError(
@@ -134,7 +147,8 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         raise IndexFormatError(
             f"bucket count {bucket_count} does not match n={n} (expected {expected_buckets})"
         )
-    table = r.read(bucket_count * BUCKET_RECORD.itemsize, "buckets")
+    section = r.read(bucket_count * BUCKET_RECORD.itemsize, "buckets")
+    table = np.frombuffer(section, dtype=BUCKET_RECORD)
     (sample_count,) = struct.unpack("<Q", r.read(8, "sample count"))
     if sample_count != n // SA_STRIDE + 1:
         raise IndexFormatError(f"sample count {sample_count} does not match n={n}")
@@ -160,9 +174,10 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     index = FmIndex(
         n=n,
         c=c,
-        buckets=table,
+        blocks=table["chars"],
+        bases=table["base"],
         sentinel_row=sentinel_row,
-        sa_samples=samples,
+        samples=np.frombuffer(samples, dtype=SAMPLE_DTYPE),
         records=tuple(records),
     )
     try:

@@ -364,7 +364,7 @@ def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> in
         if i == index.sentinel_row:
             return steps
         if i % SA_STRIDE == 0:
-            return index.sa_samples[i // SA_STRIDE] + steps
+            return int(index.samples[i // SA_STRIDE]) + steps
         stepped = psi_inverse_fused(index, i, kernel)
         assert stepped is not None
         i = stepped[1]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import random
 import tempfile
@@ -43,31 +44,30 @@ from oracles import (
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_rank_all4_many_equals_occ_all(n):
     index = build_index(edge_text(n))
-    view = index.view
     positions = np.arange(-1, n + 1)
     want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
     symbol = positions % 4
     for kernel in CONCRETE_KERNELS:
-        got = rank_many(view, positions, None, kernel)
+        got = rank_many(index, positions, None, kernel)
         assert got.shape == (n + 2, 4)
         assert got.tolist() == want, kernel
-        got = rank_many(view, positions, symbol, kernel)
+        got = rank_many(index, positions, symbol, kernel)
         assert got.tolist() == [row[s] for row, s in zip(want, symbol.tolist())], kernel
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_locate_rows_equals_naive_suffix_array(n):
     text = edge_text(n)
-    view = build_index(text).view
-    assert locate_rows(view, np.arange(n + 1)).tolist() == suffix_array_naive(text)
+    index = build_index(text)
+    assert locate_rows(index, np.arange(n + 1)).tolist() == suffix_array_naive(text)
 
 
 def test_locate_rows_periodic_text():
     text = "ACG" * 90
-    view = build_index(text).view
+    index = build_index(text)
     rows = np.arange(len(text) + 1)
     for kernel in CONCRETE_KERNELS:
-        assert locate_rows(view, rows, kernel).tolist() == suffix_array_naive(text)
+        assert locate_rows(index, rows, kernel).tolist() == suffix_array_naive(text)
 
 
 def _forbid_all_four(kernel, monkeypatch):
@@ -95,8 +95,8 @@ def test_locate_rows_counts_one_symbol_per_step(kernel, monkeypatch):
     # each step needs the rank of the row's own symbol only
     _forbid_all_four(kernel, monkeypatch)
     text = edge_text(257)
-    view = build_index(text).view
-    assert locate_rows(view, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)
+    index = build_index(text)
+    assert locate_rows(index, np.arange(len(text) + 1), kernel).tolist() == suffix_array_naive(text)
 
 
 @pytest.mark.parametrize("kernel", [Kernel.SCALAR, Kernel.NIBBLE])
@@ -108,36 +108,38 @@ def test_backward_search_counts_one_symbol_per_step(kernel, monkeypatch):
     codes = encode_array("".join(patterns)).astype(np.int64)
     lengths = np.array([len(p) for p in patterns])
     want = [(iv.k, iv.l) for iv in (exact_search(index, p, kernel) for p in patterns)]
-    want_bounds = difference_bounds(index.view, codes, lengths, Kernel.BYTELUT).tolist()
+    want_bounds = difference_bounds(index, codes, lengths, Kernel.BYTELUT).tolist()
     _forbid_all_four(kernel, monkeypatch)
-    k, l = exact_search_many(index.view, patterns, kernel)
+    k, l = exact_search_many(index, patterns, kernel)
     assert list(zip(k.tolist(), l.tolist())) == want
-    assert difference_bounds(index.view, codes, lengths, kernel).tolist() == want_bounds
+    assert difference_bounds(index, codes, lengths, kernel).tolist() == want_bounds
 
 
 def test_locate_rows_rejects_a_cycle():
     # an all-A transform with C[A] = -1 maps row 1 to itself, never reaching a sample
-    view = build_index(random_dna(random.Random(7), 100)).view
-    view = view._replace(
-        c=np.array([-1, 0, 0, 0, 100]),
-        blocks=np.zeros_like(view.blocks),
-        bases=np.zeros_like(view.bases),
+    index = build_index(random_dna(random.Random(7), 100))
+    index = dataclasses.replace(
+        index,
+        c=(-1, 0, 0, 0, 100),
+        blocks=np.zeros_like(index.blocks),
+        bases=np.zeros_like(index.bases),
         sentinel_row=100,
     )
     with pytest.raises(IndexFormatError, match="did not terminate"):
-        locate_rows(view, np.array([1]))
+        locate_rows(index, np.array([1]))
 
 
 def _two_row_cycles():
     # an all-A transform maps row r below the sentinel to C[A] + r + 1 plus its
     # bucket's A base: bases 127 and -1 send row 1 (bucket 0) to row 129 and
     # row 129 (bucket 1) back to row 1, and likewise rows 2 and 130
-    view = build_index(random_dna(random.Random(7), 200)).view
-    bases = np.zeros_like(view.bases)
+    index = build_index(random_dna(random.Random(7), 200))
+    bases = np.zeros_like(index.bases)
     bases[:2, 0] = 127, -1
-    return view._replace(
-        c=np.array([0, 0, 0, 0, 200]),
-        blocks=np.zeros_like(view.blocks),
+    return dataclasses.replace(
+        index,
+        c=(0, 0, 0, 0, 200),
+        blocks=np.zeros_like(index.blocks),
         bases=bases,
         sentinel_row=200,
     )
@@ -207,21 +209,21 @@ def test_locate_rows_property(case):
     # locate equals the suffix array under every kernel, and never steps more
     # rows than the distinct rows' own walks take
     text, rows = case
-    view = build_index(text).view
+    index = build_index(text)
     want = [suffix_array_naive(text)[r] for r in rows]
     bound = _own_walk_steps(text, set(rows))
     lf_step = fmpm.batch.lf_step
     stepped = []
 
-    def counted_lf_step(view, rows, kernel=None):
+    def counted_lf_step(index, rows, kernel=None):
         stepped.append(len(rows))
-        return lf_step(view, rows, kernel)
+        return lf_step(index, rows, kernel)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fmpm.batch, "lf_step", counted_lf_step)
         for kernel in CONCRETE_KERNELS:
             stepped.clear()
-            got = locate_rows(view, np.array(rows, dtype=np.int64), kernel)
+            got = locate_rows(index, np.array(rows, dtype=np.int64), kernel)
             assert got.dtype == np.int64
             assert got.tolist() == want, kernel
             assert sum(stepped) <= bound, kernel
@@ -230,8 +232,8 @@ def test_locate_rows_property(case):
                 assert len(stepped) <= 1, kernel
 
 
-def _frontier_triples(view, pattern, max_diff, kernel):
-    _, k, l, used = inexact_search_many(view, [pattern], max_diff, kernel)
+def _frontier_triples(index, pattern, max_diff, kernel):
+    _, k, l, used = inexact_search_many(index, [pattern], max_diff, kernel)
     return list(zip(k.tolist(), l.tolist(), used.tolist()))
 
 
@@ -250,7 +252,6 @@ FRONTIER_SIZES = sorted({1, 2, 3, 77} | {m + d for m in (32, 64, 128, 256) for d
 )
 def test_inexact_frontier_equals_inexact_search(text):
     index = build_index(text)
-    view = index.view
     rng = random.Random(len(text))
     start = rng.randrange(len(text))
     patterns = [text[start : start + 6], random_dna(rng, 4).lower(), random_dna(rng, 7)]
@@ -258,7 +259,7 @@ def test_inexact_frontier_equals_inexact_search(text):
         for max_diff in range(4):
             want = _search_triples(index, pattern, max_diff)
             for kernel in CONCRETE_KERNELS:
-                got = _frontier_triples(view, pattern, max_diff, kernel)
+                got = _frontier_triples(index, pattern, max_diff, kernel)
                 assert got == want, (pattern, max_diff, kernel)
 
 
@@ -277,9 +278,8 @@ def test_inexact_frontier_property(text, pattern, data):
     max_diff = data.draw(st.integers(min_value=0, max_value=min(len(pattern) - 1, 3)))
     index = build_index(text)
     want = _search_triples(index, pattern, max_diff)
-    view = index.view
     for kernel in CONCRETE_KERNELS:
-        assert _frontier_triples(view, pattern, max_diff, kernel) == want, kernel
+        assert _frontier_triples(index, pattern, max_diff, kernel) == want, kernel
 
 
 def test_inexact_frontier_merges_repeated_states(monkeypatch):
@@ -287,13 +287,12 @@ def test_inexact_frontier_merges_repeated_states(monkeypatch):
     # the frontier ranks that state once, the per-pattern search once per path.
     text = "ACG" * 90
     index = build_index(text)
-    view = index.view
     ranked, pair_calls = [], []
     rank, pair = fmpm.batch.rank_many, oracles.occ_pair_all
 
-    def counted_rank(view, pos, symbol=None, kernel=None):
+    def counted_rank(index, pos, symbol=None, kernel=None):
         ranked.append(len(pos))
-        return rank(view, pos, symbol, kernel)
+        return rank(index, pos, symbol, kernel)
 
     def counted_pair(*args):
         pair_calls.append(1)
@@ -305,7 +304,7 @@ def test_inexact_frontier_merges_repeated_states(monkeypatch):
         ranked.clear()
         pair_calls.clear()
         want = _search_triples(index, pattern, 2)
-        assert _frontier_triples(view, pattern, 2, Kernel.BYTELUT) == want
+        assert _frontier_triples(index, pattern, 2, Kernel.BYTELUT) == want
         assert sum(ranked) < 2 * len(pair_calls), pattern
 
 
@@ -325,8 +324,8 @@ def _batch(text, rng):
     ]
 
 
-def _many_quads(view, patterns, max_diff, kernel):
-    found = inexact_search_many(view, patterns, max_diff, kernel)
+def _many_quads(index, patterns, max_diff, kernel):
+    found = inexact_search_many(index, patterns, max_diff, kernel)
     return list(zip(*(column.tolist() for column in found)))
 
 
@@ -346,7 +345,7 @@ def test_inexact_search_many_equals_oracle(text):
                 answers[pattern] = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
             want += [(pid, *triple) for triple in answers[pattern]]
         for kernel in CONCRETE_KERNELS:
-            got = _many_quads(index.view, patterns, max_diff, kernel)
+            got = _many_quads(index, patterns, max_diff, kernel)
             assert got == want, (max_diff, kernel)
 
 
@@ -376,10 +375,10 @@ def _fewest_edits_per_prefix(pattern, text):
 def test_difference_bounds_are_admissible(text, patterns):
     # D(i) must never exceed the differences W[0..i] needs, or the search
     # would prune a state that reaches an interval
-    view = build_index(text).view
+    index = build_index(text)
     codes = encode_array("".join(patterns)).astype(np.int64)
     lengths = np.array([len(p) for p in patterns])
-    bound = difference_bounds(view, codes, lengths).tolist()
+    bound = difference_bounds(index, codes, lengths).tolist()
     for pattern in patterns:
         head, bound = bound[: len(pattern)], bound[len(pattern) :]
         fewest = _fewest_edits_per_prefix(pattern.upper(), text)
@@ -395,19 +394,19 @@ def test_inexact_search_many_rank_rounds(monkeypatch):
     rng = random.Random(12)
     patterns = [text[start : start + 16] for start in rng.sample(range(369), 6)]
     patterns += [random_dna(rng, rng.randint(8, 16)) for _ in range(6)]
-    view = build_index(text).view
+    index = build_index(text)
     calls = []
     rank = fmpm.batch.rank_many
 
-    def counted_rank(view, pos, symbol=None, kernel=None):
+    def counted_rank(index, pos, symbol=None, kernel=None):
         calls.append(len(pos))
-        return rank(view, pos, symbol, kernel)
+        return rank(index, pos, symbol, kernel)
 
     monkeypatch.setattr(fmpm.batch, "rank_many", counted_rank)
     longest = max(len(p) for p in patterns)
     for max_diff in (1, 2, 3):
         calls.clear()
-        inexact_search_many(view, patterns, max_diff, Kernel.BYTELUT)
+        inexact_search_many(index, patterns, max_diff, Kernel.BYTELUT)
         assert len(calls) <= len(patterns) + 2 * longest + max_diff, max_diff
 
 

@@ -131,6 +131,18 @@ def test_corrupt_index(acag_index):
     assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_CORRUPT
 
 
+def test_bytes_after_the_trailer_exit_corrupt(acag_index, tmp_path, capsys):
+    # two indexes end to end are not one index file
+    blob = acag_index.read_bytes()
+    twice = tmp_path / "twice.fmi"
+    twice.write_bytes(blob + blob)
+    assert main(["match", str(twice), "-p", "CA"]) == EXIT_CORRUPT
+    assert main(["bench", str(twice), "--iters", "1"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("bytes after the checksum trailer") == 2
+
+
 def _rewrite_with_crc(path, offset, data):
     """Overwrite bytes of an index file and store a matching checksum."""
     blob = bytearray(path.read_bytes()[:-4])

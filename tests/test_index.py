@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import tracemalloc
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 import fmpm.index
 from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
-    BUCKET_RECORD,
-    FmIndex,
     RecordSpan,
     SA_STRIDE,
     build_c_table,
@@ -44,7 +43,7 @@ def test_build_index_small_reference():
     assert index.c == (0, 2, 3, 4, 4)
     assert index.sentinel_row == 1
     assert len(index.buckets) == 1
-    assert index.sa_samples == (4,)
+    assert index.samples.tolist() == [4]
     assert index.records == (RecordSpan(name="ref", start=0, length=4),)
     check_index(index)
 
@@ -53,7 +52,7 @@ def test_build_index_single_character():
     index = build_index("A")
     assert index.n == 1
     assert index.c == (0, 1, 1, 1, 1)
-    assert index.sa_samples == (1,)
+    assert index.samples.tolist() == [1]
     check_index(index)
 
 
@@ -84,7 +83,7 @@ def test_sample_stride():
     text = random_dna(random.Random(33), 167)
     index = build_index(text)
     sa = build_suffix_array(text)
-    assert index.sa_samples == tuple(sa[i] for i in range(0, 168, SA_STRIDE))
+    assert index.samples.tolist() == [sa[i] for i in range(0, 168, SA_STRIDE)]
 
 
 def test_records_validation():
@@ -99,62 +98,32 @@ def test_records_validation():
     check_index(index)
 
 
-def test_tuple_views_build_the_same_index():
-    # buckets and sa_samples given as tuples land in the same file sections
-    index = build_index(random_dna(random.Random(36), 300), [("r1", 0, 100), ("r2", 100, 200)])
-    rebuilt = FmIndex(
-        n=index.n,
-        c=index.c,
-        buckets=index.buckets,
-        sentinel_row=index.sentinel_row,
-        sa_samples=index.sa_samples,
-        records=index.records,
-    )
-    assert rebuilt == index
-    assert (rebuilt.table, rebuilt.samples) == (index.table, index.samples)
-
-
 def test_check_index_catches_tampering():
     index = build_index(random_dna(random.Random(34), 150))
-    broken = FmIndex(
-        n=index.n,
-        c=index.c,
-        buckets=(
-            index.buckets[0],
-            index.buckets[1].__class__(base=(0, 0, 0, 0), chars=index.buckets[1].chars),
-        ),
-        sentinel_row=index.sentinel_row,
-        sa_samples=index.sa_samples,
-        records=index.records,
-    )
+    bases = index.bases.copy()
+    bases[1] = 0
+    broken = dataclasses.replace(index, bases=bases)
+    # the index holds a read-only view; the caller's array stays writable
+    assert bases.flags.writeable and not broken.bases.flags.writeable
     with pytest.raises(ValueError, match="telescoping"):
         check_index(broken)
-    broken = FmIndex(
-        n=index.n,
-        c=(0, 1, 2, 3, 5),
-        buckets=index.buckets,
-        sentinel_row=index.sentinel_row,
-        sa_samples=index.sa_samples,
-        records=index.records,
-    )
+    broken = dataclasses.replace(index, c=(0, 1, 2, 3, 5))
     with pytest.raises(ValueError):
         check_index(broken)
 
 
-def _patched(data, offset, value):
-    out = bytearray(data)
-    out[offset : offset + len(value)] = value
-    return bytes(out)
+def _patched(array, at, value):
+    out = array.copy()
+    out[at] = value
+    return out
 
 
 # a 300-char, two-record index: three buckets, the last holding 45 fields
 _CHECKED = build_index(random_dna(random.Random(37), 300), [("r1", 0, 120), ("r2", 120, 180)])
-_LAST_BLOCK = 2 * 64 + 32  # offset of the last bucket's packed block in the table
 
 
 def _non_terminator_row(index):
-    blocks = np.frombuffer(index.table, dtype=BUCKET_RECORD)["chars"]
-    bits = np.unpackbits(blocks, bitorder="little")
+    bits = np.unpackbits(index.blocks, bitorder="little")
     fields = bits[0::2] | bits[1::2] << 1  # field r of the transform
     return int(np.flatnonzero(fields[: index.n + 1])[0])
 
@@ -163,20 +132,20 @@ def _non_terminator_row(index):
     "message, fields",
     [
         # bucket 1's block zeroed: bucket 2's base no longer telescopes
-        ("telescoping", dict(buckets=_patched(_CHECKED.table, 64 + 32, bytes(32)))),
+        ("telescoping", dict(blocks=_patched(_CHECKED.blocks, 1, 0))),
         # bucket 1's A base set to 10**6
-        ("telescoping", dict(buckets=_patched(_CHECKED.table, 64, (10**6).to_bytes(8, "little")))),
+        ("telescoping", dict(bases=_patched(_CHECKED.bases, (1, 0), 10**6))),
         # field 127 of the last block, past the end of the transform
-        ("padding", dict(buckets=_patched(_CHECKED.table, _LAST_BLOCK + 31, b"\x40"))),
+        ("padding", dict(blocks=_patched(_CHECKED.blocks, (2, 31), 0x40))),
         # field 4 of the last block changed: no later base counts it, the C table does
-        ("C table", dict(buckets=_patched(_CHECKED.table, _LAST_BLOCK + 1, b"\xff"))),
+        ("C table", dict(blocks=_patched(_CHECKED.blocks, (2, 1), 0xFF))),
         ("C table", dict(c=(0, _CHECKED.c[1] + 1, *_CHECKED.c[2:]))),
         ("sentinel row .* outside", dict(sentinel_row=_CHECKED.n + 1)),
         ("terminator", dict(sentinel_row=_non_terminator_row(_CHECKED))),
         # sample 1 set to n + 1, then to 2**64 - 1 (-1 as the file's int64)
-        ("outside \\[0, 300\\]", dict(sa_samples=_patched(_CHECKED.samples, 8, (301).to_bytes(8, "little")))),
-        ("outside \\[0, 300\\]", dict(sa_samples=_patched(_CHECKED.samples, 8, b"\xff" * 8))),
-        ("sample 0", dict(sa_samples=_patched(_CHECKED.samples, 0, bytes(8)))),
+        ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, 301))),
+        ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, -1))),
+        ("sample 0", dict(samples=_patched(_CHECKED.samples, 0, 0))),
         ("records cover", dict(records=_CHECKED.records[:1])),
     ],
     ids=[
@@ -195,16 +164,8 @@ def _non_terminator_row(index):
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
     check_index(_CHECKED)
-    kept = dict(
-        n=_CHECKED.n,
-        c=_CHECKED.c,
-        buckets=_CHECKED.table,
-        sentinel_row=_CHECKED.sentinel_row,
-        sa_samples=_CHECKED.samples,
-        records=_CHECKED.records,
-    )
     with pytest.raises(ValueError, match=message):
-        check_index(FmIndex(**{**kept, **fields}))
+        check_index(dataclasses.replace(_CHECKED, **fields))
 
 
 def test_bad_records_rejected_before_the_sort(monkeypatch):

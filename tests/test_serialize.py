@@ -3,8 +3,13 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fmpm.batch import bwt_symbols, match_many
+from fmpm.cli import EXIT_CORRUPT, main
 from fmpm.index import build_index
 from fmpm.search import exact_search, locate_all
 from fmpm.serialize import (
@@ -59,9 +64,18 @@ def test_blocks_and_bases_round_trip_at_edge_sizes(n):
         for array, shape in ((held.blocks, (n // 128 + 1, 32)), (held.bases, (n // 128 + 1, 4))):
             assert array.shape == shape
             assert array.flags.c_contiguous and not array.flags.writeable
-        assert held.view.blocks is held.blocks and held.view.bases is held.bases
     assert roundtrip_bytes(restored) == blob
-    assert restored.table == index.table
+    assert np.array_equal(restored.blocks, index.blocks)
+    assert np.array_equal(restored.bases, index.bases)
+
+
+def test_one_index_read_per_call():
+    # a stream of two indexes yields them one call at a time
+    first, second = build_index("ACGT"), build_index(random_dna(random.Random(77), 90))
+    stream = io.BytesIO(roundtrip_bytes(first) + roundtrip_bytes(second))
+    assert deserialize_index(stream) == first
+    assert deserialize_index(stream) == second
+    assert stream.read() == b""
 
 
 def test_byte_count_matches_stream():
@@ -82,6 +96,15 @@ def test_version_mismatch():
     blob = bytearray(roundtrip_bytes(build_index("ACGT")))
     blob[4] = 9
     with pytest.raises(VersionMismatchError):
+        deserialize_index(io.BytesIO(bytes(blob)))
+
+
+def test_nonzero_flags_rejected():
+    # version 1 reserves the flags field as 0
+    blob = bytearray(roundtrip_bytes(build_index("ACGT"))[:-4])
+    blob[6:8] = struct.pack("<H", 1)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with pytest.raises(IndexFormatError, match="flags"):
         deserialize_index(io.BytesIO(bytes(blob)))
 
 
@@ -149,3 +172,120 @@ def test_inconsistent_header_behind_valid_checksum(field, offset, value):
     with pytest.raises(IndexFormatError) as raised:
         deserialize_index(io.BytesIO(bytes(blob)))
     assert type(raised.value) is IndexFormatError, field
+
+
+def _ten_char_blob_with(offset, value):
+    """A 10-character index file with the u64 at `offset` set to `value`, CRC kept valid.
+
+    A negative offset (below -8) counts back from the checksum trailer.
+    """
+    blob = bytearray(roundtrip_bytes(build_index("ACGTTGCAAC"))[:-4])
+    blob[offset : offset + 8] = struct.pack("<Q", value)
+    return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _ten_char_blob_with(40, 2**63),  # C[1]
+        _ten_char_blob_with(-16, 2**63 + 5),  # the start of the one record
+    ],
+    ids=["c1-2**63", "record-start-2**63+5"],
+)
+def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
+    # a u64 at or above 2**63 fails a check, not a conversion to int64
+    with pytest.raises(IndexFormatError):
+        deserialize_index(io.BytesIO(blob))
+    path = tmp_path / "big.fmi"
+    path.write_bytes(blob)
+    assert main(["match", str(path), "-p", "ACG"]) == EXIT_CORRUPT
+    assert capsys.readouterr().err.startswith("fmpm: corrupt index: ")
+
+
+# One flipped byte behind a valid CRC, anywhere from the version field to the
+# end of the bucket section, on a 700-character two-record index: the load, or
+# a query at one difference, raises IndexFormatError, or the answers are the
+# good file's.
+_GOOD_TEXT = random_dna(random.Random(13), 700)
+_GOOD_INDEX = build_index(_GOOD_TEXT, [("r1", 0, 300), ("r2", 300, 400)])
+_GOOD = roundtrip_bytes(_GOOD_INDEX)
+_BUCKETS_END = 80 + 64 * _GOOD_INDEX.bucket_count
+
+
+def _flip_patterns():
+    rng = random.Random(14)
+    patterns = []
+    for j in range(24):
+        m = rng.randint(6, 14)
+        at = rng.randrange(700 - m)
+        p = _GOOD_TEXT[at : at + m]
+        if j % 2:  # one substitution
+            q = rng.randrange(m)
+            p = p[:q] + rng.choice("ACGT".replace(p[q], "")) + p[q + 1 :]
+        patterns.append(p)
+    return patterns
+
+
+_FLIP_PATTERNS = _flip_patterns()
+
+
+def _answers(index):
+    return [column.tolist() for column in match_many(index, _FLIP_PATTERNS, 1)]
+
+
+_GOOD_ANSWERS = _answers(_GOOD_INDEX)
+
+
+def _flipped(offset, value):
+    blob = bytearray(_GOOD[:-4])
+    blob[offset] = value
+    return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def _fields(byte):
+    return sorted(byte >> shift & 3 for shift in (0, 2, 4, 6))
+
+
+def _in_known_gap(offset, value):
+    """Whether the flip is one that `check_index` documents it cannot see."""
+    if offset >= 80 and (offset - 80) % 64 >= 32:  # a byte of a packed block
+        return _fields(value) == _fields(_GOOD[offset])
+    if 24 <= offset < 32:  # sentinel_row, moved to another row holding an A field
+        (row,) = struct.unpack_from("<Q", _flipped(offset, value), 24)
+        return row <= _GOOD_INDEX.n and int(bwt_symbols(_GOOD_INDEX, [row])[0]) == 0
+    return False
+
+
+# first and last byte of each header field after the magic (version and flags,
+# n, the layout witnesses, sentinel_row), of the C table, the bucket count and
+# the bucket section; each is drawn as often as the others
+_SECTIONS = [(4, 7), (8, 15), (16, 23), (24, 31), (32, 71), (72, 79), (80, _BUCKETS_END - 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_SECTIONS).flatmap(lambda section: st.integers(*section)),
+    st.integers(min_value=0, max_value=255),
+)
+def test_flipped_byte_is_caught_or_harmless(offset, value):
+    assume(value != _GOOD[offset] and not _in_known_gap(offset, value))
+    try:
+        answers = _answers(deserialize_index(io.BytesIO(_flipped(offset, value))))
+    except IndexFormatError:
+        return
+    assert answers == _GOOD_ANSWERS
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a gap check_index documents")
+@pytest.mark.parametrize(
+    "offset, value",
+    [
+        (113, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
+        (24, 201),  # the low byte of sentinel_row, moved to another row holding A
+    ],
+    ids=["count-preserving-block-byte", "sentinel-on-another-A-row"],
+)
+def test_flip_in_a_known_gap_loads_and_answers_wrong(offset, value):
+    # the load passes, so only the answers can differ
+    index = deserialize_index(io.BytesIO(_flipped(offset, value)))
+    assert _answers(index) == _GOOD_ANSWERS
