@@ -1,5 +1,6 @@
 """The command-line entry: `python -m fmpm` and the `fmpm` script."""
 
+import gc
 import os
 
 # fmpm makes no BLAS call, but numpy's OpenBLAS starts a thread pool per
@@ -10,7 +11,17 @@ BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
 def main() -> None:
     os.environ.setdefault(BLAS_THREADS_ENV, "1")
-    from .cli import main_entry  # the first import of numpy
+    # The numpy and fmpm imports make tens of thousands of objects that live
+    # until exit. Import with collections off, then move what they made to
+    # the permanent generation, so no collection walks it again: not during
+    # the command, and not at interpreter exit. What the command allocates
+    # is still collected.
+    gc.disable()
+    try:
+        from .cli import main_entry  # the first import of numpy
+    finally:
+        gc.freeze()
+        gc.enable()
 
     main_entry()
 

@@ -148,13 +148,18 @@ def cmd_match(args: argparse.Namespace) -> int:
 
     hits = match_many(index, patterns, args.max_diff, kernel, args.max_hits)
     names = [r.name for r in index.records]
-    lines: list[list[str]] = [[] for _ in patterns]
-    for pid, rec, offset, diffs in zip(
-        hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
-    ):
-        lines[pid].append(f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n")
-    out = sys.stdout
-    for pid, pattern_lines in enumerate(lines):
+    lines = [
+        f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n"
+        for pid, rec, offset, diffs in zip(
+            hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
+        )
+    ]
+    # hits come sorted by pattern; a pattern's notes go out before its lines
+    noted = (hits.degenerate | hits.truncated).nonzero()[0]
+    written = 0
+    for pid, first in zip(noted.tolist(), hits.pattern.searchsorted(noted).tolist()):
+        sys.stdout.write("".join(lines[written:first]))
+        written = first
         if hits.degenerate[pid]:
             print(
                 f"pattern {pid} contains non-ACGT characters; reporting zero hits",
@@ -162,7 +167,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             )
         if hits.truncated[pid]:
             print(f"pattern {pid}: hits truncated to {args.max_hits}", file=sys.stderr)
-        out.write("".join(pattern_lines))
+    sys.stdout.write("".join(lines[written:]))
     return EXIT_OK
 
 

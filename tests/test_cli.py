@@ -283,3 +283,21 @@ def test_console_entry_point(acag_index):
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout == "0\tr1\t1\t0\n"
+
+
+@pytest.mark.parametrize(
+    "name, pattern, code",
+    [
+        ("ref.fmi", [], EXIT_USAGE),
+        ("missing.fmi", ["-p", "CA"], EXIT_IO),
+        ("cut.fmi", ["-p", "CA"], EXIT_CORRUPT),
+    ],
+)
+def test_console_entry_point_exit_codes(acag_index, capsys, name, pattern, code):
+    (acag_index.parent / "cut.fmi").write_bytes(acag_index.read_bytes()[:-1])
+    argv = ["match", str(acag_index.parent / name), *pattern]
+    assert main(argv) == code
+    want = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "fmpm", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
+    assert proc.stderr.startswith("fmpm: ")

@@ -1,6 +1,8 @@
 """The package entry: names loaded on first use, what `fmpm match` imports,
-and the BLAS thread default of the command line."""
+and the BLAS thread default and garbage-collector handling of the command
+line."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -88,7 +90,15 @@ def test_match_child_imports_no_search_build_or_bench_code(tmp_path):
     assert not loaded & {"fmpm.search", "fmpm.bench", "fmpm.fasta", "hashlib"}
 
 
-def test_entry_sets_one_blas_thread_only_when_unset(monkeypatch):
+@pytest.fixture()
+def unfreeze():
+    # `fmpm.__main__.main()` freezes every object alive when it has imported
+    # the command line; give the suite's own objects back to the collector
+    yield
+    gc.unfreeze()
+
+
+def test_entry_sets_one_blas_thread_only_when_unset(monkeypatch, unfreeze):
     seen = []
     monkeypatch.setattr(
         fmpm.cli, "main_entry", lambda: seen.append(os.environ.get(fmpm.__main__.BLAS_THREADS_ENV))
@@ -98,3 +108,33 @@ def test_entry_sets_one_blas_thread_only_when_unset(monkeypatch):
     monkeypatch.delenv(fmpm.__main__.BLAS_THREADS_ENV)
     fmpm.__main__.main()
     assert seen == ["3", "1"]
+
+
+def test_entry_imports_without_collections_then_freezes_them():
+    out, _ = _python(
+        "-c",
+        "import gc, fmpm.__main__, fmpm.cli\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+        "fmpm.cli.main_entry = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "fmpm.__main__.main()\n"
+        "print(gc.isenabled())",
+    )
+    assert out == "True 0\nTrue True\nTrue\n"
+
+
+def test_entry_enables_collections_when_the_import_fails(monkeypatch, unfreeze):
+    monkeypatch.setenv(fmpm.__main__.BLAS_THREADS_ENV, "1")
+    monkeypatch.setitem(sys.modules, "fmpm.cli", None)
+    with pytest.raises(ImportError):
+        fmpm.__main__.main()
+    assert gc.isenabled()
+
+
+def test_in_process_command_leaves_the_collector_alone(tmp_path, capsys):
+    fmi = tmp_path / "ref.fmi"
+    with open(fmi, "wb") as fh:
+        serialize_index(build_index("ACAGTTACAG"), fh)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert fmpm.cli.main(["match", str(fmi), "-p", "CAG"]) == fmpm.cli.EXIT_OK
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert capsys.readouterr().out == "0\tref\t1\t0\n0\tref\t7\t0\n"
