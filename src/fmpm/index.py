@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .alphabet import CHARS_PER_BYTE, encode_array
-from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks
+from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, count_blocks_bytelut
 from .suffix import bwt_codes, suffix_array
 
 SA_STRIDE = 32
@@ -47,27 +47,34 @@ class FmIndex:
     are safe to share across threads.  c[s] counts reference characters
     lexicographically below symbol s (c[4] == n), and sentinel_row is the
     transform row holding the terminator.  `blocks` (n_buckets x 32 uint8)
-    holds each bucket's packed transform, `bases` (n_buckets x 4 int64) the
-    counts before it, and `samples` (int64) every 32nd suffix-array entry,
-    each one C-contiguous array.  The query engine (`fmpm.batch`) reads
-    these fields directly; `fmpm.serialize` alone knows how the v1 file
-    lays them out.
+    holds each bucket's packed transform and `samples` (int64) every 32nd
+    suffix-array entry.  `bases` (n_buckets x 4 int64), the counts before
+    each bucket, is not a field one passes: it is derived from `blocks`
+    whenever an index is made, so the two cannot disagree.  All three are
+    C-contiguous arrays.  The query engine (`fmpm.batch`) reads them
+    directly; `fmpm.serialize` alone knows how the file lays them out.
     """
 
     n: int
     c: tuple[int, int, int, int, int]
     blocks: np.ndarray = field(repr=False)
-    bases: np.ndarray = field(repr=False)
     sentinel_row: int
     samples: np.ndarray = field(repr=False)
     records: tuple[RecordSpan, ...]
+    bases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # store read-only views, so a caller's own array keeps its write flag
-        for name, dtype in (("blocks", np.uint8), ("bases", np.int64), ("samples", np.int64)):
+        for name, dtype in (("blocks", np.uint8), ("samples", np.int64)):
             array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        # every block but the last is full, and the bases are the exclusive
+        # running sum of their counts; the terminator counts in the A lane
+        bases = np.zeros((len(self.blocks), 4), dtype=np.int64)
+        np.cumsum(count_blocks_bytelut(self.blocks[:-1]), axis=0, out=bases[1:])
+        bases.flags.writeable = False
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "c", tuple(self.c))
         object.__setattr__(self, "records", tuple(self.records))
 
@@ -78,7 +85,6 @@ class FmIndex:
             (self.n, self.c, self.sentinel_row, self.records)
             == (other.n, other.c, other.sentinel_row, other.records)
             and np.array_equal(self.blocks, other.blocks)
-            and np.array_equal(self.bases, other.bases)
             and np.array_equal(self.samples, other.samples)
         )
 
@@ -133,6 +139,7 @@ def build_index(
     codes = encode_array(reference)
     n = len(codes)
     spans = _normalize_records(records, n)
+    c = build_c_table([int(np.count_nonzero(codes == s)) for s in range(4)])
     sa = suffix_array(codes)
     bwt, sentinel_row = bwt_codes(codes, sa)
     del codes
@@ -147,31 +154,14 @@ def build_index(
         n_buckets, BUCKET_BYTES
     )
     del lanes, quads
-    bases, c = _bases_and_c(blocks, n)
     return FmIndex(
         n=n,
         c=c,
         blocks=blocks,
-        bases=bases,
         sentinel_row=sentinel_row,
         samples=sa[::SA_STRIDE],
         records=spans,
     )
-
-
-def _bases_and_c(blocks: np.ndarray, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Each block's base and the C table, from a packed transform of n + 1 fields.
-
-    Counts the transform fields of every block in one `count_blocks` call;
-    the bases are the exclusive running sum of those counts, and C the
-    exclusive sums of their totals less the terminator, which is packed as A.
-    """
-    prefix_lens = np.full(len(blocks), BUCKET_CHARS, dtype=np.int64)
-    prefix_lens[-1] = n + 1 - (len(blocks) - 1) * BUCKET_CHARS
-    inside = count_blocks(blocks, prefix_lens, Kernel.BYTELUT)
-    totals = inside.sum(axis=0)
-    totals[0] -= 1
-    return np.cumsum(inside, axis=0) - inside, build_c_table(totals.tolist())
 
 
 def _normalize_records(
@@ -198,23 +188,23 @@ def _normalize_records(
 def check_index(index: FmIndex) -> None:
     """Validate structural invariants; raises ValueError on any violation.
 
-    Checks the bucket and sample counts; the bases against the exclusive
-    running sum of every block's counts and the C table against the block
-    totals (both derived as `build_index` derives them, in one
-    `count_blocks` call); zero padding past the transform; an A field (the
+    Checks the bucket and sample counts; zero padding past the transform;
+    the C table against the transform's totals, which are the last
+    block's base (derived when the index was made) plus that block's own
+    counts, so only the last block is counted here; an A field (the
     terminator) at the sentinel row; samples within [0, n], sample 0 being
     n (row 0 is the terminator suffix); and records tiling [0, n).  The
     header fields (n, c, sentinel_row, record spans) are compared as Python
     ints, so an oversized one fails a check here instead of overflowing a
     fixed-width array.
 
-    Without walking the transform it cannot see a change that keeps every
-    block's counts, such as two fields swapped inside one block, a sample
-    rewritten to another value within [0, n], or the sentinel row moved to
-    another row that holds an A field.  Such a transform can send a
-    predecessor walk round a cycle; `fmpm.batch.locate_rows` raises for
-    that, whether the walk never reaches a stop row or walks meet each
-    other in a cycle.
+    Without walking the transform it cannot see a change that keeps the
+    transform's totals, such as two fields swapped inside one block or
+    compensating changes in two blocks, a sample rewritten to another
+    value within [0, n], or the sentinel row moved to another row that
+    holds an A field.  Such a transform can send a predecessor walk round
+    a cycle; `fmpm.batch.locate_rows` raises for that, whether the walk
+    never reaches a stop row or walks meet each other in a cycle.
     """
     n = index.n
     if n <= 0:
@@ -228,17 +218,12 @@ def check_index(index: FmIndex) -> None:
         raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
 
     last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
-    expected, c = _bases_and_c(index.blocks, n)
-    wrong = np.flatnonzero((index.bases != expected).any(axis=1))
-    if len(wrong):
-        j = wrong[0]
-        raise ValueError(
-            f"bucket {j} base {tuple(index.bases[j].tolist())} breaks telescoping "
-            f"({tuple(expected[j].tolist())})"
-        )
     # field r of a block is bits 2r and 2r + 1 of its little-endian bytes
     if int.from_bytes(index.blocks[-1].tobytes(), "little") >> (2 * last):
         raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
+    totals = index.bases[-1] + count_blocks(index.blocks[-1:], np.array([last]), Kernel.BYTELUT)[0]
+    totals[0] -= 1  # the terminator, packed as A
+    c = build_c_table(totals.tolist())
     if index.c != c:
         raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
     row = index.sentinel_row

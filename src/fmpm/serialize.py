@@ -3,20 +3,23 @@
 Little-endian throughout, CRC32 of everything before the trailer:
 
     magic        4s   "FMPM"
-    version      u16  1
+    version      u16  2
     flags        u16  0 (reserved; any other value is rejected)
     n            u64  reference length
-    bucket_size  u32  128 (layout witness, fixed in version 1)
-    sa_stride    u32  32  (layout witness, fixed in version 1)
+    bucket_size  u32  128 (layout witness, fixed in version 2)
+    sa_stride    u32  32  (layout witness, fixed in version 2)
     sentinel_row u64
     c            5*u64
     bucket_count u64
-    buckets      bucket_count * (4*u64 base + 32 bytes packed chars)
+    buckets      bucket_count * 32 bytes packed chars
     sample_count u64
     sa_samples   sample_count * u64
     record_count u32
     records      record_count * (u32 name_len + name utf-8 + u64 start + u64 length)
     crc32        u32  over all preceding bytes
+
+The bucket bases are not stored: the index derives them from the blocks,
+and the C table in the header witnesses the blocks' totals.
 """
 
 from __future__ import annotations
@@ -31,11 +34,8 @@ from .index import FmIndex, RecordSpan, SA_STRIDE, check_index
 from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
-VERSION = 1
+VERSION = 2
 
-# One bucket as the file stores it: four little-endian 64-bit bases
-# (written unsigned, never above n), then the 32-byte packed block.
-BUCKET_RECORD = np.dtype([("base", "<i8", (4,)), ("chars", "u1", (BUCKET_BYTES,))])
 # suffix-array samples as the file stores them (u64, never above n)
 SAMPLE_DTYPE = np.dtype("<i8")
 
@@ -73,7 +73,7 @@ class _CrcWriter:
     def write(self, data: bytes | np.ndarray) -> None:
         self.crc = zlib.crc32(data, self.crc)
         self._sink.write(data)
-        self.written += len(data)
+        self.written += memoryview(data).nbytes  # len() of an array counts its rows
 
 
 class _CrcReader:
@@ -107,10 +107,7 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<QIIQ", index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row))
     w.write(struct.pack("<5Q", *index.c))
     w.write(struct.pack("<Q", index.bucket_count))
-    table = np.empty(index.bucket_count, dtype=BUCKET_RECORD)
-    table["base"] = index.bases
-    table["chars"] = index.blocks
-    w.write(table.view(np.uint8))
+    w.write(index.blocks)
     w.write(struct.pack("<Q", len(index.samples)))
     w.write(index.samples.astype(SAMPLE_DTYPE, copy=False).view(np.uint8))
     w.write(struct.pack("<I", len(index.records)))
@@ -132,7 +129,10 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         raise BadMagicError(f"bad magic {magic!r}; not an index file")
     version, flags = struct.unpack("<HH", r.read(4, "header"))
     if version != VERSION:
-        raise VersionMismatchError(f"unsupported version {version}; expected {VERSION}")
+        raise VersionMismatchError(
+            f"unsupported version {version}; expected {VERSION}; "
+            "rebuild the index with `fmpm index`"
+        )
     if flags:
         raise IndexFormatError(f"unknown flags {flags:#06x}; version {VERSION} reserves them as 0")
     n, bucket_size, sa_stride, sentinel_row = struct.unpack("<QIIQ", r.read(24, "header"))
@@ -147,8 +147,7 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         raise IndexFormatError(
             f"bucket count {bucket_count} does not match n={n} (expected {expected_buckets})"
         )
-    section = r.read(bucket_count * BUCKET_RECORD.itemsize, "buckets")
-    table = np.frombuffer(section, dtype=BUCKET_RECORD)
+    section = r.read(bucket_count * BUCKET_BYTES, "buckets")
     (sample_count,) = struct.unpack("<Q", r.read(8, "sample count"))
     if sample_count != n // SA_STRIDE + 1:
         raise IndexFormatError(f"sample count {sample_count} does not match n={n}")
@@ -174,8 +173,7 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     index = FmIndex(
         n=n,
         c=c,
-        blocks=table["chars"],
-        bases=table["base"],
+        blocks=np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES),
         sentinel_row=sentinel_row,
         samples=np.frombuffer(samples, dtype=SAMPLE_DTYPE),
         records=tuple(records),

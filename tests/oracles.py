@@ -122,7 +122,7 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
     """The .fmi file of `text`, built one character at a time.
 
     Follows the layout documented in fmpm.serialize with the naive suffix
-    sort, per-character packing and the scalar counting kernel.
+    sort and per-character packing.
     """
     n = len(text)
     sa = suffix_array_naive(text)
@@ -135,17 +135,12 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         c.append(c[-1] + full.count(s))
 
     out = bytearray(b"FMPM")
-    out += struct.pack("<HHQIIQ", 1, 0, n, 128, 32, bwt.index("$"))
+    out += struct.pack("<HHQIIQ", 2, 0, n, 128, 32, bwt.index("$"))
     out += struct.pack("<5Q", *c)
     starts = range(0, n + 1, 128)
     out += struct.pack("<Q", len(starts))
-    base = [0, 0, 0, 0]
     for start in starts:
-        chunk = codes[start : start + 128]
-        chars = pack_codes(chunk, pad_to=32)
-        out += struct.pack("<4Q", *base) + chars
-        for s in range(4):
-            base[s] += count_bucket_scalar(chars, len(chunk), s)
+        out += pack_codes(codes[start : start + 128], pad_to=32)
     samples = sa[::32]
     out += struct.pack(f"<Q{len(samples)}Q", len(samples), *samples)
     out += struct.pack("<I", len(records))

@@ -17,6 +17,7 @@ from fmpm.batch import (
     difference_bounds,
     exact_search_many,
     inexact_search_many,
+    lf_step,
     locate_rows,
     rank_many,
 )
@@ -24,7 +25,7 @@ from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import SA_STRIDE, build_index
 from fmpm.kernels import CONCRETE_KERNELS, Kernel
 from fmpm.search import MatchResult
-from fmpm.serialize import IndexFormatError, serialize_index
+from fmpm.serialize import IndexFormatError, deserialize_index, serialize_index
 from fmpm.suffix import suffix_array_naive
 
 import oracles
@@ -115,49 +116,61 @@ def test_backward_search_counts_one_symbol_per_step(kernel, monkeypatch):
     assert difference_bounds(index, codes, lengths, kernel).tolist() == want_bounds
 
 
+# seed 7's 200-character transform, in which trading adjacent fields 76 and
+# 77 (bucket 0, byte 19), 60 and 61 (byte 15) or 121 and 122 (byte 30)
+# splits off a cycle of rows that holds no sampled row and not the sentinel
+_CYCLE_INDEX = build_index(random_dna(random.Random(7), 200))
+
+
+def _swapped(*fields):
+    """`_CYCLE_INDEX` with transform fields i and i + 1 traded for each i, loaded from its file.
+
+    Both fields lie in one byte, so every block keeps its counts and the
+    file loads: a gap `check_index` documents.  The predecessor rows of
+    fields i and i + 1 trade places too.
+    """
+    packed = bytearray(_CYCLE_INDEX.blocks.tobytes())
+    for i in fields:
+        shift, byte = 2 * (i & 3), packed[i >> 2]
+        a, b = byte >> shift & 3, byte >> shift + 2 & 3
+        packed[i >> 2] = byte & ~(15 << shift) | (a << 2 | b) << shift
+    blocks = np.frombuffer(bytes(packed), dtype=np.uint8).reshape(_CYCLE_INDEX.blocks.shape)
+    sink = io.BytesIO()
+    serialize_index(dataclasses.replace(_CYCLE_INDEX, blocks=blocks), sink)
+    return deserialize_index(io.BytesIO(sink.getvalue()))
+
+
 def test_locate_rows_rejects_a_cycle():
-    # an all-A transform with C[A] = -1 maps row 1 to itself, never reaching a sample
-    index = build_index(random_dna(random.Random(7), 100))
-    index = dataclasses.replace(
-        index,
-        c=(-1, 0, 0, 0, 100),
-        blocks=np.zeros_like(index.blocks),
-        bases=np.zeros_like(index.bases),
-        sentinel_row=100,
-    )
+    # trading fields 76 and 77 maps row 77 to itself, never reaching a sample
+    index = _swapped(76)
+    assert lf_step(index, np.array([77]))[1].tolist() == [77]
     with pytest.raises(IndexFormatError, match="did not terminate"):
-        locate_rows(index, np.array([1]))
+        locate_rows(index, np.array([77]))
 
 
-def _two_row_cycles():
-    # an all-A transform maps row r below the sentinel to C[A] + r + 1 plus its
-    # bucket's A base: bases 127 and -1 send row 1 (bucket 0) to row 129 and
-    # row 129 (bucket 1) back to row 1, and likewise rows 2 and 130
-    index = build_index(random_dna(random.Random(7), 200))
-    bases = np.zeros_like(index.bases)
-    bases[:2, 0] = 127, -1
-    return dataclasses.replace(
-        index,
-        c=(0, 0, 0, 0, 200),
-        blocks=np.zeros_like(index.blocks),
-        bases=bases,
-        sentinel_row=200,
-    )
+def _two_cycles():
+    # trading fields 121 and 122 sends row 86 to row 122 and back; trading
+    # fields 60 and 61 sends rows 28, 60, 163 and 93 round a cycle of four
+    index = _swapped(121, 60)
+    assert lf_step(index, np.array([86, 122, 28, 60, 163, 93]))[1].tolist() == [
+        122, 86, 60, 163, 93, 28
+    ]
+    return index
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        [1, 1],  # the row of a cycle, passed twice
-        [1, 129],  # two located rows that map to each other
-        [129, 1, 129, 1],
-        [2, 1, 130, 129],  # two cycles
-        [1, 64],  # a row that reaches its own start, next to one that ends
+        [86, 86],  # the row of a cycle, passed twice
+        [86, 122],  # two located rows that map to each other
+        [122, 86, 122, 86],
+        [60, 86, 93, 122],  # two cycles
+        [86, 64],  # a row that reaches its own start, next to one that ends
     ],
 )
 def test_locate_rows_rejects_cycles_among_located_rows(rows):
     with pytest.raises(IndexFormatError, match="did not terminate"):
-        locate_rows(_two_row_cycles(), np.array(rows))
+        locate_rows(_two_cycles(), np.array(rows))
 
 
 def _own_walk_steps(text, rows):

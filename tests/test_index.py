@@ -21,7 +21,7 @@ from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
 from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import build_suffix_array, bwt_from_sa, suffix_array
 
-from oracles import random_dna, reference_index_bytes
+from oracles import EDGE_SIZES, edge_text, random_dna, reference_index_bytes
 
 
 def test_c_table_examples():
@@ -70,13 +70,35 @@ def test_bucket_contents_match_bwt():
 
 
 def test_base_telescoping_across_buckets():
-    text = random_dna(random.Random(32), 200)
-    index = build_index(text)
-    assert len(index.buckets) == 2
-    assert index.buckets[0].base == (0, 0, 0, 0)
-    inside = count_bucket_all4(index.buckets[0].chars, BUCKET_CHARS, Kernel.SCALAR)
-    assert index.buckets[1].base == tuple(inside)
-    check_index(index)
+    # each base is the scalar count of all blocks before it, on a build and on a load
+    for n in EDGE_SIZES:
+        index = build_index(edge_text(n))
+        sink = io.BytesIO()
+        serialize_index(index, sink)
+        for held in (index, deserialize_index(io.BytesIO(sink.getvalue()))):
+            assert len(held.buckets) == n // BUCKET_CHARS + 1
+            base = (0, 0, 0, 0)
+            for bucket in held.buckets:
+                assert bucket.base == base, n
+                inside = count_bucket_all4(bucket.chars, BUCKET_CHARS, Kernel.SCALAR)
+                base = tuple(b + d for b, d in zip(base, inside))
+            check_index(held)
+
+
+def test_bases_are_derived_from_the_blocks():
+    index = build_index(random_dna(random.Random(34), 300))
+    blocks = index.blocks.copy()
+    blocks[0] = 0xFF  # bucket 0 now holds 128 T fields
+    changed = dataclasses.replace(index, blocks=blocks)
+    # the index holds a read-only view; the caller's array stays writable
+    assert blocks.flags.writeable and not changed.blocks.flags.writeable
+    assert not changed.bases.flags.writeable
+    assert changed.bases[1].tolist() == [0, 0, 0, 128]
+    assert np.array_equal(changed.bases[2] - changed.bases[1], index.bases[2] - index.bases[1])
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(index, bases=index.bases)
+    # equal blocks make equal bases, so equality compares the stored fields
+    assert dataclasses.replace(changed, blocks=index.blocks) == index
 
 
 def test_sample_stride():
@@ -100,13 +122,6 @@ def test_records_validation():
 
 def test_check_index_catches_tampering():
     index = build_index(random_dna(random.Random(34), 150))
-    bases = index.bases.copy()
-    bases[1] = 0
-    broken = dataclasses.replace(index, bases=bases)
-    # the index holds a read-only view; the caller's array stays writable
-    assert bases.flags.writeable and not broken.bases.flags.writeable
-    with pytest.raises(ValueError, match="telescoping"):
-        check_index(broken)
     broken = dataclasses.replace(index, c=(0, 1, 2, 3, 5))
     with pytest.raises(ValueError):
         check_index(broken)
@@ -131,13 +146,11 @@ def _non_terminator_row(index):
 @pytest.mark.parametrize(
     "message, fields",
     [
-        # bucket 1's block zeroed: bucket 2's base no longer telescopes
-        ("telescoping", dict(blocks=_patched(_CHECKED.blocks, 1, 0))),
-        # bucket 1's A base set to 10**6
-        ("telescoping", dict(bases=_patched(_CHECKED.bases, (1, 0), 10**6))),
+        # bucket 1's block zeroed: its A fields raise the transform's A total
+        ("C table", dict(blocks=_patched(_CHECKED.blocks, 1, 0))),
         # field 127 of the last block, past the end of the transform
         ("padding", dict(blocks=_patched(_CHECKED.blocks, (2, 31), 0x40))),
-        # field 4 of the last block changed: no later base counts it, the C table does
+        # field 4 of the last block changed: no base counts it, the C table does
         ("C table", dict(blocks=_patched(_CHECKED.blocks, (2, 1), 0xFF))),
         ("C table", dict(c=(0, _CHECKED.c[1] + 1, *_CHECKED.c[2:]))),
         ("sentinel row .* outside", dict(sentinel_row=_CHECKED.n + 1)),
@@ -150,7 +163,6 @@ def _non_terminator_row(index):
     ],
     ids=[
         "zeroed-block",
-        "huge-base",
         "padding",
         "last-block-field",
         "c-table",
@@ -231,7 +243,7 @@ def test_file_bytes_match_reference_builder(n, cuts):
     records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     data = _serialized(text, records)
     assert data == reference_index_bytes(text, records)
-    # loading runs check_index, which derives bases and C as the build does
+    # loading derives the bases from the blocks, and check_index compares C with their totals
     assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
 
 

@@ -55,8 +55,8 @@ def test_serialized_bytes_are_stable():
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_blocks_and_bases_round_trip_at_edge_sizes(n):
-    # the index holds the bucket records as two contiguous read-only arrays,
-    # split on load and interleaved again on write
+    # the file holds the packed blocks only; the index holds them and the
+    # bases derived from them as two contiguous read-only arrays
     index = build_index(edge_text(n))
     blob = roundtrip_bytes(index)
     restored = deserialize_index(io.BytesIO(blob))
@@ -83,6 +83,8 @@ def test_byte_count_matches_stream():
     sink = io.BytesIO()
     written = serialize_index(index, sink)
     assert written == len(sink.getvalue())
+    # header, 32 bytes per bucket, sample count and samples, one record "ref", CRC
+    assert written == 80 + 32 * 2 + 8 + 8 * 5 + 4 + 4 + 3 + 16 + 4
 
 
 def test_bad_magic():
@@ -99,8 +101,26 @@ def test_version_mismatch():
         deserialize_index(io.BytesIO(bytes(blob)))
 
 
+def test_version_1_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
+    # a version-1 file stored four u64 bases before each bucket's packed bytes
+    index = build_index("ACAG")
+    blob = bytearray(roundtrip_bytes(index)[:-4])
+    blob[4:6] = struct.pack("<H", 1)
+    blob[80:80] = index.bases.astype("<i8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with pytest.raises(VersionMismatchError, match="version 1"):
+        deserialize_index(io.BytesIO(bytes(blob)))
+    path = tmp_path / "v1.fmi"
+    path.write_bytes(bytes(blob))
+    assert main(["match", str(path), "-p", "CA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unsupported version 1" in captured.err
+    assert "rebuild the index with `fmpm index`" in captured.err
+
+
 def test_nonzero_flags_rejected():
-    # version 1 reserves the flags field as 0
+    # version 2 reserves the flags field as 0
     blob = bytearray(roundtrip_bytes(build_index("ACGT"))[:-4])
     blob[6:8] = struct.pack("<H", 1)
     blob += struct.pack("<I", zlib.crc32(blob))
@@ -116,7 +136,7 @@ def test_truncated_everywhere():
 
 
 def test_huge_count_in_short_file_is_truncated(tmp_path):
-    # n = 2**40 asks for 2**39 bucket bytes; the file holds a few hundred
+    # n = 2**40 asks for 2**38 bucket bytes; the file holds a few hundred
     blob = bytearray(roundtrip_bytes(build_index("ACAG")))
     n = 1 << 40
     blob[8:16] = struct.pack("<Q", n)
@@ -209,7 +229,7 @@ def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
 _GOOD_TEXT = random_dna(random.Random(13), 700)
 _GOOD_INDEX = build_index(_GOOD_TEXT, [("r1", 0, 300), ("r2", 300, 400)])
 _GOOD = roundtrip_bytes(_GOOD_INDEX)
-_BUCKETS_END = 80 + 64 * _GOOD_INDEX.bucket_count
+_BUCKETS_END = 80 + 32 * _GOOD_INDEX.bucket_count
 
 
 def _flip_patterns():
@@ -248,7 +268,7 @@ def _fields(byte):
 
 def _in_known_gap(offset, value):
     """Whether the flip is one that `check_index` documents it cannot see."""
-    if offset >= 80 and (offset - 80) % 64 >= 32:  # a byte of a packed block
+    if offset >= 80:  # a byte of a packed block
         return _fields(value) == _fields(_GOOD[offset])
     if 24 <= offset < 32:  # sentinel_row, moved to another row holding an A field
         (row,) = struct.unpack_from("<Q", _flipped(offset, value), 24)
@@ -280,7 +300,7 @@ def test_flipped_byte_is_caught_or_harmless(offset, value):
 @pytest.mark.parametrize(
     "offset, value",
     [
-        (113, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
+        (81, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
         (24, 201),  # the low byte of sentinel_row, moved to another row holding A
     ],
     ids=["count-preserving-block-byte", "sentinel-on-another-A-row"],
