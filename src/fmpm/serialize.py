@@ -3,23 +3,28 @@
 Little-endian throughout, CRC32 of everything before the trailer:
 
     magic        4s   "FMPM"
-    version      u16  2
+    version      u16  3
     flags        u16  0 (reserved; any other value is rejected)
     n            u64  reference length
-    bucket_size  u32  128 (layout witness, fixed in version 2)
-    sa_stride    u32  32  (layout witness, fixed in version 2)
+    bucket_size  u32  128 (layout witness, fixed since version 2)
+    sa_stride    u32  32  (layout witness, fixed since version 2)
     sentinel_row u64
     c            5*u64
     bucket_count u64
     buckets      bucket_count * 32 bytes packed chars
     sample_count u64
-    sa_samples   sample_count * u64
+    sa_samples   ceil(sample_count * w / 8) bytes, w = max(1, n.bit_length())
     record_count u32
     records      record_count * (u32 name_len + name utf-8 + u64 start + u64 length)
     crc32        u32  over all preceding bytes
 
 The bucket bases are not stored: the index derives them from the blocks,
 and the C table in the header witnesses the blocks' totals.
+
+The suffix-array samples, all within [0, n], form one little-endian bit
+stream of w-bit fields: sample j is bits j*w to j*w + w - 1, counting bit
+b of byte i as stream bit 8*i + b.  The bits past the last field are 0.
+The reader derives w from n, so no field stores it.
 """
 
 from __future__ import annotations
@@ -34,10 +39,7 @@ from .index import FmIndex, RecordSpan, SA_STRIDE, check_index
 from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
-VERSION = 2
-
-# suffix-array samples as the file stores them (u64, never above n)
-SAMPLE_DTYPE = np.dtype("<i8")
+VERSION = 3
 
 # Largest single read.  A corrupt count in a short stream then fails as
 # truncated instead of asking for one huge buffer.
@@ -99,8 +101,57 @@ class _CrcReader:
         return data
 
 
+def _sample_width(n: int) -> int:
+    """Bits per stored suffix-array sample: enough for every value in [0, n]."""
+    return max(1, n.bit_length())
+
+
+def _pack_samples(samples: np.ndarray, width: int) -> np.ndarray:
+    """The samples as one little-endian bit stream of `width`-bit fields."""
+    # one uint8 per bit: row j holds sample j's bits, lowest first, so the
+    # row-major matrix is the stream itself, one bit a byte
+    bits = np.empty((len(samples), width), dtype=np.uint8)
+    for b in range(width):
+        np.bitwise_and(samples >> b, 1, out=bits[:, b], casting="unsafe")
+    return np.packbits(bits, axis=None, bitorder="little")
+
+
+def _unpack_samples(packed: bytes, count: int, width: int) -> np.ndarray:
+    """Decode `count` fields of `width` bits from the stream `_pack_samples` writes."""
+    spare = 8 * len(packed) - count * width
+    if spare and packed[-1] >> (8 - spare):
+        raise IndexFormatError("the bits past the last suffix-array sample are not zero")
+    # u64 words, with a zero word past the stream so that every field has a second word
+    words = np.zeros(len(packed) // 8 + 2, dtype="<u8")
+    words.view(np.uint8)[: len(packed)] = np.frombuffer(packed, dtype=np.uint8)
+    first = np.arange(count, dtype=np.int64)
+    first *= width  # each field's first bit
+    word = first >> 6
+    shift = np.bitwise_and(first, 63, out=first).view(np.uint64)  # in first's buffer
+    # field = words[q] >> r | words[q + 1] << (64 - r), masked; the second
+    # shift is split as << 1 << (63 - r), since a shift by 64 is undefined
+    samples = words[word]
+    samples >>= shift
+    word += 1
+    high = words[word]
+    del word
+    high <<= 1
+    shift ^= 63
+    high <<= shift
+    samples |= high
+    samples &= np.uint64((1 << width) - 1)
+    return samples.view(np.int64)
+
+
 def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
-    """Write the index to a binary stream; returns the byte count."""
+    """Write the index to a binary stream; returns the byte count.
+
+    Raises ValueError for a suffix-array sample outside [0, n], which the
+    file's fields would store as another value.
+    """
+    samples = index.samples
+    if len(samples) and (samples.min() < 0 or samples.max() > index.n):
+        raise ValueError(f"a suffix-array sample is outside [0, {index.n}]")
     w = _CrcWriter(sink)
     w.write(MAGIC)
     w.write(struct.pack("<HH", VERSION, 0))
@@ -108,8 +159,8 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<5Q", *index.c))
     w.write(struct.pack("<Q", index.bucket_count))
     w.write(index.blocks)
-    w.write(struct.pack("<Q", len(index.samples)))
-    w.write(index.samples.astype(SAMPLE_DTYPE, copy=False).view(np.uint8))
+    w.write(struct.pack("<Q", len(samples)))
+    w.write(_pack_samples(samples, _sample_width(index.n)))
     w.write(struct.pack("<I", len(index.records)))
     for record in index.records:
         name = record.name.encode("utf-8")
@@ -151,7 +202,8 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     (sample_count,) = struct.unpack("<Q", r.read(8, "sample count"))
     if sample_count != n // SA_STRIDE + 1:
         raise IndexFormatError(f"sample count {sample_count} does not match n={n}")
-    samples = r.read(sample_count * SAMPLE_DTYPE.itemsize, "samples")
+    width = _sample_width(n)
+    packed = r.read((sample_count * width + 7) // 8, "samples")
     (record_count,) = struct.unpack("<I", r.read(4, "record count"))
     records = []
     for _ in range(record_count):
@@ -175,7 +227,7 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         c=c,
         blocks=np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES),
         sentinel_row=sentinel_row,
-        samples=np.frombuffer(samples, dtype=SAMPLE_DTYPE),
+        samples=_unpack_samples(packed, sample_count, width),
         records=tuple(records),
     )
     try:

@@ -135,19 +135,35 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         c.append(c[-1] + full.count(s))
 
     out = bytearray(b"FMPM")
-    out += struct.pack("<HHQIIQ", 2, 0, n, 128, 32, bwt.index("$"))
+    out += struct.pack("<HHQIIQ", 3, 0, n, 128, 32, bwt.index("$"))
     out += struct.pack("<5Q", *c)
     starts = range(0, n + 1, 128)
     out += struct.pack("<Q", len(starts))
     for start in starts:
         out += pack_codes(codes[start : start + 128], pad_to=32)
     samples = sa[::32]
-    out += struct.pack(f"<Q{len(samples)}Q", len(samples), *samples)
+    width = max(1, n.bit_length())
+    out += struct.pack("<Q", len(samples))
+    out += sum(s << (j * width) for j, s in enumerate(samples)).to_bytes(
+        sample_section_bytes(n), "little"
+    )
     out += struct.pack("<I", len(records))
     for name, start, length in records:
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<QQ", start, length)
     return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+def sample_section_bytes(n: int) -> int:
+    """Size of the packed suffix-array sample section for a reference of n chars."""
+    return ((n // 32 + 1) * max(1, n.bit_length()) + 7) // 8
+
+
+def unpack_samples(section: bytes, n: int) -> list[int]:
+    """The suffix-array samples of a packed sample section, one field at a time."""
+    width = max(1, n.bit_length())
+    stream = int.from_bytes(section, "little")
+    return [stream >> (j * width) & ((1 << width) - 1) for j in range(n // 32 + 1)]
 
 
 def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None) -> int:

@@ -164,7 +164,9 @@ def test_non_utf8_record_name_exits_corrupt(acag_index, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sample", [1000 + 1000, 2**64 - 1], ids=["n+1000", "minus-one"])
+# a 10-bit field holds values up to 1023 but only [0, 1000] are positions;
+# negative samples, which no field holds, are checked through the constructor
+@pytest.mark.parametrize("sample", [1000 + 1, 2**10 - 1], ids=["n+1", "all-ones"])
 def test_out_of_range_sample_exits_corrupt(tmp_path, capsys, sample):
     # row 32 starts with A, so `-p A` reads sample 1 (SA[32]) to locate it
     rng = random.Random(5)
@@ -175,9 +177,12 @@ def test_out_of_range_sample_exits_corrupt(tmp_path, capsys, sample):
     assert main(["match", str(fmi), "-p", "A"]) == EXIT_OK
     capsys.readouterr()
     buckets = (1000 + 1 + 127) // 128
-    # header with C table and bucket count, buckets, sample count, sample 0
-    sample_1 = 80 + 32 * buckets + 8 + 8
-    _rewrite_with_crc(fmi, sample_1, struct.pack("<Q", sample))
+    # header with C table and bucket count, buckets, sample count; then
+    # 10-bit samples, sample 1 being bits 10 to 19 of the section's first 3 bytes
+    at = 80 + 32 * buckets + 8
+    head = int.from_bytes(fmi.read_bytes()[at : at + 3], "little")
+    head = head & ~(1023 << 10) | sample << 10
+    _rewrite_with_crc(fmi, at, head.to_bytes(3, "little"))
     assert main(["match", str(fmi), "-p", "A"]) == EXIT_CORRUPT
     captured = capsys.readouterr()
     assert captured.out == ""

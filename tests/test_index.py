@@ -155,7 +155,7 @@ def _non_terminator_row(index):
         ("C table", dict(c=(0, _CHECKED.c[1] + 1, *_CHECKED.c[2:]))),
         ("sentinel row .* outside", dict(sentinel_row=_CHECKED.n + 1)),
         ("terminator", dict(sentinel_row=_non_terminator_row(_CHECKED))),
-        # sample 1 set to n + 1, then to 2**64 - 1 (-1 as the file's int64)
+        # sample 1 set to n + 1, then to -1, which no field of the file holds
         ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, 301))),
         ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, -1))),
         ("sample 0", dict(samples=_patched(_CHECKED.samples, 0, 0))),
@@ -244,6 +244,20 @@ def test_file_bytes_match_reference_builder(n, cuts):
     data = _serialized(text, records)
     assert data == reference_index_bytes(text, records)
     # loading derives the bases from the blocks, and check_index compares C with their totals
+    assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
+
+
+# the sample width n.bit_length() grows by one bit from 2**k - 1 to 2**k
+@pytest.mark.parametrize("n", [2**k + d for k in range(5, 13) for d in (-1, 0, 1)])
+def test_file_bytes_match_reference_builder_where_the_sample_width_changes(n):
+    text = edge_text(n)
+    records = [("r0", 0, n // 2), ("r1", n // 2, n - n // 2)]
+    data = _serialized(text, records)
+    assert data == reference_index_bytes(text, records)
+    # header to bucket count, packed blocks, sample count, samples of
+    # n.bit_length() bits each, record count, two records, CRC
+    sample_bytes = -(-(n // SA_STRIDE + 1) * n.bit_length() // 8)
+    assert len(data) == 80 + 32 * (n // 128 + 1) + 8 + sample_bytes + 4 + 2 * 22 + 4
     assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
 
 

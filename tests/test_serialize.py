@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import struct
@@ -22,7 +23,7 @@ from fmpm.serialize import (
     serialize_index,
 )
 
-from oracles import EDGE_SIZES, edge_text, random_dna
+from oracles import EDGE_SIZES, edge_text, random_dna, sample_section_bytes, unpack_samples
 
 
 def roundtrip_bytes(index) -> bytes:
@@ -83,8 +84,9 @@ def test_byte_count_matches_stream():
     sink = io.BytesIO()
     written = serialize_index(index, sink)
     assert written == len(sink.getvalue())
-    # header, 32 bytes per bucket, sample count and samples, one record "ref", CRC
-    assert written == 80 + 32 * 2 + 8 + 8 * 5 + 4 + 4 + 3 + 16 + 4
+    # header, 32 bytes per bucket, sample count and five 8-bit samples, one
+    # record "ref", CRC
+    assert written == 80 + 32 * 2 + 8 + 5 + 4 + 4 + 3 + 16 + 4
 
 
 def test_bad_magic():
@@ -101,31 +103,67 @@ def test_version_mismatch():
         deserialize_index(io.BytesIO(bytes(blob)))
 
 
-def test_version_1_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
-    # a version-1 file stored four u64 bases before each bucket's packed bytes
-    index = build_index("ACAG")
-    blob = bytearray(roundtrip_bytes(index)[:-4])
-    blob[4:6] = struct.pack("<H", 1)
-    blob[80:80] = index.bases.astype("<i8").tobytes()
+# "ACAG": one bucket at 80, the sample count at 112, its one 3-bit sample at 120
+_ACAG = build_index("ACAG")
+
+
+def _older_version(version, blob, tmp_path, capsys):
+    """Load a file of an earlier version: an error that says to rebuild, and exit 3."""
+    blob[4:6] = struct.pack("<H", version)
     blob += struct.pack("<I", zlib.crc32(blob))
-    with pytest.raises(VersionMismatchError, match="version 1"):
+    with pytest.raises(VersionMismatchError, match=f"version {version}"):
         deserialize_index(io.BytesIO(bytes(blob)))
-    path = tmp_path / "v1.fmi"
+    path = tmp_path / f"v{version}.fmi"
     path.write_bytes(bytes(blob))
     assert main(["match", str(path), "-p", "CA"]) == EXIT_CORRUPT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unsupported version 1" in captured.err
+    assert f"unsupported version {version}" in captured.err
     assert "rebuild the index with `fmpm index`" in captured.err
 
 
+def test_version_1_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
+    # a version-1 file stored four u64 bases before each bucket's packed
+    # bytes, and a u64 per sample
+    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob[120:121] = _ACAG.samples.astype("<u8").tobytes()
+    blob[80:80] = _ACAG.bases.astype("<i8").tobytes()
+    _older_version(1, blob, tmp_path, capsys)
+
+
+def test_version_2_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
+    # a version-2 file stored a u64 per sample
+    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob[120:121] = _ACAG.samples.astype("<u8").tobytes()
+    _older_version(2, blob, tmp_path, capsys)
+
+
 def test_nonzero_flags_rejected():
-    # version 2 reserves the flags field as 0
+    # version 3 reserves the flags field as 0
     blob = bytearray(roundtrip_bytes(build_index("ACGT"))[:-4])
     blob[6:8] = struct.pack("<H", 1)
     blob += struct.pack("<I", zlib.crc32(blob))
     with pytest.raises(IndexFormatError, match="flags"):
         deserialize_index(io.BytesIO(bytes(blob)))
+
+
+def test_nonzero_bits_after_the_last_sample_rejected():
+    # "ACAG" stores one 3-bit sample in byte 120; bits 3 to 7 are padding
+    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob[120] |= 1 << 3
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with pytest.raises(IndexFormatError, match="past the last suffix-array sample"):
+        deserialize_index(io.BytesIO(bytes(blob)))
+
+
+@pytest.mark.parametrize("sample", [5, 8, -1], ids=["n+1", "2**3", "negative"])
+def test_writer_rejects_a_sample_outside_the_reference(sample):
+    # a 3-bit field would store 8 as 0 and -1 as 7, which the load could not
+    # tell from written values; every sample outside [0, n] is refused
+    samples = _ACAG.samples.copy()
+    samples[0] = sample
+    with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
+        serialize_index(dataclasses.replace(_ACAG, samples=samples), io.BytesIO())
 
 
 def test_truncated_everywhere():
@@ -149,7 +187,7 @@ def test_huge_count_in_short_file_is_truncated(tmp_path):
 
 def test_checksum_failure():
     blob = bytearray(roundtrip_bytes(build_index(random_dna(random.Random(75), 60))))
-    blob[len(blob) // 2] ^= 0xFF
+    blob[90] ^= 0xFF  # a byte of the one bucket's packed block, which no field check reads first
     with pytest.raises(ChecksumError):
         deserialize_index(io.BytesIO(bytes(blob)))
 
@@ -223,13 +261,15 @@ def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
 
 
 # One flipped byte behind a valid CRC, anywhere from the version field to the
-# end of the bucket section, on a 700-character two-record index: the load, or
-# a query at one difference, raises IndexFormatError, or the answers are the
-# good file's.
+# record count, on a 700-character two-record index: the load, or a query at
+# one difference, raises IndexFormatError, or the answers are the good file's.
 _GOOD_TEXT = random_dna(random.Random(13), 700)
 _GOOD_INDEX = build_index(_GOOD_TEXT, [("r1", 0, 300), ("r2", 300, 400)])
 _GOOD = roundtrip_bytes(_GOOD_INDEX)
 _BUCKETS_END = 80 + 32 * _GOOD_INDEX.bucket_count
+# 22 samples of 10 bits in 28 bytes, after the sample count
+_SAMPLES_AT = _BUCKETS_END + 8
+_SAMPLES_END = _SAMPLES_AT + sample_section_bytes(_GOOD_INDEX.n)
 
 
 def _flip_patterns():
@@ -268,8 +308,16 @@ def _fields(byte):
 
 def _in_known_gap(offset, value):
     """Whether the flip is one that `check_index` documents it cannot see."""
-    if offset >= 80:  # a byte of a packed block
+    if 80 <= offset < _BUCKETS_END:  # a byte of a packed block
         return _fields(value) == _fields(_GOOD[offset])
+    if _SAMPLES_AT <= offset < _SAMPLES_END:  # one or two samples moved within [0, n]
+        n = _GOOD_INDEX.n
+        samples = unpack_samples(_flipped(offset, value)[_SAMPLES_AT:_SAMPLES_END], n)
+        return (
+            samples != _GOOD_INDEX.samples.tolist()
+            and all(0 <= s <= n for s in samples)
+            and samples[0] == n
+        )
     if 24 <= offset < 32:  # sentinel_row, moved to another row holding an A field
         (row,) = struct.unpack_from("<Q", _flipped(offset, value), 24)
         return row <= _GOOD_INDEX.n and int(bwt_symbols(_GOOD_INDEX, [row])[0]) == 0
@@ -277,9 +325,21 @@ def _in_known_gap(offset, value):
 
 
 # first and last byte of each header field after the magic (version and flags,
-# n, the layout witnesses, sentinel_row), of the C table, the bucket count and
-# the bucket section; each is drawn as often as the others
-_SECTIONS = [(4, 7), (8, 15), (16, 23), (24, 31), (32, 71), (72, 79), (80, _BUCKETS_END - 1)]
+# n, the layout witnesses, sentinel_row), of the C table, the bucket count,
+# the bucket section, the sample count, the sample section and the record
+# count; each is drawn as often as the others
+_SECTIONS = [
+    (4, 7),
+    (8, 15),
+    (16, 23),
+    (24, 31),
+    (32, 71),
+    (72, 79),
+    (80, _BUCKETS_END - 1),
+    (_BUCKETS_END, _SAMPLES_AT - 1),
+    (_SAMPLES_AT, _SAMPLES_END - 1),
+    (_SAMPLES_END, _SAMPLES_END + 3),
+]
 
 
 @settings(max_examples=400, deadline=None)
@@ -302,8 +362,9 @@ def test_flipped_byte_is_caught_or_harmless(offset, value):
     [
         (81, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
         (24, 201),  # the low byte of sentinel_row, moved to another row holding A
+        (_SAMPLES_AT + 1, 2),  # sample 1's low six bits cleared: 104 becomes 64
     ],
-    ids=["count-preserving-block-byte", "sentinel-on-another-A-row"],
+    ids=["count-preserving-block-byte", "sentinel-on-another-A-row", "sample-moved-within-range"],
 )
 def test_flip_in_a_known_gap_loads_and_answers_wrong(offset, value):
     # the load passes, so only the answers can differ
