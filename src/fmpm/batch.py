@@ -273,23 +273,25 @@ def locate_rows(
     from row b that meets row a after t steps gives SA[b] = SA[a] + t, so
     overlapping hits share the rest of one walk; those positions are
     resolved after the walks, along chains of such meetings, by pointer
-    jumping.  Raises IndexFormatError, as a load does for a bad file, when
-    a position falls outside [0, n] or a walk does not terminate (no stop
-    row within n + 1 steps, or meetings that form a cycle): only a corrupt
-    sample or transform does that.
+    jumping.  Raises ValueError for a row outside [0, n], and
+    IndexFormatError, as a load does for a bad file, when a position falls
+    outside [0, n] or a walk does not terminate (no stop row within n + 1
+    steps, or meetings that form a cycle): only a corrupt sample or
+    transform does that.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         return np.zeros(0, dtype=np.int64)
+    if not 0 <= rows.min() <= rows.max() <= index.n:
+        raise ValueError(f"rows must lie in [0, {index.n}]")
     # the sentinel row is located too, at position 0, and never walks
     rows, inverse = np.unique(np.append(rows, index.sentinel_row), return_inverse=True)
     pos = np.zeros(len(rows), dtype=np.int64)
     target = np.full(len(rows), -1, dtype=np.int64)  # the row a walk met, or -1
-    # one bit per stop row: every sampled row (bit 0 of every fourth byte)
-    # and every row located here
-    stop = np.zeros(index.n // 8 + 1, dtype=np.uint8)
-    stop[:: SA_STRIDE // 8] = 1
-    np.bitwise_or.at(stop, rows >> 3, np.left_shift(1, rows & 7).astype(np.uint8))
+    # one flag per row: every sampled row and every row located here stops a walk
+    stop = np.zeros(index.n + 1, dtype=bool)
+    stop[::SA_STRIDE] = True
+    stop[rows] = True
     walking = np.flatnonzero(rows != index.sentinel_row)
     at = rows[walking]
     ended = at % SA_STRIDE == 0  # a row is not its own meeting
@@ -303,7 +305,7 @@ def locate_rows(
         if len(walks) > index.n + 1:
             raise IndexFormatError("predecessor walk did not terminate; index is corrupt")
         at = lf_step(index, at, kernel)[1]
-        ended = (np.take(stop, at >> 3) >> (at & 7) & 1).astype(bool)
+        ended = stop[at]
     walk, row = np.concatenate(walks), np.concatenate(stops)
     pos[walk] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])  # steps taken
     sampled = (row % SA_STRIDE == 0) & (row != index.sentinel_row)
@@ -369,10 +371,13 @@ def match_many(
     Exact search (max_diff 0) walks all patterns in lockstep; a positive
     budget runs all patterns' edit frontiers as one with
     `inexact_search_many`.  Locate is batched either way.  Patterns with
-    characters outside ACGT are flagged degenerate and get no hits.
+    characters outside ACGT are flagged degenerate and get no hits; an
+    empty pattern raises ValueError.
     """
     kernel = resolve_kernel(kernel)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError(f"pattern {int(np.argmin(lengths))} is empty")
     degenerate = ~is_dna_many(patterns)
     dna = np.flatnonzero(~degenerate)
     if max_diff == 0:

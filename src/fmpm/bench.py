@@ -11,7 +11,7 @@ import numpy as np
 
 from .batch import match_many
 from .index import FmIndex
-from .kernels import CONCRETE_KERNELS, Kernel, count_blocks, resolve_kernel
+from .kernels import Kernel, count_blocks, resolve_kernel
 from .search import reconstruct_reference
 
 
@@ -93,7 +93,7 @@ def run_bench(
     runs.  Answer checksums are computed from located hits only, so they
     must be identical across kernels; throughputs are informational.
     """
-    chosen = [resolve_kernel(k) for k in (kernels or list(CONCRETE_KERNELS))]
+    chosen = [resolve_kernel(k) for k in (kernels or list(Kernel))]
     workload = _build_workload(index, iterations, seed)
     reports = []
     for kernel in chosen:

@@ -11,7 +11,7 @@ import sys
 
 from .batch import match_many
 from .index import FmIndex, build_index
-from .kernels import ENV_KERNEL, Kernel, resolve_kernel
+from .kernels import Kernel, resolve_kernel
 from .serialize import IndexFormatError, deserialize_index, serialize_index
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
         "--kernel",
         default=None,
         choices=_KERNEL_CHOICES,
-        help=f"counting kernel (default: ${ENV_KERNEL} or auto)",
+        help="counting kernel (default: bytelut)",
     )
     p_match.add_argument(
         "--max-hits",
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument(
         "--kernels",
         default=None,
-        help="comma-separated kernel list (default: all concrete kernels)",
+        help="comma-separated kernel list (default: all four)",
     )
     return parser
 

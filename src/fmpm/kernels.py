@@ -34,7 +34,6 @@ each high byte holds c_hi, so |lo - hi| = 255 - (c_lo + c_hi), giving
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -313,37 +312,25 @@ class Kernel(str, Enum):
     BYTELUT = "bytelut"
     NIBBLE = "nibble"
     SIMD = "simd"
-    AUTO = "auto"
-
-
-# Kernels selectable by name; AUTO resolves before dispatch.
-CONCRETE_KERNELS = (Kernel.SCALAR, Kernel.BYTELUT, Kernel.NIBBLE, Kernel.SIMD)
-
-ENV_KERNEL = "FMPM_KERNEL"
 
 
 def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
-    """Normalize a kernel selection to a concrete kernel.
+    """The kernel a name or member selects; None selects the byte-table kernel.
 
-    None consults the FMPM_KERNEL environment variable, falling back to
-    auto.  Auto resolves to the byte-table kernel.  On one 32-byte bucket
-    numpy's per-call dispatch makes the lane kernel several times slower
-    than table lookups.  Over a batch of buckets (`count_blocks`) the lanes
-    pay that cost once per call, yet still take about 4x as long per row as
-    the packed 16-bit word table for one symbol and about 10x for all four.
+    `bytelut` is the default because it is the fastest here.  On one
+    32-byte bucket numpy's per-call dispatch makes the lane kernel several
+    times slower than table lookups.  Over a batch of buckets
+    (`count_blocks`) the lanes pay that cost once per call, yet still take
+    about 4x as long per row as the packed 16-bit word table for one symbol
+    and about 10x for all four.
     """
-    if type(kernel) is Kernel:
-        return Kernel.BYTELUT if kernel is Kernel.AUTO else kernel
     if kernel is None:
-        kernel = os.environ.get(ENV_KERNEL) or Kernel.AUTO
+        return Kernel.BYTELUT
     try:
-        kernel = Kernel(kernel)
+        return Kernel(kernel)
     except ValueError:
         names = ", ".join(k.value for k in Kernel)
         raise ValueError(f"unknown kernel {kernel!r}; expected one of: {names}") from None
-    if kernel is Kernel.AUTO:
-        return Kernel.BYTELUT
-    return kernel
 
 
 def count_bucket_all4(

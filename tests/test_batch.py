@@ -19,11 +19,12 @@ from fmpm.batch import (
     inexact_search_many,
     lf_step,
     locate_rows,
+    match_many,
     rank_many,
 )
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import SA_STRIDE, build_index
-from fmpm.kernels import CONCRETE_KERNELS, Kernel
+from fmpm.kernels import Kernel
 from fmpm.search import MatchResult
 from fmpm.serialize import IndexFormatError, deserialize_index, serialize_index
 from fmpm.suffix import suffix_array_naive
@@ -48,7 +49,7 @@ def test_rank_all4_many_equals_occ_all(n):
     positions = np.arange(-1, n + 1)
     want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
     symbol = positions % 4
-    for kernel in CONCRETE_KERNELS:
+    for kernel in Kernel:
         got = rank_many(index, positions, None, kernel)
         assert got.shape == (n + 2, 4)
         assert got.tolist() == want, kernel
@@ -67,8 +68,22 @@ def test_locate_rows_periodic_text():
     text = "ACG" * 90
     index = build_index(text)
     rows = np.arange(len(text) + 1)
-    for kernel in CONCRETE_KERNELS:
+    for kernel in Kernel:
         assert locate_rows(index, rows, kernel).tolist() == suffix_array_naive(text)
+
+
+@pytest.mark.parametrize("rows", [[-3], [341], [470], [0, 340, 341]])
+def test_locate_rows_rejects_rows_outside_the_index(rows):
+    index = build_index(edge_text(340))
+    with pytest.raises(ValueError, match=r"\[0, 340\]"):
+        locate_rows(index, np.array(rows))
+
+
+@pytest.mark.parametrize("patterns", [[""], ["", "ACG"], ["ACG", "T", ""]])
+def test_match_many_rejects_an_empty_pattern(patterns):
+    index = build_index(edge_text(340))
+    with pytest.raises(ValueError, match=f"pattern {patterns.index('')} is empty"):
+        match_many(index, patterns, 0)
 
 
 def _forbid_all_four(kernel, monkeypatch):
@@ -234,7 +249,7 @@ def test_locate_rows_property(case):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fmpm.batch, "lf_step", counted_lf_step)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             stepped.clear()
             got = locate_rows(index, np.array(rows, dtype=np.int64), kernel)
             assert got.dtype == np.int64
@@ -271,7 +286,7 @@ def test_inexact_frontier_equals_inexact_search(text):
     for pattern in patterns:
         for max_diff in range(4):
             want = _search_triples(index, pattern, max_diff)
-            for kernel in CONCRETE_KERNELS:
+            for kernel in Kernel:
                 got = _frontier_triples(index, pattern, max_diff, kernel)
                 assert got == want, (pattern, max_diff, kernel)
 
@@ -291,7 +306,7 @@ def test_inexact_frontier_property(text, pattern, data):
     max_diff = data.draw(st.integers(min_value=0, max_value=min(len(pattern) - 1, 3)))
     index = build_index(text)
     want = _search_triples(index, pattern, max_diff)
-    for kernel in CONCRETE_KERNELS:
+    for kernel in Kernel:
         assert _frontier_triples(index, pattern, max_diff, kernel) == want, kernel
 
 
@@ -357,7 +372,7 @@ def test_inexact_search_many_equals_oracle(text):
                 matches = inexact_search(index, pattern, max_diff, Kernel.BYTELUT)
                 answers[pattern] = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
             want += [(pid, *triple) for triple in answers[pattern]]
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             got = _many_quads(index, patterns, max_diff, kernel)
             assert got == want, (max_diff, kernel)
 

@@ -8,6 +8,7 @@ import pytest
 
 import fmpm.bench
 from fmpm.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fmpm.kernels import Kernel, resolve_kernel
 
 
 @pytest.fixture()
@@ -64,19 +65,28 @@ def test_kernel_selections_byte_identical(acag_index, tmp_path, capsys):
     pf = tmp_path / "patterns.txt"
     pf.write_text("CA\nAG\nACAG\nAT\n")
     outputs = set()
-    for kernel in ("scalar", "bytelut", "nibble", "simd", "auto"):
-        code = main(["match", str(acag_index), "-f", str(pf), "-z", "1", "--kernel", kernel])
+    for kernel in ("scalar", "bytelut", "nibble", "simd", None):
+        argv = ["match", str(acag_index), "-f", str(pf), "-z", "1"]
+        code = main(argv if kernel is None else argv + ["--kernel", kernel])
         assert code == EXIT_OK
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
 
 
-def test_kernel_env_default(acag_index, capsys, monkeypatch):
-    monkeypatch.setenv("FMPM_KERNEL", "nibble")
+def test_kernel_has_one_source_and_four_names(acag_index, capsys, monkeypatch):
+    assert main(["match", str(acag_index), "-p", "CA", "--kernel", "auto"]) == EXIT_USAGE
+    assert main(["bench", str(acag_index), "--iters", "1", "--kernels", "auto"]) == EXIT_USAGE
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="scalar, bytelut, nibble, simd$"):
+        resolve_kernel("auto")
+    monkeypatch.delenv("FMPM_KERNEL", raising=False)
     assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_OK
-    assert capsys.readouterr().out == "0\tr1\t1\t0\n"
-    monkeypatch.setenv("FMPM_KERNEL", "bogus")
-    assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_USAGE
+    plain = capsys.readouterr()
+    # the environment selects nothing: no kernel named means bytelut
+    monkeypatch.setenv("FMPM_KERNEL", "nibble")
+    assert resolve_kernel(None) is Kernel.BYTELUT
+    assert main(["match", str(acag_index), "-p", "CA"]) == EXIT_OK
+    assert capsys.readouterr() == plain
 
 
 def test_max_hits_truncation(tmp_path, capsys):

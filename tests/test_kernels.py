@@ -7,7 +7,6 @@ from fmpm.alphabet import A, C, G, T, pack_codes, pack_2bit
 from fmpm.kernels import (
     BUCKET_BYTES,
     BUCKET_CHARS,
-    CONCRETE_KERNELS,
     Kernel,
     KernelTrace,
     NibbleTables,
@@ -168,7 +167,7 @@ def test_count_blocks_equals_scalar_oracle(fill, m):
             for row, p in zip(rows, prefix_lens.tolist())
         ]
         blocks = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(m, BUCKET_BYTES)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             got = count_blocks(blocks, prefix_lens, kernel)
             assert got.dtype == np.int64 and got.tolist() == want, kernel
             got = count_blocks(blocks, prefix_lens, kernel, symbols)
@@ -181,7 +180,7 @@ def test_all4_matches_singles_and_sums_to_prefix():
     for _ in range(60):
         block = random_bucket(rng)
         prefix_len = rng.randint(0, BUCKET_CHARS)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             counts = count_bucket_all4(block, prefix_len, kernel)
             assert sum(counts) == prefix_len
             for symbol in range(4):
@@ -214,16 +213,9 @@ def test_partial_bucket_padding_not_counted():
         assert fn(block, 5, T) == 0
 
 
-def test_resolve_kernel_values_and_env(monkeypatch):
+def test_resolve_kernel_values_and_env():
     assert resolve_kernel("scalar") is Kernel.SCALAR
     assert resolve_kernel(Kernel.NIBBLE) is Kernel.NIBBLE
-    assert resolve_kernel("auto") is Kernel.BYTELUT
-    monkeypatch.delenv("FMPM_KERNEL", raising=False)
     assert resolve_kernel(None) is Kernel.BYTELUT
-    monkeypatch.setenv("FMPM_KERNEL", "simd")
-    assert resolve_kernel(None) is Kernel.SIMD
-    monkeypatch.setenv("FMPM_KERNEL", "bogus")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        resolve_kernel(None)
     with pytest.raises(ValueError):
         resolve_kernel("avx999")

@@ -4,7 +4,7 @@ import pytest
 
 from fmpm.alphabet import A, G, T
 from fmpm.index import build_index
-from fmpm.kernels import CONCRETE_KERNELS
+from fmpm.kernels import Kernel
 from fmpm.search import (
     BwmInterval,
     Hit,
@@ -97,7 +97,7 @@ def test_exact_search_kernels_identical():
     rng = random.Random(54)
     for _ in range(40):
         pattern = random_dna(rng, rng.randint(1, 8))
-        intervals = {exact_search(index, pattern, kern) for kern in CONCRETE_KERNELS}
+        intervals = {exact_search(index, pattern, kern) for kern in Kernel}
         assert len(intervals) == 1
 
 

@@ -13,7 +13,7 @@ import pytest
 import fmpm.search
 import oracles
 from fmpm.index import build_index
-from fmpm.kernels import CONCRETE_KERNELS, Kernel
+from fmpm.kernels import Kernel
 from fmpm.search import (
     BwmInterval,
     MatchResult,
@@ -71,7 +71,7 @@ def test_occ_wrappers_equal_oracles(text):
     n = index.n
     positions = range(-1, n + 1)
     want_all = {k: oracles.occ_all(index, k, SCALAR) for k in positions}
-    for kernel in CONCRETE_KERNELS:
+    for kernel in Kernel:
         for k in positions:
             assert occ_all(index, k, kernel) == want_all[k], (k, kernel)
             symbol = k % 4
@@ -90,7 +90,7 @@ def test_bwt_char_and_psi_inverse_equal_oracle(text):
     for i in range(index.n + 1):
         want = oracles.psi_inverse_fused(index, i, SCALAR)
         assert bwt_char_at(index, i) == (None if want is None else want[0]), i
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             assert psi_inverse_fused(index, i, kernel) == want, (i, kernel)
             assert psi_inverse(index, i, kernel) == (None if want is None else want[1])
 
@@ -101,7 +101,7 @@ def test_exact_search_equals_oracle(text):
     patterns = _patterns(text, 16, random.Random(len(text))) + ["ANG", "n", "acgT"]
     for pattern in patterns:
         want = oracles.exact_search(index, pattern, SCALAR)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             # empty results included: the same (k, l) bounds and degenerate flag
             assert tuple(exact_search(index, pattern, kernel)) == tuple(want), (pattern, kernel)
     for first in range(4):
@@ -110,7 +110,7 @@ def test_exact_search_equals_oracle(text):
             continue
         for symbol in range(4):
             want = oracles.extend_backward(index, interval, symbol, SCALAR)
-            for kernel in CONCRETE_KERNELS:
+            for kernel in Kernel:
                 assert extend_backward(index, interval, symbol, kernel) == want
 
 
@@ -122,14 +122,14 @@ def test_inexact_search_and_collect_hits_equal_oracles(text):
     pattern = text[start : start + 6]
     for max_diff in range(4):
         want = oracles.inexact_search(index, pattern, max_diff, SCALAR)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             assert inexact_search(index, pattern, max_diff, kernel) == want, (max_diff, kernel)
     assert inexact_search(index, "ANG", 1) == oracles.inexact_search(index, "ANG", 1) == []
     # intervals overlap, and one position can be reached with 0 or 1 differences
     matches = oracles.inexact_search(index, pattern, 1, SCALAR)
     for max_hits in (None, 0, 1):
         want = oracles.collect_hits(index, matches, len(pattern), SCALAR, max_hits)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             got = collect_hits(index, matches, len(pattern), kernel, max_hits)
             assert got == want, (max_hits, kernel)
     assert collect_hits(index, [], 3) == ([], False)
@@ -140,7 +140,7 @@ def test_locate_and_reconstruct_equal_oracles(text):
     index = _indexed(text)
     n = index.n
     rows = sorted({*range(0, n + 1, 37), index.sentinel_row, n})
-    for kernel in CONCRETE_KERNELS:
+    for kernel in Kernel:
         for i in rows:
             assert locate_row(index, i, kernel) == oracles.locate_row(index, i, SCALAR), (i, kernel)
         assert reconstruct_reference(index, kernel) == text.upper(), kernel
@@ -151,7 +151,7 @@ def test_locate_and_reconstruct_equal_oracles(text):
     for j, interval in enumerate(intervals):
         diffs = j % 3  # a hit must fit 4 - diffs characters inside its record
         want = oracles.locate_all(index, interval, diffs, 4, SCALAR)
-        for kernel in CONCRETE_KERNELS:
+        for kernel in Kernel:
             assert locate_all(index, interval, diffs, 4, kernel) == want, (interval, kernel)
 
 
