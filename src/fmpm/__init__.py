@@ -7,6 +7,11 @@ searches run backward over the packed buckets through interchangeable
 occurrence-counting kernels; positions are recovered by walking
 predecessor rows to the nearest sample.
 
+`fmpm.batch` is that engine: `match_many` answers many patterns in one
+pass, as `fmpm match` does, and `rank_many`, `lf_step` and `locate_rows`
+count, step and locate at any number of positions or rows.  The search
+functions exported here answer one pattern at a time through it.
+
 Every public name, and the submodule that defines it, is imported on
 first use (PEP 562), so `import fmpm` loads neither numpy nor any
 submodule.
@@ -23,14 +28,10 @@ _EXPORTS = {
         "C",
         "CODE_OF",
         "G",
-        "PackedText",
         "SYMBOLS",
         "T",
-        "decode",
         "encode",
         "is_dna",
-        "pack_2bit",
-        "unpack_2bit",
     ),
     "fasta": ("FastaError", "FastaRecord", "read_fasta"),
     "index": (
@@ -61,20 +62,10 @@ _EXPORTS = {
         "BwmInterval",
         "Hit",
         "MatchResult",
-        "OccPair",
-        "bwt_char_at",
         "collect_hits",
         "exact_search",
-        "extend_backward",
         "inexact_search",
-        "init_interval",
         "locate_all",
-        "locate_row",
-        "occ",
-        "occ_all",
-        "occ_pair_all",
-        "psi_inverse",
-        "psi_inverse_fused",
         "reconstruct_reference",
     ),
     "serialize": (
@@ -86,7 +77,7 @@ _EXPORTS = {
         "deserialize_index",
         "serialize_index",
     ),
-    "suffix": ("build_suffix_array", "bwt_from_sa", "suffix_array_naive"),
+    "suffix": ("suffix_array_naive",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,10 +54,6 @@ def encode_array(text: str) -> np.ndarray:
     return codes
 
 
-def decode(codes: Iterable[int]) -> str:
-    return "".join(SYMBOLS[c] for c in codes)
-
-
 def is_dna(text: str) -> bool:
     """True when every character of `text` is A/C/G/T (either case)."""
     return all(ch in CODE_OF for ch in text)
@@ -75,35 +70,13 @@ def is_dna_many(texts: Sequence[str]) -> np.ndarray:
     return seen[ends] == seen[ends - lengths]
 
 
-@dataclass(frozen=True)
-class PackedText:
-    """2-bit packed character sequence, four characters per byte.
-
-    Character j occupies bits [2*(j % 4), 2*(j % 4) + 1] of byte j // 4,
-    so earlier characters sit in lower-order bits.  Unused trailing fields
-    of the last byte are zero.
-    """
-
-    data: bytes
-    length: int
-
-    def __post_init__(self) -> None:
-        expected = (self.length + CHARS_PER_BYTE - 1) // CHARS_PER_BYTE
-        if len(self.data) != expected:
-            raise ValueError(
-                f"packed size {len(self.data)} does not match length {self.length}"
-            )
-
-    def char_code(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(f"position {j} out of range for length {self.length}")
-        return (self.data[j >> 2] >> ((j & 3) << 1)) & 3
-
-
 def pack_codes(codes: Sequence[int], pad_to: int | None = None) -> bytes:
-    """Pack 2-bit symbol codes into bytes, low-order fields first.
+    """Pack 2-bit symbol codes into bytes, four per byte, low-order fields first.
 
-    `pad_to` extends the result with zero bytes up to a fixed block size.
+    Code j occupies bits [2*(j % 4), 2*(j % 4) + 1] of byte j // 4, so
+    earlier codes sit in lower-order bits; unused trailing fields of the
+    last byte are zero.  `pad_to` extends the result with zero bytes up
+    to a fixed block size.
     """
     out = bytearray((len(codes) + CHARS_PER_BYTE - 1) // CHARS_PER_BYTE)
     for j, code in enumerate(codes):
@@ -113,12 +86,3 @@ def pack_codes(codes: Sequence[int], pad_to: int | None = None) -> bytes:
             raise ValueError(f"{len(codes)} characters do not fit in {pad_to} bytes")
         out.extend(b"\x00" * (pad_to - len(out)))
     return bytes(out)
-
-
-def pack_2bit(chars: str) -> PackedText:
-    """Pack a DNA string; see PackedText for the bit layout."""
-    return PackedText(data=pack_codes(encode(chars)), length=len(chars))
-
-
-def unpack_2bit(packed: PackedText) -> str:
-    return "".join(SYMBOLS[packed.char_code(j)] for j in range(packed.length))

@@ -1,7 +1,9 @@
 """The query engine: backward search and locate for many patterns at once.
 
-`fmpm match` runs `match_many`, and every per-item function of
-`fmpm.search` is a thin wrapper over one call of a function here.  Each
+`fmpm match` runs `match_many`, and each function of `fmpm.search` is a
+thin wrapper over one call of a function here.  `rank_many`, `lf_step`
+and `locate_rows` are the one form of the occurrence count, the LF step
+and locate, and take one position or row as well as many.  Each
 backward-search step of every pattern still in play, each round of the
 one bounded-difference frontier of all patterns, and each predecessor
 step of every row still being located is one call of `rank_many`: the
@@ -59,11 +61,11 @@ def rank_many(
 ) -> np.ndarray:
     """Occurrences in rows 0..pos[i] of symbol[i], or of each symbol if None.
 
-    The batched form of `occ` (shape (len(pos),)) and of `occ_all` (shape
-    (len(pos), 4)): entries of `pos` must lie in [-1, n], and -1 gives
-    zeros; nothing here checks that.  With `symbol`, the per-bucket
-    kernels count that symbol only.  This is the one place the terminator,
-    packed as A, is taken back off the A count.
+    Shape (len(pos),) with `symbol` and (len(pos), 4) without: entries of
+    `pos` must lie in [-1, n], and -1 gives zeros; nothing here checks
+    that.  With `symbol`, the per-bucket kernels count that symbol only.
+    This is the one place the terminator, packed as A, is taken back off
+    the A count.
     """
     pos = np.asarray(pos, dtype=np.int64)
     if symbol is not None:
@@ -265,7 +267,7 @@ def lf_step(
 def locate_rows(
     index: FmIndex, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
-    """Text position of every row, like `locate_row` run on each.
+    """Text position of every row.
 
     Each distinct row is located once, and all walks step to their
     predecessors together.  A walk ends at the first stop row it reaches:
@@ -372,9 +374,14 @@ def match_many(
     budget runs all patterns' edit frontiers as one with
     `inexact_search_many`.  Locate is batched either way.  Patterns with
     characters outside ACGT are flagged degenerate and get no hits; an
-    empty pattern raises ValueError.
+    empty pattern, a negative budget or a negative `max_hits` raises
+    ValueError.
     """
     kernel = resolve_kernel(kernel)
+    if max_diff < 0:
+        raise ValueError(f"difference budget {max_diff} is negative")
+    if max_hits is not None and max_hits < 0:
+        raise ValueError(f"hit limit {max_hits} is negative")
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     if not lengths.all():
         raise ValueError(f"pattern {int(np.argmin(lengths))} is empty")

@@ -1,11 +1,12 @@
-"""Occurrence counts, backward search, bounded-difference search, and locate.
+"""Backward search, bounded-difference search and locate, one pattern at a time.
 
-One item at a time, as thin wrappers over the batch engine in
-`fmpm.batch`: each function checks its arguments, raising ValueError on
-any the engine would misread, and makes one call into the engine.  Every
-call pays numpy's per-call overhead, so callers with many patterns, rows
-or positions should hand them to `fmpm.batch` at once (`match_many` for
-whole queries).
+Thin wrappers over the batch engine in `fmpm.batch`: each function checks
+its arguments, raising ValueError on any the engine would misread, and
+makes one call into the engine.  Every call pays numpy's per-call
+overhead, so callers with many patterns should hand them to
+`fmpm.batch.match_many` at once.  Occurrence counts, LF steps and the
+positions of single rows come from the engine directly: `rank_many`,
+`lf_step` and `locate_rows` take any number of positions or rows.
 """
 
 from __future__ import annotations
@@ -15,26 +16,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .alphabet import SYMBOLS, is_dna
-from .batch import (
-    bwt_symbols,
-    exact_search_many,
-    inexact_search_many,
-    lf_step,
-    locate_hits,
-    locate_rows,
-    rank_many,
-)
+from .batch import bwt_symbols, exact_search_many, inexact_search_many, locate_hits, locate_rows
 from .index import FmIndex
-from .kernels import Kernel, OccCounts, resolve_kernel
+from .kernels import Kernel, resolve_kernel
 
 _SYMBOL_BYTES = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
-
-
-class OccPair(NamedTuple):
-    """Occurrence counts at the two positions an interval update needs."""
-
-    at_low: OccCounts
-    at_high: OccCounts
 
 
 class BwmInterval(NamedTuple):
@@ -73,91 +59,9 @@ class Hit(NamedTuple):
     diffs: int
 
 
-def _check_symbol(symbol: int) -> None:
-    if not 0 <= symbol < 4:
-        raise ValueError(f"symbol code {symbol} outside [0, 4)")
-
-
-def _check_position(index: FmIndex, k: int) -> None:
-    """Occurrence counts are defined at positions -1 (none counted) to n."""
-    if not -1 <= k <= index.n:
-        raise ValueError(f"position {k} outside [-1, {index.n}]")
-
-
 def _check_row(index: FmIndex, i: int) -> None:
     if not 0 <= i <= index.n:
         raise ValueError(f"row {i} outside [0, {index.n}]")
-
-
-def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None) -> int:
-    """Occurrences of `symbol` in transform rows 0..k, inclusive.
-
-    k == -1 is the defined empty-prefix base case and returns 0.  The
-    terminator is packed as code 0 and not counted as an A.
-    """
-    kernel = resolve_kernel(kernel)
-    _check_symbol(symbol)
-    _check_position(index, k)
-    return int(rank_many(index, [k], [symbol], kernel)[0])
-
-
-def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCounts:
-    """All four occurrence counts at position k (k == -1 gives zeros)."""
-    kernel = resolve_kernel(kernel)
-    _check_position(index, k)
-    return OccCounts(*rank_many(index, [k], None, kernel)[0].tolist())
-
-
-def occ_pair_all(
-    index: FmIndex, low: int, high: int, kernel: Kernel | str | None = None
-) -> OccPair:
-    """Counts for all symbols at two positions, low <= high.
-
-    What an interval update needs: Occ at k-1 and l for every candidate
-    symbol, from one rank call.
-    """
-    kernel = resolve_kernel(kernel)
-    if low > high:
-        raise ValueError(f"pair positions out of order: {low} > {high}")
-    _check_position(index, low)
-    _check_position(index, high)
-    at_low, at_high = rank_many(index, [low, high], None, kernel).tolist()
-    return OccPair(at_low=OccCounts(*at_low), at_high=OccCounts(*at_high))
-
-
-def bwt_char_at(index: FmIndex, i: int) -> int | None:
-    """Symbol code stored at transform row i, or None at the sentinel row."""
-    _check_row(index, i)
-    if i == index.sentinel_row:
-        return None
-    return int(bwt_symbols(index, [i])[0])
-
-
-def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
-    """Row range of rotations starting with `symbol`: [c[s]+1, c[s+1]].
-
-    The +1 skips the terminator row, which sorts before everything.
-    """
-    _check_symbol(symbol)
-    return BwmInterval(k=index.c[symbol] + 1, l=index.c[symbol + 1])
-
-
-def extend_backward(
-    index: FmIndex,
-    interval: BwmInterval,
-    symbol: int,
-    kernel: Kernel | str | None = None,
-) -> BwmInterval:
-    """Narrow an interval to rotations prefixed by one more symbol."""
-    kernel = resolve_kernel(kernel)
-    if interval.is_empty:
-        raise ValueError("cannot extend an empty interval")
-    _check_symbol(symbol)
-    _check_position(index, interval.k - 1)
-    _check_position(index, interval.l)
-    low, high = rank_many(index, [interval.k - 1, interval.l], [symbol] * 2, kernel).tolist()
-    c = index.c[symbol]
-    return BwmInterval(k=c + low + 1, l=c + high)
 
 
 def exact_search(
@@ -205,39 +109,6 @@ def inexact_search(
     ]
 
 
-def psi_inverse(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int | None:
-    """Row of the suffix one position earlier in the text, None at the sentinel.
-
-    The sentinel row corresponds to suffix-array value 0, which has no
-    predecessor; callers see None instead of an exception.
-    """
-    stepped = psi_inverse_fused(index, i, kernel)
-    return None if stepped is None else stepped[1]
-
-
-def psi_inverse_fused(
-    index: FmIndex, i: int, kernel: Kernel | str | None = None
-) -> tuple[int, int] | None:
-    """(symbol at row i, predecessor row), or None at the sentinel row."""
-    kernel = resolve_kernel(kernel)
-    _check_row(index, i)
-    if i == index.sentinel_row:
-        return None
-    symbol, row = lf_step(index, [i], kernel)
-    return int(symbol[0]), int(row[0])
-
-
-def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int:
-    """Text position of row i, walking predecessors to the nearest sampled row.
-
-    The walk ends at a row whose suffix-array entry is stored (every 32nd
-    row) or at the sentinel row (position 0); the steps taken are added back.
-    """
-    kernel = resolve_kernel(kernel)
-    _check_row(index, i)
-    return int(locate_rows(index, [i], kernel)[0])
-
-
 def locate_all(
     index: FmIndex,
     interval: BwmInterval,
@@ -265,6 +136,8 @@ def collect_hits(
     hits sorted by position and whether `max_hits` truncated them.
     """
     kernel = resolve_kernel(kernel)
+    if max_hits is not None and max_hits < 0:
+        raise ValueError(f"hit limit {max_hits} is negative")
     found = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches if not m.interval.is_empty]
     for k, l, _ in found:
         _check_row(index, k)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .alphabet import SYMBOLS, TERMINATOR, encode_array
@@ -30,11 +28,6 @@ def suffix_array_naive(reference: str) -> list[int]:
     encode_array(reference)
     text = reference.upper() + TERMINATOR
     return sorted(range(len(text)), key=lambda i: text[i:])
-
-
-def build_suffix_array(reference: str) -> list[int]:
-    """Suffix array of reference + terminator, as a list (see suffix_array)."""
-    return suffix_array(encode_array(reference)).tolist()
 
 
 def suffix_array(codes: np.ndarray) -> np.ndarray:
@@ -100,18 +93,6 @@ def suffix_array(codes: np.ndarray) -> np.ndarray:
         members = members[order]
         del order
         sa[tied] = members
-
-
-def bwt_from_sa(reference: str, sa: Sequence[int]) -> tuple[str, int]:
-    """Burrows-Wheeler transform of reference + terminator (see bwt_codes).
-
-    Returns the transform as a string, the terminator in its row, and the
-    row index holding the terminator.
-    """
-    codes, sentinel_row = bwt_codes(encode_array(reference), np.asarray(sa))
-    chars = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)[codes]
-    chars[sentinel_row] = ord(TERMINATOR)
-    return chars.tobytes().decode("ascii"), sentinel_row
 
 
 def bwt_codes(codes: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, int]:

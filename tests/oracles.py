@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-The occurrence, search and locate functions below answer the library's
-per-item queries one item at a time: they read `FmIndex.buckets` one
-bucket at a time through the one-bucket kernels and share no code with
-the batch engine in `fmpm.batch`, which the library runs.
+The occurrence, search and locate functions below answer one item at a
+time what the library answers in batches: they read `FmIndex.buckets`
+one bucket at a time through the one-bucket kernels and share no code
+with the batch engine in `fmpm.batch`, which the library runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import random
 import struct
 import zlib
 from bisect import bisect_right
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from fmpm.alphabet import A, encode, is_dna, pack_codes
 from fmpm.index import FmIndex, SA_STRIDE
@@ -27,7 +27,7 @@ from fmpm.kernels import (
     count_bucket_simd,
     resolve_kernel,
 )
-from fmpm.search import BwmInterval, Hit, MatchResult, OccPair, init_interval
+from fmpm.search import BwmInterval, Hit, MatchResult
 from fmpm.suffix import suffix_array_naive
 
 _ZERO = OccCounts(0, 0, 0, 0)
@@ -38,6 +38,14 @@ _COUNT_BUCKET = {
     Kernel.NIBBLE: count_bucket_nibble,
     Kernel.SIMD: count_bucket_simd,
 }
+
+
+class OccPair(NamedTuple):
+    """Occurrence counts at the two positions an interval update needs."""
+
+    at_low: OccCounts
+    at_high: OccCounts
+
 
 # below one bucket, and at or one off multiples of the sample stride and the bucket
 EDGE_SIZES = sorted(
@@ -116,6 +124,13 @@ def min_anchored_edit_distance(pattern: str, window: str, band: int) -> int:
 def bwt_prefix_counts(bwt: str, symbol_char: str, k: int) -> int:
     """Occurrences of symbol_char in bwt[0..k] by direct counting."""
     return bwt[: k + 1].count(symbol_char)
+
+
+def naive_bwt(text: str) -> str:
+    """Transform of text + terminator from the naive suffix array, '$' in its row."""
+    full = text.upper() + "$"
+    # full[-1] is the terminator, so suffix 0 picks it up
+    return "".join(full[p - 1] for p in suffix_array_naive(text))
 
 
 def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> bytes:
@@ -241,6 +256,16 @@ def occ_pair_all(
     if index.sentinel_row <= high:
         counts_high[A] -= 1
     return OccPair(at_low=OccCounts(*counts_low), at_high=OccCounts(*counts_high))
+
+
+def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
+    """Row range of rotations starting with `symbol`: [c[s]+1, c[s+1]].
+
+    The +1 skips the terminator row, which sorts before everything.
+    """
+    if not 0 <= symbol < 4:
+        raise ValueError(f"symbol code {symbol} outside [0, 4)")
+    return BwmInterval(k=index.c[symbol] + 1, l=index.c[symbol + 1])
 
 
 def extend_backward(

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fmpm.alphabet import G, pack_2bit
+from fmpm.alphabet import A, C, G, encode, encode_array, pack_codes
 from fmpm.batch import locate_rows, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import (
@@ -34,10 +34,9 @@ from fmpm.search import (
     exact_search,
     inexact_search,
     locate_all,
-    occ,
 )
 from fmpm.serialize import deserialize_index, serialize_index
-from fmpm.suffix import build_suffix_array, bwt_from_sa
+from fmpm.suffix import bwt_codes, suffix_array
 
 from oracles import (
     hamming_positions,
@@ -89,31 +88,34 @@ def suite8():
     for _ in range(100):
         n = rng.randint(100, 5000)
         text = random_dna(rng, n)
-        out.append((text, build_index(text), build_suffix_array(text)))
+        out.append((text, build_index(text), suffix_array(encode_array(text)).tolist()))
     return out
 
 
 def test_criterion_01_worked_example_tables():
     text = "ACAG"
-    sa = build_suffix_array(text)
-    assert sa == [4, 0, 2, 1, 3]
-    bwt, sentinel_row = bwt_from_sa(text, sa)
-    assert bwt == "G$CAA"
+    codes = encode_array(text)
+    sa = suffix_array(codes)
+    assert sa.tolist() == [4, 0, 2, 1, 3]
+    bwt, sentinel_row = bwt_codes(codes, sa)
+    assert bwt.tolist() == [G, A, C, A, A]  # G$CAA, the terminator stored as A
     assert sentinel_row == 1
     index = build_index(text)
     assert index.c == (0, 2, 3, 4, 4)
     assert index.sentinel_row == 1
-    for k, row in enumerate(ACAG_OCC):
-        for symbol in range(4):
-            assert occ(index, symbol, k) == row[symbol], (symbol, k)
+    rows = np.arange(len(ACAG_OCC))
+    assert rank_many(index, rows).tolist() == [list(row) for row in ACAG_OCC]
+    for symbol in range(4):
+        want = [row[symbol] for row in ACAG_OCC]
+        assert rank_many(index, rows, [symbol] * len(rows)).tolist() == want, symbol
     print("\n[criterion 1] worked-example tables (SA, BWT, C, occurrence cells): PASS")
 
 
 def test_criterion_02_packed_block_and_trace():
-    packed = pack_2bit(FIG_STRING)
-    word = int.from_bytes(packed.data, "little")
+    packed = pack_codes(encode(FIG_STRING))
+    word = int.from_bytes(packed, "little")
     assert word == 0xFA3CFE813F026F45
-    block = packed.data + bytes(BUCKET_BYTES - len(packed.data))
+    block = packed + bytes(BUCKET_BYTES - len(packed))
     trace = KernelTrace()
     count = count_bucket_nibble(block, 32, G, trace=trace)
     assert trace.masked_words[0] == 0xFA3CFE813F026F45

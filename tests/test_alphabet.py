@@ -4,17 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmpm.alphabet import (
-    AlphabetError,
-    PackedText,
-    decode,
-    encode,
-    is_dna,
-    is_dna_many,
-    pack_2bit,
-    pack_codes,
-    unpack_2bit,
-)
+from fmpm.alphabet import SYMBOLS, AlphabetError, encode, is_dna, is_dna_many, pack_codes
 
 
 def test_codes_follow_lexicographic_order():
@@ -39,23 +29,25 @@ def test_is_dna_many_equals_is_dna(texts):
     assert is_dna_many(texts).tolist() == [is_dna(t) for t in texts]
 
 
+def _pack(text):
+    return pack_codes(encode(text))
+
+
 def test_pack_single_bytes():
-    assert pack_2bit("ccac").data == bytes([0x45])
-    assert pack_2bit("aaaa").data == bytes([0x00])
-    assert pack_2bit("ttgc").data == bytes([0x6F])
+    assert _pack("ccac") == bytes([0x45])
+    assert _pack("aaaa") == bytes([0x00])
+    assert _pack("ttgc") == bytes([0x6F])
 
 
 def test_pack_partial_byte_padding_is_zero():
-    packed = pack_2bit("TG")
     # T=11 in bits [0,1], G=10 in bits [2,3], rest zero
-    assert packed.data == bytes([0b1011])
-    assert packed.length == 2
+    assert _pack("TG") == bytes([0b1011])
 
 
 def test_pack_32_char_block_low_word():
-    packed = pack_2bit("ccacttgcgaaatttacaaggtttattaggtt")
-    assert len(packed.data) == 8
-    assert int.from_bytes(packed.data, "little") == 0xFA3CFE813F026F45
+    packed = _pack("ccacttgcgaaatttacaaggtttattaggtt")
+    assert len(packed) == 8
+    assert int.from_bytes(packed, "little") == 0xFA3CFE813F026F45
 
 
 def test_pack_codes_pad_to():
@@ -68,8 +60,8 @@ def test_pack_codes_pad_to():
 
 
 def test_packed_text_size_invariant():
-    with pytest.raises(ValueError):
-        PackedText(data=b"\x00\x00", length=2)
+    # four codes per byte, the last byte partly filled
+    assert [len(pack_codes([3] * n)) for n in range(10)] == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
 
 def test_char_code_and_round_trip():
@@ -77,12 +69,13 @@ def test_char_code_and_round_trip():
     for _ in range(50):
         n = rng.randint(1, 100)
         text = "".join(rng.choice("ACGT") for _ in range(n))
-        packed = pack_2bit(text)
-        assert unpack_2bit(packed) == text
-        assert [packed.char_code(j) for j in range(n)] == encode(text)
-    with pytest.raises(IndexError):
-        pack_2bit("ACG").char_code(3)
+        packed = _pack(text)
+        # code j sits in bits [2*(j % 4), 2*(j % 4) + 1] of byte j // 4
+        codes = [(packed[j >> 2] >> ((j & 3) << 1)) & 3 for j in range(n)]
+        assert codes == encode(text)
+        assert "".join(SYMBOLS[c] for c in codes) == text
 
 
 def test_decode_inverts_encode():
-    assert decode(encode("GATTACA")) == "GATTACA"
+    assert "".join(SYMBOLS[c] for c in encode("GATTACA")) == "GATTACA"
+    assert "".join(SYMBOLS[c] for c in encode("gattaca")) == "GATTACA"

@@ -4,8 +4,10 @@ line."""
 
 import gc
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,39 +46,79 @@ def test_every_public_name_resolves():
         fmpm.no_such_name
 
 
-@pytest.mark.parametrize("first", ["pass", "import fmpm.search", "fmpm.exact_search"])
-def test_occ_is_the_function_whatever_has_been_loaded(first):
+# names that had a second, per-item form in `fmpm.search`, `fmpm.suffix` or
+# `fmpm.alphabet`; `fmpm.batch` and the remaining names give each operation
+REMOVED_NAMES = (
+    "OccPair",
+    "PackedText",
+    "build_suffix_array",
+    "bwt_char_at",
+    "bwt_from_sa",
+    "decode",
+    "extend_backward",
+    "init_interval",
+    "locate_row",
+    "occ",
+    "occ_all",
+    "occ_pair_all",
+    "pack_2bit",
+    "psi_inverse",
+    "psi_inverse_fused",
+    "unpack_2bit",
+)
+
+
+def test_removed_names_are_gone():
+    assert len(fmpm.__all__) == 48
+    for name in REMOVED_NAMES:
+        assert name not in fmpm.__all__, name
+        with pytest.raises(AttributeError):
+            getattr(fmpm, name)
+
+
+@pytest.mark.parametrize("first", ["pass", "import fmpm.search", "fmpm.collect_hits"])
+def test_exact_search_is_the_function_whatever_has_been_loaded(first):
     out, _ = _python(
         "-c",
         f"import fmpm\n{first}\n"
-        "from fmpm import occ, build_index\n"
-        "from fmpm.search import occ as function\n"
-        "print(occ is function, fmpm.occ is function, fmpm.occ(build_index('ACAG'), 0, 4))\n"
-        "fmpm.occ = len\n"
-        "print(fmpm.occ is len)",
+        "from fmpm import exact_search, build_index\n"
+        "from fmpm.search import exact_search as function\n"
+        "print(exact_search is function, fmpm.exact_search is function,\n"
+        "      tuple(fmpm.exact_search(build_index('ACAG'), 'CA')))\n"
+        "fmpm.exact_search = len\n"
+        "print(fmpm.exact_search is len)",
     )
-    assert out == "True True 2\nTrue\n"
+    assert out == "True True (3, 3, False)\nTrue\n"
 
 
-def test_readme_library_imports_work_in_a_fresh_interpreter():
-    out, _ = _python(
-        "-c",
-        "import io\n"
-        "import fmpm\n"
-        "from fmpm import build_index, exact_search, inexact_search, locate_all, collect_hits\n"
-        "from fmpm import serialize_index, deserialize_index\n"
-        "index = build_index('ACTGACGGACT')\n"
-        "interval = exact_search(index, 'GAC')\n"
-        "hits, _ = collect_hits(index, inexact_search(index, 'GGC', max_diff=1), 3)\n"
-        "sink = io.BytesIO()\n"
-        "serialize_index(index, sink)\n"
-        "assert deserialize_index(io.BytesIO(sink.getvalue())) == index\n"
-        "print(len(locate_all(index, interval, 0, 3)), len(hits) > 0)\n"
-        "print(fmpm.kernels.BUCKET_CHARS, fmpm.search.locate_row.__name__)\n"
-        "from fmpm import *\n"
-        "print(all(name in globals() for name in fmpm.__all__))",
+def _readme_python_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def test_readme_library_imports_work_in_a_fresh_interpreter(tmp_path):
+    blocks = _readme_python_blocks()
+    assert len(blocks) >= 2
+    # the blocks run in order, as one program, where they write their files;
+    # then every public name comes with a star import
+    script = tmp_path / "readme.py"
+    script.write_text(
+        "\n".join(blocks)
+        + "\nimport fmpm\nfrom fmpm import *\n"
+        + "print(all(name in globals() for name in fmpm.__all__), fmpm.kernels.BUCKET_CHARS)\n",
+        encoding="utf-8",
     )
-    assert out == "2 True\n128 locate_row\nTrue\n"
+    src = str(Path(fmpm.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True 128\n"), proc.stderr
+    assert (tmp_path / "ref.fmi").stat().st_size > 0
 
 
 def test_match_child_imports_no_search_build_or_bench_code(tmp_path):

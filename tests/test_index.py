@@ -19,9 +19,9 @@ from fmpm.index import (
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
 from fmpm.serialize import deserialize_index, serialize_index
-from fmpm.suffix import build_suffix_array, bwt_from_sa, suffix_array
+from fmpm.suffix import suffix_array, suffix_array_naive
 
-from oracles import EDGE_SIZES, edge_text, random_dna, reference_index_bytes
+from oracles import EDGE_SIZES, edge_text, naive_bwt, random_dna, reference_index_bytes
 
 
 def test_c_table_examples():
@@ -59,8 +59,8 @@ def test_build_index_single_character():
 def test_bucket_contents_match_bwt():
     text = random_dna(random.Random(31), 300)
     index = build_index(text)
-    bwt, sentinel_row = bwt_from_sa(text, build_suffix_array(text))
-    assert index.sentinel_row == sentinel_row
+    bwt = naive_bwt(text)
+    assert index.sentinel_row == bwt.index(TERMINATOR)
     read_back = []
     for j, bucket in enumerate(index.buckets):
         for r in range(min(BUCKET_CHARS, 301 - j * BUCKET_CHARS)):
@@ -104,7 +104,7 @@ def test_bases_are_derived_from_the_blocks():
 def test_sample_stride():
     text = random_dna(random.Random(33), 167)
     index = build_index(text)
-    sa = build_suffix_array(text)
+    sa = suffix_array_naive(text)
     assert index.samples.tolist() == [sa[i] for i in range(0, 168, SA_STRIDE)]
 
 

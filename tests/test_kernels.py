@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from fmpm.alphabet import A, C, G, T, pack_codes, pack_2bit
+from fmpm.alphabet import A, C, G, T, encode, pack_codes
 from fmpm.kernels import (
     BUCKET_BYTES,
     BUCKET_CHARS,
@@ -24,7 +24,7 @@ from fmpm.kernels import (
 from oracles import random_bucket
 
 FIG_STRING = "ccacttgcgaaatttacaaggtttattaggtt"
-FIG_BLOCK = pack_2bit(FIG_STRING).data + bytes(BUCKET_BYTES - 8)
+FIG_BLOCK = pack_codes(encode(FIG_STRING)) + bytes(BUCKET_BYTES - 8)
 
 COUNT_FNS = [
     count_bucket_scalar,

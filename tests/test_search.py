@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from fmpm.alphabet import A, G, T
+from fmpm.alphabet import A, C, G, T, encode_array
+from fmpm.batch import bwt_symbols, lf_step, locate_rows, match_many, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import Kernel
 from fmpm.search import (
@@ -11,16 +13,11 @@ from fmpm.search import (
     MatchResult,
     collect_hits,
     exact_search,
-    extend_backward,
     inexact_search,
-    init_interval,
     locate_all,
-    locate_row,
-    psi_inverse,
-    psi_inverse_fused,
     reconstruct_reference,
 )
-from fmpm.suffix import build_suffix_array
+from fmpm.suffix import suffix_array
 
 from oracles import hamming_positions, min_anchored_edit_distance, random_dna, scan_positions
 
@@ -30,19 +27,26 @@ def acag():
     return build_index("ACAG")
 
 
+def _extend(index, interval, symbol):
+    """One interval update: rank k - 1 and l for `symbol`."""
+    low, high = rank_many(index, [interval.k - 1, interval.l], [symbol] * 2).tolist()
+    return BwmInterval(index.c[symbol] + low + 1, index.c[symbol] + high)
+
+
 def test_init_interval_examples(acag):
-    assert init_interval(acag, A) == BwmInterval(1, 2)
-    assert init_interval(acag, G) == BwmInterval(4, 4)
-    empty = init_interval(acag, T)
+    # rows starting with s are [c[s] + 1, c[s + 1]]; the +1 skips the terminator row
+    initial = [BwmInterval(acag.c[s] + 1, acag.c[s + 1]) for s in range(4)]
+    assert initial[A] == BwmInterval(1, 2)
+    assert initial[G] == BwmInterval(4, 4)
+    assert initial == [exact_search(acag, ch) for ch in "ACGT"]
+    empty = initial[T]
     assert empty == BwmInterval(5, 4)
     assert empty.is_empty and empty.width == 0
 
 
 def test_extend_backward_examples(acag):
-    assert extend_backward(acag, BwmInterval(1, 2), 1) == BwmInterval(3, 3)
-    assert extend_backward(acag, BwmInterval(4, 4), A) == BwmInterval(2, 2)
-    with pytest.raises(ValueError):
-        extend_backward(acag, BwmInterval(5, 4), A)
+    assert _extend(acag, BwmInterval(1, 2), C) == BwmInterval(3, 3)
+    assert _extend(acag, BwmInterval(4, 4), A) == BwmInterval(2, 2)
 
 
 def test_exact_search_examples(acag):
@@ -198,46 +202,34 @@ def test_inexact_budget_is_monotone():
 
 
 def test_psi_inverse_examples(acag):
-    assert psi_inverse(acag, 2) == 3
-    assert psi_inverse(acag, 4) == 2
-    assert psi_inverse(acag, 0) == 4
-    assert psi_inverse(acag, 1) is None
-    assert psi_inverse_fused(acag, 2) == (1, 3)
-    assert psi_inverse_fused(acag, 1) is None
-    with pytest.raises(ValueError):
-        psi_inverse(acag, 5)
+    # rows 2, 4 and 0 step to 3, 2 and 4; row 1 is the sentinel row
+    symbol, row = lf_step(acag, [2, 4, 0])
+    assert row.tolist() == [3, 2, 4]
+    assert symbol.tolist() == [C, A, G]
+    assert acag.sentinel_row == 1
 
 
 def test_psi_inverse_steps_suffix_array():
     text = random_dna(random.Random(59), 400)
     index = build_index(text)
-    sa = build_suffix_array(text)
-    for i in range(401):
-        nxt = psi_inverse(index, i)
-        if sa[i] == 0:
-            assert nxt is None
-        else:
-            assert sa[nxt] == sa[i] - 1
+    sa = suffix_array(encode_array(text))
+    rows = np.flatnonzero(sa != 0)
+    assert index.sentinel_row == int(np.flatnonzero(sa == 0)[0])
+    assert (sa[lf_step(index, rows)[1]] == sa[rows] - 1).all()
 
 
 def test_fused_equals_composed():
-    from fmpm.search import bwt_char_at
-
     text = random_dna(random.Random(60), 350)
     index = build_index(text)
-    for i in range(351):
-        fused = psi_inverse_fused(index, i)
-        if i == index.sentinel_row:
-            assert fused is None
-        else:
-            assert fused == (bwt_char_at(index, i), psi_inverse(index, i))
+    rows = np.delete(np.arange(351), index.sentinel_row)
+    symbol, row = lf_step(index, rows)
+    assert (symbol == bwt_symbols(index, rows)).all()
+    assert (row == np.asarray(index.c)[symbol] + rank_many(index, rows, symbol)).all()
 
 
 def test_locate_row_examples(acag):
-    assert locate_row(acag, 0) == 4
-    assert locate_row(acag, 3) == 1
-    assert locate_row(acag, 1) == 0
-    assert [locate_row(acag, i) for i in range(5)] == [4, 0, 2, 1, 3]
+    assert locate_rows(acag, [0, 3, 1]).tolist() == [4, 1, 0]
+    assert locate_rows(acag, np.arange(5)).tolist() == [4, 0, 2, 1, 3]
 
 
 def test_locate_row_recovers_full_suffix_array():
@@ -245,8 +237,8 @@ def test_locate_row_recovers_full_suffix_array():
     for n in (31, 32, 33, 300):
         text = random_dna(rng, n)
         index = build_index(text)
-        sa = build_suffix_array(text)
-        assert [locate_row(index, i) for i in range(n + 1)] == sa
+        sa = suffix_array(encode_array(text))
+        assert locate_rows(index, np.arange(n + 1)).tolist() == sa.tolist()
 
 
 def test_locate_all_empty_interval(acag):
@@ -272,6 +264,23 @@ def test_collect_hits_truncation():
     assert truncated and len(hits) == 10
     hits, truncated = collect_hits(index, [MatchResult(interval, 0)], 2)
     assert not truncated and len(hits) == 50
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda index: match_many(index, ["ACG"], -1),
+        lambda index: match_many(index, ["ACG"], 0, max_hits=-1),
+        lambda index: match_many(index, ["ACG"], 1, max_hits=-1),
+        lambda index: collect_hits(index, [MatchResult(exact_search(index, "ACG"), 0)], 3, None, -1),
+    ],
+    ids=["match_many-budget", "match_many-hits-z0", "match_many-hits-z1", "collect_hits-hits"],
+)
+def test_negative_limits_raise(call):
+    # a negative hit limit would slice off the last hits and report truncation
+    index = build_index("ACGTACGTACGTTTGACA" * 5)
+    with pytest.raises(ValueError, match="negative"):
+        call(index)
 
 
 def test_collect_hits_keeps_min_diffs():

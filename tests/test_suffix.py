@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpm.suffix
-from fmpm.alphabet import AlphabetError, TERMINATOR, encode, encode_array
-from fmpm.suffix import (
-    SEED_WIDTH,
-    build_suffix_array,
-    bwt_codes,
-    bwt_from_sa,
-    suffix_array,
-    suffix_array_naive,
-)
+from fmpm.alphabet import SYMBOLS, AlphabetError, TERMINATOR, encode, encode_array
+from fmpm.suffix import SEED_WIDTH, bwt_codes, suffix_array, suffix_array_naive
 
 from oracles import random_dna
 
@@ -30,23 +23,35 @@ EDGE_SIZES = sorted(
 )
 
 
+def _sa_of(text):
+    return suffix_array(encode_array(text)).tolist()
+
+
+def _bwt_of(text):
+    """The transform of text + terminator as a string, with its terminator row."""
+    codes, sentinel_row = bwt_codes(encode_array(text), suffix_array(encode_array(text)))
+    chars = [SYMBOLS[c] for c in codes.tolist()]
+    chars[sentinel_row] = TERMINATOR
+    return "".join(chars), sentinel_row
+
+
 def test_known_suffix_arrays():
-    assert build_suffix_array("ACAG") == [4, 0, 2, 1, 3]
-    assert build_suffix_array("A") == [1, 0]
-    assert build_suffix_array("AAAA") == [4, 3, 2, 1, 0]
+    assert _sa_of("ACAG") == [4, 0, 2, 1, 3]
+    assert _sa_of("A") == [1, 0]
+    assert _sa_of("AAAA") == [4, 3, 2, 1, 0]
 
 
 def test_empty_and_invalid_reference():
     with pytest.raises(ValueError):
-        build_suffix_array("")
+        _sa_of("")
     with pytest.raises(AlphabetError):
-        build_suffix_array("ACXG")
+        _sa_of("ACXG")
     with pytest.raises(ValueError):
         suffix_array_naive("")
 
 
 def test_lowercase_accepted():
-    assert build_suffix_array("acag") == [4, 0, 2, 1, 3]
+    assert _sa_of("acag") == [4, 0, 2, 1, 3]
 
 
 def test_matches_naive_oracle():
@@ -56,7 +61,7 @@ def test_matches_naive_oracle():
     cases += ["A" * 700, "ACGT" * 250, "AC" * 500 + "G"]
     cases += [(unit * n)[:n] for n in EDGE_SIZES for unit in ("A", "AC", "ACG", "AACAG")]
     for text in cases:
-        assert build_suffix_array(text) == suffix_array_naive(text), text[:40]
+        assert _sa_of(text) == suffix_array_naive(text), text[:40]
 
 
 @st.composite
@@ -83,21 +88,21 @@ dna_texts = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(dna_texts)
 def test_matches_naive_oracle_property(text):
-    assert build_suffix_array(text) == suffix_array_naive(text)
+    assert _sa_of(text) == suffix_array_naive(text)
 
 
 def test_rank_overflow_rejected(monkeypatch):
     # rank-pair keys reach n * n - 1, n counting the terminator
     monkeypatch.setattr(fmpm.suffix, "_INT64_MAX", 11 * 11)
-    assert build_suffix_array("A" * 10) == suffix_array_naive("A" * 10)
+    assert _sa_of("A" * 10) == suffix_array_naive("A" * 10)
     with pytest.raises(ValueError, match="too long"):
-        build_suffix_array("A" * 11)
+        _sa_of("A" * 11)
 
 
 def test_invalid_character_position_matches_encode():
     for text in ("ACXG", "acgtN", "AC\u00e9G", "ACGT\U0001F600A"):
         with pytest.raises(AlphabetError) as raised:
-            build_suffix_array(text)
+            _sa_of(text)
         with pytest.raises(AlphabetError) as expected:
             encode(text)
         assert str(raised.value) == str(expected.value)
@@ -107,7 +112,7 @@ def test_is_permutation_and_sorted():
     rng = random.Random(6)
     for _ in range(30):
         text = random_dna(rng, rng.randint(1, 300))
-        sa = build_suffix_array(text)
+        sa = _sa_of(text)
         assert sorted(sa) == list(range(len(text) + 1))
         full = text + TERMINATOR
         for a, b in zip(sa, sa[1:]):
@@ -115,8 +120,7 @@ def test_is_permutation_and_sorted():
 
 
 def test_bwt_of_known_reference():
-    sa = build_suffix_array("ACAG")
-    bwt, sentinel_row = bwt_from_sa("ACAG", sa)
+    bwt, sentinel_row = _bwt_of("ACAG")
     assert bwt == "G$CAA"
     assert sentinel_row == 1
 
@@ -125,14 +129,14 @@ def test_bwt_is_permutation_of_text_plus_terminator():
     rng = random.Random(7)
     for _ in range(30):
         text = random_dna(rng, rng.randint(1, 200))
-        bwt, sentinel_row = bwt_from_sa(text, build_suffix_array(text))
+        bwt, sentinel_row = _bwt_of(text)
         assert sorted(bwt) == sorted(text + TERMINATOR)
         assert bwt[sentinel_row] == TERMINATOR
 
 
 def test_bwt_rejects_wrong_sa_length():
     with pytest.raises(ValueError):
-        bwt_from_sa("ACAG", [0, 1, 2])
+        bwt_codes(encode_array("ACAG"), np.array([0, 1, 2]))
 
 
 def test_bwt_codes_hold_the_terminator_as_a():

@@ -1,35 +1,29 @@
-"""The per-item library functions of `fmpm.search` against the per-item
-oracles, under every kernel, and their argument checks.
+"""The library functions of `fmpm.search`, and the rank, LF-step and locate
+functions of `fmpm.batch`, against the per-item oracles under every
+kernel, and the argument checks of `fmpm.search`.
 
-Each library function is a wrapper over one call into the batch engine;
-the oracles in `oracles.py` read the index one bucket at a time with the
-scalar kernel and share no code with that engine.
+Each `fmpm.search` function is a wrapper over one call into the batch
+engine; the oracles in `oracles.py` read the index one bucket at a time
+with the scalar kernel and share no code with that engine.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 import fmpm.search
 import oracles
+from fmpm.batch import bwt_symbols, lf_step, locate_rows, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import Kernel
 from fmpm.search import (
     BwmInterval,
     MatchResult,
-    bwt_char_at,
     collect_hits,
     exact_search,
-    extend_backward,
     inexact_search,
-    init_interval,
     locate_all,
-    locate_row,
-    occ,
-    occ_all,
-    occ_pair_all,
-    psi_inverse,
-    psi_inverse_fused,
     reconstruct_reference,
 )
 
@@ -69,30 +63,39 @@ def _patterns(text, count, rng):
 def test_occ_wrappers_equal_oracles(text):
     index = _indexed(text)
     n = index.n
-    positions = range(-1, n + 1)
-    want_all = {k: oracles.occ_all(index, k, SCALAR) for k in positions}
+    positions = np.arange(-1, n + 1)
+    want_all = [list(oracles.occ_all(index, int(k), SCALAR)) for k in positions]
+    symbol = positions % 4
+    want_one = [row[s] for row, s in zip(want_all, symbol.tolist())]
+    highs = np.minimum(n, positions + np.take(PAIR_GAPS, positions % len(PAIR_GAPS)))
+    want_pairs = []
+    for k, high in zip(positions.tolist(), highs.tolist()):
+        pair = oracles.occ_pair_all(index, k, high, SCALAR)
+        want_pairs.append([list(pair.at_low), list(pair.at_high)])
     for kernel in Kernel:
-        for k in positions:
-            assert occ_all(index, k, kernel) == want_all[k], (k, kernel)
-            symbol = k % 4
-            assert occ(index, symbol, k, kernel) == want_all[k][symbol], (k, kernel)
-            high = min(n, k + PAIR_GAPS[k % len(PAIR_GAPS)])
-            want = oracles.occ_pair_all(index, k, high, SCALAR)
-            assert occ_pair_all(index, k, high, kernel) == want, (k, high, kernel)
-    assert [occ(index, s, k) for k in positions for s in range(4)] == [
-        want_all[k][s] for k in positions for s in range(4)
+        assert rank_many(index, positions, None, kernel).tolist() == want_all, kernel
+        assert rank_many(index, positions, symbol, kernel).tolist() == want_one, kernel
+        pairs = rank_many(index, np.concatenate([positions, highs]), None, kernel)
+        assert np.stack(np.split(pairs, 2), axis=1).tolist() == want_pairs, kernel
+    every = np.repeat(positions, 4)
+    assert rank_many(index, every, np.tile(np.arange(4), n + 2)).tolist() == [
+        count for row in want_all for count in row
     ]
 
 
 @pytest.mark.parametrize("text", TEXTS, ids=IDS)
 def test_bwt_char_and_psi_inverse_equal_oracle(text):
     index = _indexed(text)
-    for i in range(index.n + 1):
-        want = oracles.psi_inverse_fused(index, i, SCALAR)
-        assert bwt_char_at(index, i) == (None if want is None else want[0]), i
-        for kernel in Kernel:
-            assert psi_inverse_fused(index, i, kernel) == want, (i, kernel)
-            assert psi_inverse(index, i, kernel) == (None if want is None else want[1])
+    stepped = [oracles.psi_inverse_fused(index, i, SCALAR) for i in range(index.n + 1)]
+    assert stepped[index.sentinel_row] is None
+    rows = np.delete(np.arange(index.n + 1), index.sentinel_row)
+    want_symbol, want_row = (list(column) for column in zip(*(stepped[i] for i in rows)))
+    # the sentinel row reads as A, the code the terminator is packed as
+    assert bwt_symbols(index, [index.sentinel_row]).tolist() == [0]
+    assert bwt_symbols(index, rows).tolist() == want_symbol
+    for kernel in Kernel:
+        symbol, row = lf_step(index, rows, kernel)
+        assert (symbol.tolist(), row.tolist()) == (want_symbol, want_row), kernel
 
 
 @pytest.mark.parametrize("text", TEXTS, ids=IDS)
@@ -104,14 +107,19 @@ def test_exact_search_equals_oracle(text):
         for kernel in Kernel:
             # empty results included: the same (k, l) bounds and degenerate flag
             assert tuple(exact_search(index, pattern, kernel)) == tuple(want), (pattern, kernel)
+    # one interval update: rank k - 1 and l for the new symbol
+    symbols = np.tile(np.arange(4), 2)
+    c = np.asarray(index.c[:4])
     for first in range(4):
-        interval = init_interval(index, first)
+        interval = oracles.init_interval(index, first)
         if interval.is_empty:
             continue
-        for symbol in range(4):
-            want = oracles.extend_backward(index, interval, symbol, SCALAR)
-            for kernel in Kernel:
-                assert extend_backward(index, interval, symbol, kernel) == want
+        want = [oracles.extend_backward(index, interval, s, SCALAR) for s in range(4)]
+        pos = np.repeat([interval.k - 1, interval.l], 4)
+        for kernel in Kernel:
+            low, high = np.split(rank_many(index, pos, symbols, kernel), 2)
+            got = [BwmInterval(int(k), int(l)) for k, l in zip(c + low + 1, c + high)]
+            assert got == want, (first, kernel)
 
 
 @pytest.mark.parametrize("text", TEXTS, ids=IDS)
@@ -140,9 +148,9 @@ def test_locate_and_reconstruct_equal_oracles(text):
     index = _indexed(text)
     n = index.n
     rows = sorted({*range(0, n + 1, 37), index.sentinel_row, n})
+    want = [oracles.locate_row(index, i, SCALAR) for i in rows]
     for kernel in Kernel:
-        for i in rows:
-            assert locate_row(index, i, kernel) == oracles.locate_row(index, i, SCALAR), (i, kernel)
+        assert locate_rows(index, rows, kernel).tolist() == want, kernel
         assert reconstruct_reference(index, kernel) == text.upper(), kernel
     rng = random.Random(len(text) + 2)
     # row 0 is the terminator's suffix, at position n, which is never a hit
@@ -166,54 +174,22 @@ def test_bad_arguments_raise_before_the_engine(monkeypatch):
         "bwt_symbols",
         "exact_search_many",
         "inexact_search_many",
-        "lf_step",
         "locate_hits",
         "locate_rows",
-        "rank_many",
     ):
         monkeypatch.setattr(fmpm.search, name, _engine_refused)
     calls = [
-        lambda: occ(index, -1, 0),
-        lambda: occ(index, 4, 0),
-        lambda: occ(index, 0, -2),
-        lambda: occ(index, 0, -5),
-        lambda: occ(index, 0, n + 1),
-        lambda: occ_all(index, -2),
-        lambda: occ_all(index, n + 1),
-        lambda: occ_pair_all(index, 3, 2),
-        lambda: occ_pair_all(index, -2, -2),
-        lambda: occ_pair_all(index, -5, 2),
-        lambda: occ_pair_all(index, -1, n + 1),
-        lambda: bwt_char_at(index, -1),
-        lambda: bwt_char_at(index, n + 1),
-        lambda: init_interval(index, 4),
-        lambda: extend_backward(index, BwmInterval(5, 4), 0),
-        lambda: extend_backward(index, BwmInterval(1, 4), 4),
-        lambda: extend_backward(index, BwmInterval(-1, 4), 0),
-        lambda: extend_backward(index, BwmInterval(1, n + 1), 0),
         lambda: exact_search(index, ""),
         lambda: inexact_search(index, "ACG", -1),
         lambda: inexact_search(index, "", 1),
-        lambda: psi_inverse(index, -1),
-        lambda: psi_inverse_fused(index, n + 1),
-        lambda: locate_row(index, -1),
-        lambda: locate_row(index, -32),
-        lambda: locate_row(index, n + 1),
-        lambda: locate_row(index, 128 + 32),
         lambda: locate_all(index, BwmInterval(-1, 3), 0, 2),
         lambda: locate_all(index, BwmInterval(1, n + 1), 0, 2),
         lambda: collect_hits(index, [MatchResult(BwmInterval(0, n + 1), 0)], 2),
     ]
     bad_kernel = "no-such-kernel"
     calls += [
-        lambda: occ(index, 0, -1, bad_kernel),
-        lambda: occ_all(index, 0, bad_kernel),
-        lambda: occ_pair_all(index, 0, 1, bad_kernel),
-        lambda: extend_backward(index, BwmInterval(1, n), 0, bad_kernel),
         lambda: exact_search(index, "A", bad_kernel),
         lambda: inexact_search(index, "AC", 1, bad_kernel),
-        lambda: psi_inverse_fused(index, index.sentinel_row, bad_kernel),
-        lambda: locate_row(index, 0, bad_kernel),
         lambda: locate_all(index, BwmInterval(0, 0), 0, 1, bad_kernel),
         lambda: collect_hits(index, [], 1, bad_kernel),
         lambda: reconstruct_reference(index, bad_kernel),
