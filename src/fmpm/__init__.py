@@ -55,7 +55,6 @@ _EXPORTS = {
         "count_bucket_nibble",
         "count_bucket_scalar",
         "count_bucket_simd",
-        "mask_bucket",
         "resolve_kernel",
     ),
     "search": (

@@ -18,6 +18,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CORRUPT = 3
+EXIT_DISAGREE = 4
 
 _KERNEL_CHOICES = [k.value for k in Kernel]
 
@@ -183,7 +184,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reports = bench_mod.run_bench(index, kernels, iterations=args.iters, seed=args.seed)
     print(bench_mod.format_tsv(reports))
     print(bench_mod.format_summary(reports), file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if len({r.checksum for r in reports}) == 1 else EXIT_DISAGREE
 
 
 def main(argv: list[str] | None = None) -> int:

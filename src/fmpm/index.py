@@ -170,10 +170,14 @@ def _normalize_records(
     if records is None:
         return (RecordSpan(name="ref", start=0, length=n),)
     spans = []
+    names = set()
     expected_start = 0
     for name, start, length in records:
         if not name:
             raise ValueError("record name is empty")
+        if name in names:
+            raise ValueError(f"record name {name!r} is used twice")
+        names.add(name)
         if start != expected_start or length <= 0:
             raise ValueError(
                 f"record {name!r} (start={start}, length={length}) does not tile the reference"
@@ -193,10 +197,10 @@ def check_index(index: FmIndex) -> None:
     block's base (derived when the index was made) plus that block's own
     counts, so only the last block is counted here; an A field (the
     terminator) at the sentinel row; samples within [0, n], sample 0 being
-    n (row 0 is the terminator suffix); and records tiling [0, n).  The
-    header fields (n, c, sentinel_row, record spans) are compared as Python
-    ints, so an oversized one fails a check here instead of overflowing a
-    fixed-width array.
+    n (row 0 is the terminator suffix); and records tiling [0, n) under
+    distinct names.  The header fields (n, c, sentinel_row, record spans)
+    are compared as Python ints, so an oversized one fails a check here
+    instead of overflowing a fixed-width array.
 
     Without walking the transform it cannot see a change that keeps the
     transform's totals, such as two fields swapped inside one block or

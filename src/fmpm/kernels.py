@@ -7,10 +7,10 @@ counting body:
 
 * scalar    - per-character unpacking, one symbol or all four; the
               ground-truth oracle.
-* bytelut   - table lookups that pack a byte's four counts into 8-bit
-              lanes: 256 entries per byte for one bucket, and over a batch
-              65,536 entries per 16-bit word, derived from the byte table;
-              a one-symbol count reads one lane of the packed sum.
+* bytelut   - one lookup per 16-bit word in a 65,536-entry table that
+              packs the word's four counts into 8-bit lanes
+              (`count_blocks_bytelut`); a one-symbol count reads one lane
+              of the packed sum.
 * nibble    - three-phase half-byte pipeline (lookup, extraction,
               aggregation) run on plain 64-bit integers, one 8-byte group
               at a time, mirroring in-register lane arithmetic: each group
@@ -18,12 +18,14 @@ counting body:
               requested symbol.
 * simd      - the same pipeline vectorized with numpy uint8/uint64 lanes
               over a batch of buckets (`count_blocks_simd`), shifting each
-              row once for its own symbol or four times for all four; a
-              one-bucket count is its one-row case.
+              row once for its own symbol or four times for all four.
 
-`count_bucket_all4` (one bucket) and `count_blocks` (a batch; `bytelut`
-runs its word table over all rows at once) are the two functions that
-take a kernel by name.  `count_bucket_<kernel>` counts one symbol in one bucket.
+`count_blocks` is the one function that takes a kernel by name, and the
+one place a prefix is cut from a bucket: it zeroes every field past each
+row's prefix once (`mask_blocks`), `bytelut`, `nibble` and `simd` count
+all 128 fields of the masked rows, and it takes the zeroed fields, which
+decode as A, off the A count.  `scalar` stops at the prefix itself.  Each
+`count_bucket_<kernel>` name, and `count_bucket_all4`, is its one-row case.
 
 The nibble pipeline works on complemented low-nibble counts so that a
 sum-of-absolute-differences against the high-nibble counts folds both
@@ -87,18 +89,32 @@ class NibbleTables(NamedTuple):
 
 TABLES = NibbleTables.build()
 
-
-# _BYTE_COUNTS_PACKED[b]: occurrences of each symbol s among the 4 fields of
-# byte b, in bits [8s, 8s + 8)
-_BYTE_COUNTS_PACKED = [
-    sum(1 << (((b >> shift) & 3) << 3) for shift in (0, 2, 4, 6)) for b in range(256)
-]
 _ALL_SYMBOLS = (0, 1, 2, 3)
 
 _NP_LO = np.frombuffer(TABLES.lo, dtype=np.uint8)
 _NP_HI = np.frombuffer(TABLES.hi, dtype=np.uint8)
 _NP_FILL = np.uint64(_HIGH6_FILL)
 _NP_KEEP = np.uint64(_LOW2_MASK)
+# the bit offset of each of a byte's four fields, and of each symbol's count in
+# a nibble-table entry
+_FIELD_SHIFTS = np.arange(0, 8, 2, dtype=np.uint32)
+
+# _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
+_PREFIX_MASKS = np.packbits(
+    np.arange(2 * BUCKET_CHARS) >> 1 < np.arange(BUCKET_CHARS + 1)[:, np.newaxis],
+    axis=1,
+    bitorder="little",
+)
+# _NP_BYTE_COUNTS_PACKED[b]: occurrences of each symbol s among the 4 fields of
+# byte b, in bits [8s, 8s + 8)
+_NP_BYTE_COUNTS_PACKED = (
+    np.uint32(1) << (((np.arange(256, dtype=np.uint32)[:, np.newaxis] >> _FIELD_SHIFTS) & 3) << 3)
+).sum(axis=1, dtype=np.uint32)
+# _NP_WORD_COUNTS_PACKED[w]: the packed counts of both bytes of 16-bit word w,
+# entry (w >> 8) * 256 + (w & 0xFF) of the byte table's outer sum (256 KB)
+_NP_WORD_COUNTS_PACKED = (_NP_BYTE_COUNTS_PACKED[:, np.newaxis] + _NP_BYTE_COUNTS_PACKED).ravel()
+# one entry per symbol on a leading axis, so the extraction runs for all four at once
+_SYMBOL_SHIFTS = _FIELD_SHIFTS.astype(np.uint64)[:, np.newaxis, np.newaxis]
 
 
 @dataclass
@@ -106,7 +122,9 @@ class KernelTrace:
     """Intermediate values of one nibble-kernel invocation, for tests.
 
     Filled only when passed explicitly; production calls skip all of it.
-    Words are little-endian 64-bit views of each 8-byte group.
+    Words are little-endian 64-bit views of each 8-byte group of the
+    masked block.  `raw_count` counts all 128 fields, so the masked-off
+    ones count as A; `count` is the prefix's count.
     """
 
     masked_words: list[int] = field(default_factory=list)
@@ -125,22 +143,48 @@ def _check_bucket(block: bytes, prefix_len: int) -> None:
         raise ValueError(f"prefix_len {prefix_len} outside [0, {BUCKET_CHARS}]")
 
 
-def mask_bucket(block: bytes, prefix_len: int) -> bytes:
-    """Zero every 2-bit field at positions >= prefix_len (symbol A)."""
-    if prefix_len >= BUCKET_CHARS:
-        return bytes(block)
-    full, rem = divmod(prefix_len, 4)
-    out = bytearray(BUCKET_BYTES)
-    out[:full] = block[:full]
-    if rem:
-        out[full] = block[full] & ((1 << (rem << 1)) - 1)
-    return bytes(out)
+def _count_bucket(
+    block: bytes, prefix_len: int, kernel: Kernel | str | None, symbol: int | None = None
+) -> np.ndarray:
+    """`count_blocks` on one bucket: its four counts, or `symbol`'s count."""
+    _check_bucket(block, prefix_len)
+    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
+    symbols = None if symbol is None else np.array([symbol])
+    return count_blocks(row, np.array([prefix_len]), kernel, symbols)[0]
 
 
 def count_bucket_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
     """Reference count: unpack and compare one character at a time."""
-    _check_bucket(block, prefix_len)
-    return _count_scalar(block, prefix_len, symbol)
+    return int(_count_bucket(block, prefix_len, Kernel.SCALAR, symbol))
+
+
+def count_bucket_bytelut(block: bytes, prefix_len: int, symbol: int) -> int:
+    """One symbol's lane of the packed word-table count."""
+    return int(_count_bucket(block, prefix_len, Kernel.BYTELUT, symbol))
+
+
+def count_bucket_nibble(
+    block: bytes, prefix_len: int, symbol: int, trace: KernelTrace | None = None
+) -> int:
+    """The nibble pipeline for one symbol; `trace` records its intermediate values."""
+    count = int(_count_bucket(block, prefix_len, Kernel.NIBBLE, symbol))
+    if trace is not None:
+        row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
+        _nibble(mask_blocks(row, np.array([prefix_len]))[0].tobytes(), (symbol,), trace)
+        trace.count = count
+    return count
+
+
+def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
+    """One symbol of the nibble pipeline vectorized over numpy lanes."""
+    return int(_count_bucket(block, prefix_len, Kernel.SIMD, symbol))
+
+
+def count_bucket_all4(
+    block: bytes, prefix_len: int, kernel: Kernel | str | None = None
+) -> OccCounts:
+    """All four symbol counts for one bucket prefix in a single pass."""
+    return OccCounts(*_count_bucket(block, prefix_len, kernel).tolist())
 
 
 def _count_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
@@ -158,39 +202,10 @@ def _all4_scalar(block: bytes, prefix_len: int) -> OccCounts:
     return OccCounts(*counts)
 
 
-def count_bucket_bytelut(block: bytes, prefix_len: int, symbol: int) -> int:
-    """One symbol's lane of the packed byte-table count."""
-    _check_bucket(block, prefix_len)
-    return _all4_bytelut(block, prefix_len)[symbol]
-
-
-def _all4_bytelut(block: bytes, prefix_len: int) -> OccCounts:
-    full, rem = divmod(prefix_len, 4)
-    # one byte per symbol lane; 32 bytes * count<=4 stays below 256
-    packed = sum(map(_BYTE_COUNTS_PACKED.__getitem__, block[:full]))
-    counts = [(packed >> (s << 3)) & 0xFF for s in range(4)]
-    if rem:
-        b = block[full]
-        for f in range(rem):
-            counts[(b >> (f << 1)) & 3] += 1
-    return OccCounts(*counts)
-
-
-def count_bucket_nibble(
-    block: bytes,
-    prefix_len: int,
-    symbol: int,
-    trace: KernelTrace | None = None,
-) -> int:
-    """The nibble pipeline for one symbol; `trace` records its intermediate values."""
-    _check_bucket(block, prefix_len)
-    return _nibble(block, prefix_len, (symbol,), trace)[0]
-
-
 def _nibble(
-    block: bytes, prefix_len: int, symbols: tuple[int, ...], trace: KernelTrace | None = None
+    masked: bytes, symbols: tuple[int, ...], trace: KernelTrace | None = None
 ) -> list[int]:
-    """Three-phase half-byte counts of each of `symbols` over four 8-byte groups.
+    """Three-phase half-byte counts of each of `symbols` over all 128 fields of a block.
 
     Phase 1 (lookup): each byte's low nibble indexes the complemented
     count table and its high nibble the plain one, yielding two 64-bit
@@ -199,11 +214,10 @@ def _nibble(
     in bits [0,1] of every byte; the complemented word is topped up with
     ones, the plain word masked to its low two bits.  Phase 3
     (aggregation): a per-group SAD equals 2040 - group_count, so the
-    bucket count is 8160 minus the SAD total.  Positions masked off as
-    padding decode as symbol A and are subtracted again at the end.
-    `trace` records the SADs of the last symbol, so pass it with one.
+    block count is 8160 minus the SAD total.  Every field is counted, so
+    fields masked off as padding show up in the A count.  `trace` records
+    the SADs of the last symbol, so pass it with one.
     """
-    masked = mask_bucket(block, prefix_len)
     lo_t, hi_t = TABLES
     sads = [0] * len(symbols)
     for g in range(0, BUCKET_BYTES, _GROUP_BYTES):
@@ -229,41 +243,15 @@ def _nibble(
             trace.lookup_lo_words.append(lo_w)
             trace.lookup_hi_words.append(hi_w)
             trace.group_sads.append(sad)
-    padding = BUCKET_CHARS - prefix_len
-    counts = [
-        _BUCKET_SAD_CEILING - sad - (padding if s == A else 0) for sad, s in zip(sads, symbols)
-    ]
+    counts = [_BUCKET_SAD_CEILING - sad for sad in sads]
     if trace is not None:
         trace.sad_total = sads[-1]
-        trace.raw_count = _BUCKET_SAD_CEILING - sads[-1]
-        trace.count = counts[-1]
+        trace.raw_count = counts[-1]
     return counts
 
 
-def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
-    """One symbol of the nibble pipeline vectorized over numpy lanes."""
-    _check_bucket(block, prefix_len)
-    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
-    return int(count_blocks(row, np.array([prefix_len]), Kernel.SIMD, np.array([symbol]))[0])
-
-
-# _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
-_PREFIX_MASKS = np.array(
-    [
-        np.frombuffer(mask_bucket(b"\xff" * BUCKET_BYTES, r), dtype=np.uint8)
-        for r in range(BUCKET_CHARS + 1)
-    ]
-)
-_NP_BYTE_COUNTS_PACKED = np.array(_BYTE_COUNTS_PACKED, dtype=np.uint32)
-# _NP_WORD_COUNTS_PACKED[w]: the packed counts of both bytes of 16-bit word w,
-# entry (w >> 8) * 256 + (w & 0xFF) of the byte table's outer sum (256 KB)
-_NP_WORD_COUNTS_PACKED = (_NP_BYTE_COUNTS_PACKED[:, np.newaxis] + _NP_BYTE_COUNTS_PACKED).ravel()
-# one entry per symbol on a leading axis, so the extraction runs for all four at once
-_SYMBOL_SHIFTS = np.arange(0, 8, 2, dtype=np.uint64)[:, np.newaxis, np.newaxis]
-
-
 def mask_blocks(blocks: np.ndarray, prefix_lens: np.ndarray) -> np.ndarray:
-    """mask_bucket over a batch: row i of `blocks` keeps prefix_lens[i] fields."""
+    """A copy of `blocks` in which row i keeps its first prefix_lens[i] fields, the rest 0."""
     masked = np.take(_PREFIX_MASKS, prefix_lens, axis=0)
     masked &= blocks
     return masked
@@ -283,6 +271,15 @@ def count_blocks_bytelut(masked: np.ndarray, symbol: np.ndarray | None = None) -
         # lane s is byte s of the little-endian word
         return packed.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4).astype(np.int64)
     return ((packed >> (symbol.astype(np.uint32) << 3)) & 0xFF).astype(np.int64)
+
+
+def _count_blocks_nibble(masked: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+    """`_nibble` over each masked block in turn, all four symbols or symbol[i]."""
+    rows = [row.tobytes() for row in masked]
+    if symbol is None:
+        return np.array([_nibble(row, _ALL_SYMBOLS) for row in rows], dtype=np.int64).reshape(-1, 4)
+    counts = [_nibble(row, (s,))[0] for row, s in zip(rows, symbol.tolist())]
+    return np.array(counts, dtype=np.int64)
 
 
 def count_blocks_simd(masked: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
@@ -317,12 +314,10 @@ class Kernel(str, Enum):
 def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     """The kernel a name or member selects; None selects the byte-table kernel.
 
-    `bytelut` is the default because it is the fastest here.  On one
-    32-byte bucket numpy's per-call dispatch makes the lane kernel several
-    times slower than table lookups.  Over a batch of buckets
-    (`count_blocks`) the lanes pay that cost once per call, yet still take
-    about 4x as long per row as the packed 16-bit word table for one symbol
-    and about 10x for all four.
+    `bytelut` is the default because it is the fastest here.  Over a batch
+    of buckets (`count_blocks`) the lanes of `simd` pay numpy's per-call
+    cost once per call, yet still take about 4x as long per row as the
+    packed 16-bit word table for one symbol and about 10x for all four.
     """
     if kernel is None:
         return Kernel.BYTELUT
@@ -331,22 +326,6 @@ def resolve_kernel(kernel: Kernel | str | None = None) -> Kernel:
     except ValueError:
         names = ", ".join(k.value for k in Kernel)
         raise ValueError(f"unknown kernel {kernel!r}; expected one of: {names}") from None
-
-
-def count_bucket_all4(
-    block: bytes, prefix_len: int, kernel: Kernel | str | None = None
-) -> OccCounts:
-    """All four symbol counts for one bucket prefix in a single pass."""
-    _check_bucket(block, prefix_len)
-    kernel = resolve_kernel(kernel)
-    if kernel is Kernel.SCALAR:
-        return _all4_scalar(block, prefix_len)
-    if kernel is Kernel.BYTELUT:
-        return _all4_bytelut(block, prefix_len)
-    if kernel is Kernel.NIBBLE:
-        return OccCounts(*_nibble(block, prefix_len, _ALL_SYMBOLS))
-    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
-    return OccCounts(*count_blocks(row, np.array([prefix_len]), kernel)[0].tolist())
 
 
 def count_blocks(
@@ -358,33 +337,30 @@ def count_blocks(
     """Counts among the first prefix_lens[i] fields of each of m blocks.
 
     Without `symbol`, all four counts, shape (m, 4); with it, the count of
-    symbol[i] in block i, shape (m,).  `bytelut` and `simd` count whole
-    masked blocks in one numpy pass; `scalar` and `nibble` stay one-bucket
-    kernels run row by row.  With `symbol`, every kernel counts that symbol
-    only.
+    symbol[i] in block i, shape (m,), and every kernel counts that symbol
+    only.  `scalar` reads each row's prefix field by field.  The others
+    count every field of the masked rows, `bytelut` and `simd` in one
+    numpy pass and `nibble` row by row, and the masked-off fields, which
+    decode as A, come off the A count here.
     """
     kernel = resolve_kernel(kernel)
-    if kernel is Kernel.BYTELUT or kernel is Kernel.SIMD:
-        batched = count_blocks_bytelut if kernel is Kernel.BYTELUT else count_blocks_simd
-        counts = batched(mask_blocks(blocks, prefix_lens), symbol)
-        padding = BUCKET_CHARS - prefix_lens  # masked-off fields decode as A
-        if symbol is None:
-            counts[:, A] -= padding
-        else:
-            counts -= (symbol == A) * padding
-        return counts
-    rows = [row.tobytes() for row in blocks]
-    prefixes = prefix_lens.tolist()
-    if symbol is None:
-        if kernel is Kernel.SCALAR:
-            counts = list(map(_all4_scalar, rows, prefixes))
-        else:
-            counts = [_nibble(row, prefix, _ALL_SYMBOLS) for row, prefix in zip(rows, prefixes)]
-        return np.array(counts, dtype=np.int64).reshape(len(rows), 4)
     if kernel is Kernel.SCALAR:
-        counts = list(map(_count_scalar, rows, prefixes, symbol.tolist()))
+        rows = [row.tobytes() for row in blocks]
+        if symbol is None:
+            counts = list(map(_all4_scalar, rows, prefix_lens.tolist()))
+            return np.array(counts, dtype=np.int64).reshape(-1, 4)
+        counts = list(map(_count_scalar, rows, prefix_lens.tolist(), symbol.tolist()))
+        return np.array(counts, dtype=np.int64)
+    masked = mask_blocks(blocks, prefix_lens)
+    if kernel is Kernel.BYTELUT:
+        counts = count_blocks_bytelut(masked, symbol)
+    elif kernel is Kernel.SIMD:
+        counts = count_blocks_simd(masked, symbol)
     else:
-        counts = [
-            _nibble(row, prefix, (s,))[0] for row, prefix, s in zip(rows, prefixes, symbol.tolist())
-        ]
-    return np.array(counts, dtype=np.int64)
+        counts = _count_blocks_nibble(masked, symbol)
+    padding = BUCKET_CHARS - prefix_lens
+    if symbol is None:
+        counts[:, A] -= padding
+    else:
+        counts -= (symbol == A) * padding
+    return counts

@@ -89,15 +89,15 @@ def test_match_many_rejects_an_empty_pattern(patterns):
 def _forbid_all_four(kernel, monkeypatch):
     """Make `kernel` fail when asked for all four counts of a bucket."""
 
-    def all_four(block, prefix_len):
+    def all_four(*args):
         raise AssertionError("an all-four kernel ran")
 
     nibble = fmpm.kernels._nibble
 
-    def one_symbol_nibble(block, prefix_len, symbols, trace=None):
+    def one_symbol_nibble(masked, symbols, trace=None):
         if len(symbols) > 1:
-            all_four(block, prefix_len)
-        return nibble(block, prefix_len, symbols, trace)
+            all_four()
+        return nibble(masked, symbols, trace)
 
     # scalar has an all-four body; nibble runs one pipeline asked for one or four symbols
     if kernel is Kernel.SCALAR:

@@ -7,7 +7,8 @@ import zlib
 import pytest
 
 import fmpm.bench
-from fmpm.cli import EXIT_CORRUPT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+import fmpm.kernels
+from fmpm.cli import EXIT_CORRUPT, EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fmpm.kernels import Kernel, resolve_kernel
 
 
@@ -220,6 +221,16 @@ def test_zeroed_bucket_block_exits_corrupt(two_record_index, capsys, bucket):
     assert captured.err.startswith("fmpm: corrupt index: ")
 
 
+def test_duplicate_record_name_behind_a_valid_checksum_exits_corrupt(two_record_index, capsys):
+    # the file ends with the name "r2", its start and length, then the CRC
+    name_at = len(two_record_index.read_bytes()) - 4 - 16 - 2
+    _rewrite_with_crc(two_record_index, name_at, b"r1")
+    assert main(["match", str(two_record_index), "-p", "ACGTA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "record name 'r1' is used twice" in captured.err
+
+
 def test_not_an_index(tmp_path):
     bogus = tmp_path / "bogus.fmi"
     bogus.write_bytes(b"this is not an index file at all")
@@ -241,6 +252,15 @@ def test_sanitize_warns_and_builds(tmp_path, capsys):
     assert "sanitized 2" in capsys.readouterr().err
     assert main(["match", str(out), "-p", "ACAGA"]) == EXIT_OK
     assert capsys.readouterr().out == "0\tr1\t0\t0\n"
+
+
+def test_duplicate_record_name_is_a_usage_error(tmp_path, capsys):
+    # hits print only the record name, so the two r1 records could not be told apart
+    fasta, out = tmp_path / "dup.fa", tmp_path / "dup.fmi"
+    fasta.write_text(">r1\nACGT\n>r2\nGGCA\n>r1\nTTAC\n")
+    assert main(["index", str(fasta), "-o", str(out)]) == EXIT_USAGE
+    assert "record name 'r1' is used twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_multi_record_offsets(tmp_path, capsys):
@@ -281,6 +301,29 @@ def test_bench_checksums_agree(reference, acag_index, tmp_path, capsys, monkeypa
     assert [r[0] for r in rows] == ["scalar", "bytelut", "nibble", "simd"]
     assert len({r[5] for r in rows}) == 1
     assert "answer checksums agree" in captured.err
+
+
+def test_bench_exits_4_when_kernels_disagree(tmp_path, capsys, monkeypatch):
+    simd = fmpm.kernels.count_blocks_simd
+
+    def miscount(masked, symbol=None):
+        counts = simd(masked, symbol)
+        if symbol is None:
+            # C, G and T rank as their bucket bases alone: wrong, yet within
+            # their C-table ranges, so the one-difference answers change
+            counts[:, 1:] = 0
+        return counts
+
+    monkeypatch.setattr(fmpm.kernels, "count_blocks_simd", miscount)
+    fasta, out = tmp_path / "ref.fa", tmp_path / "ref.fmi"
+    fasta.write_text(">r1\n" + "ACGTTGCAAC" * 30 + "\n")
+    assert main(["index", str(fasta), "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["bench", str(out), "--iters", "10", "--seed", "3"]) == EXIT_DISAGREE
+    captured = capsys.readouterr()
+    checksums = dict(line.split("\t")[::5] for line in captured.out.strip().splitlines())
+    assert checksums["scalar"] == checksums["bytelut"] == checksums["nibble"] != checksums["simd"]
+    assert "WARNING: answer checksums differ across kernels" in captured.err.splitlines()
 
 
 def test_console_entry_point(acag_index):

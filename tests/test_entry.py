@@ -47,7 +47,9 @@ def test_every_public_name_resolves():
 
 
 # names that had a second, per-item form in `fmpm.search`, `fmpm.suffix` or
-# `fmpm.alphabet`; `fmpm.batch` and the remaining names give each operation
+# `fmpm.alphabet`; `fmpm.batch` and the remaining names give each operation.
+# `mask_bucket` was a second way to cut a prefix from a bucket, next to
+# `kernels.mask_blocks`
 REMOVED_NAMES = (
     "OccPair",
     "PackedText",
@@ -58,6 +60,7 @@ REMOVED_NAMES = (
     "extend_backward",
     "init_interval",
     "locate_row",
+    "mask_bucket",
     "occ",
     "occ_all",
     "occ_pair_all",
@@ -69,7 +72,7 @@ REMOVED_NAMES = (
 
 
 def test_removed_names_are_gone():
-    assert len(fmpm.__all__) == 48
+    assert len(fmpm.__all__) == 47
     for name in REMOVED_NAMES:
         assert name not in fmpm.__all__, name
         with pytest.raises(AttributeError):

@@ -189,6 +189,9 @@ def test_bad_records_rejected_before_the_sort(monkeypatch):
         build_index("ACGT" * 100000, [("a", 0, 3)])
     with pytest.raises(ValueError, match="does not tile"):
         build_index("ACGT" * 100000, [("a", 0, 3), ("b", 4, 399996)])
+    # hits print only the record name, so two records may not share one
+    with pytest.raises(ValueError, match="record name 'a' is used twice"):
+        build_index("ACGT" * 100000, [("a", 0, 3), ("b", 3, 5), ("a", 8, 399992)])
 
 
 def test_build_memory_per_character():

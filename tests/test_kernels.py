@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import fmpm.kernels
 from fmpm.alphabet import A, C, G, T, encode, pack_codes
 from fmpm.kernels import (
     BUCKET_BYTES,
@@ -17,7 +18,7 @@ from fmpm.kernels import (
     count_bucket_scalar,
     count_bucket_simd,
     count_blocks,
-    mask_bucket,
+    mask_blocks,
     resolve_kernel,
 )
 
@@ -48,15 +49,15 @@ def test_nibble_tables_shape_and_contents():
         assert sum((tables.hi[v] >> (2 * s)) & 3 for s in range(4)) == 2
 
 
-def test_mask_bucket_boundaries():
-    block = bytes([0xFF] * BUCKET_BYTES)
-    assert mask_bucket(block, 0) == bytes(BUCKET_BYTES)
-    assert mask_bucket(block, BUCKET_CHARS) == block
-    masked = mask_bucket(block, 5)
+def test_mask_blocks_boundaries():
+    blocks = np.full((3, BUCKET_BYTES), 0xFF, dtype=np.uint8)
+    masked = mask_blocks(blocks, np.array([0, BUCKET_CHARS, 5]))
+    assert masked[0].tobytes() == bytes(BUCKET_BYTES)
+    assert masked[1].tobytes() == blocks[1].tobytes()
     # one full byte plus one 2-bit field survive
-    assert masked[0] == 0xFF
-    assert masked[1] == 0x03
-    assert set(masked[2:]) == {0}
+    assert masked[2, 0] == 0xFF
+    assert masked[2, 1] == 0x03
+    assert set(masked[2, 2:].tolist()) == {0}
 
 
 def test_scalar_known_counts():
@@ -105,6 +106,29 @@ def test_nibble_lookup_words_on_figure_block():
     count_bucket_nibble(FIG_BLOCK, 32, G, trace=trace)
     assert trace.lookup_lo_words[0] == 0xDFBEAFFA7FEE7FF7
     assert trace.lookup_hi_words[0] == 0x8041801141021405
+
+
+@pytest.mark.parametrize("prefix_len", [0, 1, 5, 127, 128])
+def test_nibble_trace_at_partial_prefixes(prefix_len):
+    # the masked-off fields decode as A: in the raw count, not in the count
+    block = random_bucket(random.Random(prefix_len))
+    trace = KernelTrace()
+    count = count_bucket_nibble(block, prefix_len, A, trace=trace)
+    assert trace.count == count == count_bucket_scalar(block, prefix_len, A)
+    assert trace.raw_count - trace.count == BUCKET_CHARS - prefix_len
+    assert trace.raw_count == 8160 - trace.sad_total
+
+
+def test_bytelut_has_one_body(monkeypatch):
+    # the per-bucket names count through the word table that `fmpm match` runs
+    def word_table(masked, symbol=None):
+        raise AssertionError("the word table ran")
+
+    monkeypatch.setattr(fmpm.kernels, "count_blocks_bytelut", word_table)
+    with pytest.raises(AssertionError, match="word table"):
+        count_bucket_bytelut(FIG_BLOCK, 32, G)
+    with pytest.raises(AssertionError, match="word table"):
+        count_bucket_all4(FIG_BLOCK, 32, "bytelut")
 
 
 def test_trace_identity_raw_equals_ceiling_minus_sad():
