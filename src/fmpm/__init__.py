@@ -30,8 +30,6 @@ _EXPORTS = {
         "G",
         "SYMBOLS",
         "T",
-        "encode",
-        "is_dna",
     ),
     "fasta": ("FastaError", "FastaRecord", "read_fasta"),
     "index": (
@@ -64,8 +62,6 @@ _EXPORTS = {
         "collect_hits",
         "exact_search",
         "inexact_search",
-        "locate_all",
-        "reconstruct_reference",
     ),
     "serialize": (
         "BadMagicError",
@@ -76,9 +72,9 @@ _EXPORTS = {
         "deserialize_index",
         "serialize_index",
     ),
-    "suffix": ("suffix_array_naive",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "batch", "bench", "cli", "suffix")
 
 __all__ = sorted(_MODULE_OF)
 
@@ -88,7 +84,7 @@ def __dir__():
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _SUBMODULES:
         return import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

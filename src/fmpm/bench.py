@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import match_many
-from .index import FmIndex
+from .alphabet import SYMBOLS
+from .batch import lf_step, match_many
+from .index import SA_STRIDE, FmIndex
 from .kernels import Kernel, count_blocks, resolve_kernel
-from .search import reconstruct_reference
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,31 @@ class _Workload:
 
 
 def _build_workload(index: FmIndex, iterations: int, seed: int) -> _Workload:
-    """Deterministic query mix drawn from the indexed text itself."""
+    """Deterministic query mix drawn from the indexed text itself.
+
+    Each pattern ends just before the known position of a sampled row:
+    walking that row back with LF steps reads the text before it, one
+    character per step, so the text is never rebuilt.
+    """
     rng = random.Random(seed)
-    text = reconstruct_reference(index, kernel=Kernel.BYTELUT)
+    longest = min(24, index.n)
+    # sampled rows whose suffix starts at least `longest` characters in;
+    # sample 0 is the terminator's suffix, at n, so there is always one
+    rows = np.flatnonzero(index.samples >= longest) * SA_STRIDE
+    drawn = [
+        (rng.randrange(len(rows)), rng.randint(min(8, index.n), longest))
+        for _ in range(iterations)
+    ]
+    # all drawn rows step back in lockstep; step t reads the character at
+    # sample - 1 - t from a row whose suffix starts at sample - t >= 1, so
+    # no step is given the sentinel row
+    at = rows[np.array([j for j, _ in drawn], dtype=np.int64)]
+    codes = np.empty((iterations, longest), dtype=np.uint8)
+    for t in range(longest):
+        codes[:, longest - 1 - t], at = lf_step(index, at, Kernel.BYTELUT)
     exact_patterns = []
-    for _ in range(iterations):
-        length = rng.randint(min(8, len(text)), min(24, len(text)))
-        start = rng.randint(0, len(text) - length)
-        pattern = text[start : start + length]
+    for window, (_, length) in zip(codes.tolist(), drawn):
+        pattern = "".join(SYMBOLS[c] for c in window[longest - length :])
         if rng.random() < 0.5:
             # flip one character so roughly half the queries miss
             pos = rng.randrange(length)

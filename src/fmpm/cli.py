@@ -23,14 +23,10 @@ EXIT_DISAGREE = 4
 _KERNEL_CHOICES = [k.value for k in Kernel]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; remap to the usage code
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -126,11 +122,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     if args.max_diff < 0:
-        raise UsageError("-z must be >= 0")
+        raise ValueError("-z must be >= 0")
     if args.max_hits is not None and args.max_hits < 0:
-        raise UsageError("--max-hits must be >= 0")
+        raise ValueError("--max-hits must be >= 0")
     if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
+        raise ValueError("--threads must be >= 1")
     kernel = resolve_kernel(args.kernel)
     index = _load_index(args.index)
     if args.pattern is not None:
@@ -140,10 +136,10 @@ def cmd_match(args: argparse.Namespace) -> int:
             patterns = [line.strip() for line in fh if line.strip()]
     for pid, pattern in enumerate(patterns):
         if not pattern:
-            raise UsageError(f"pattern {pid} is empty")
+            raise ValueError(f"pattern {pid} is empty")
         # with as many differences as characters, every position matches
         if args.max_diff >= len(pattern):
-            raise UsageError(
+            raise ValueError(
                 f"pattern {pid} has {len(pattern)} character(s); -z must be below that"
             )
 
@@ -176,7 +172,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod
 
     if args.iters < 1:
-        raise UsageError("--iters must be >= 1")
+        raise ValueError("--iters must be >= 1")
     index = _load_index(args.index)
     kernels = None
     if args.kernels:
@@ -196,11 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "match":
             return cmd_match(args)
         return cmd_bench(args)
-    except UsageError as exc:
-        print(f"fmpm: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # bad kernel names, malformed FASTA, empty patterns and the like
+        # bad arguments, malformed FASTA, empty patterns and the like
         print(f"fmpm: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IndexFormatError as exc:

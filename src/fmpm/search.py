@@ -15,12 +15,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .alphabet import SYMBOLS, is_dna
-from .batch import bwt_symbols, exact_search_many, inexact_search_many, locate_hits, locate_rows
+from .alphabet import is_dna_many
+from .batch import exact_search_many, inexact_search_many, locate_hits
 from .index import FmIndex
 from .kernels import Kernel, resolve_kernel
-
-_SYMBOL_BYTES = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
 
 
 class BwmInterval(NamedTuple):
@@ -76,7 +74,7 @@ def exact_search(
     kernel = resolve_kernel(kernel)
     if not pattern:
         raise ValueError("pattern is empty")
-    if not is_dna(pattern):
+    if not is_dna_many([pattern])[0]:
         return BwmInterval(k=1, l=0, degenerate=True)
     k, l = exact_search_many(index, [pattern], kernel)
     return BwmInterval(k=int(k[0]), l=int(l[0]))
@@ -100,24 +98,13 @@ def inexact_search(
         raise ValueError(f"difference budget {max_diff} is negative")
     if not pattern:
         raise ValueError("pattern is empty")
-    if not is_dna(pattern):
+    if not is_dna_many([pattern])[0]:
         return []
     _, *found = inexact_search_many(index, [pattern], max_diff, kernel)
     return [
         MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
         for k, l, used in zip(*(column.tolist() for column in found))
     ]
-
-
-def locate_all(
-    index: FmIndex,
-    interval: BwmInterval,
-    diffs: int,
-    pattern_len: int,
-    kernel: Kernel | str | None = None,
-) -> list[Hit]:
-    """Record-relative hits of every row of one interval, as `collect_hits` keeps them."""
-    return collect_hits(index, [MatchResult(interval, diffs)], pattern_len, kernel)[0]
 
 
 def collect_hits(
@@ -154,17 +141,3 @@ def collect_hits(
     if truncated:
         hits = hits[:max_hits]
     return hits, truncated
-
-
-def reconstruct_reference(index: FmIndex, kernel: Kernel | str | None = None) -> str:
-    """Rebuild the reference from one locate of every row.
-
-    The transform symbol of a row is the text character just before that
-    row's suffix, so it goes to position SA[row] - 1; the sentinel row's
-    (the terminator, before the whole text) goes nowhere.
-    """
-    kernel = resolve_kernel(kernel)
-    rows = np.delete(np.arange(index.n + 1), index.sentinel_row)
-    text = np.zeros(index.n, dtype=np.uint8)
-    text[locate_rows(index, rows, kernel) - 1] = bwt_symbols(index, rows)
-    return _SYMBOL_BYTES[text].tobytes().decode("ascii")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alphabet import SYMBOLS, TERMINATOR, encode_array
+from .alphabet import SYMBOLS
 
 # Characters packed into each suffix's seed rank.  A seed holds SEED_WIDTH
 # base-5 digits (terminator and past-the-end 0, A..T 1..4), and
@@ -15,19 +15,6 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 # marks the terminator's row while the transform codes are gathered
 _TERMINATOR_MARK = len(SYMBOLS)
-
-
-def suffix_array_naive(reference: str) -> list[int]:
-    """Comparison-sort oracle: sort all suffixes of reference + terminator.
-
-    Materializes every suffix, so keep inputs small (a few thousand chars).
-    ASCII ordering of '$' < 'A' < 'C' < 'G' < 'T' matches the code order.
-    """
-    if not reference:
-        raise ValueError("reference is empty")
-    encode_array(reference)
-    text = reference.upper() + TERMINATOR
-    return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def suffix_array(codes: np.ndarray) -> np.ndarray:
@@ -42,7 +29,7 @@ def suffix_array(codes: np.ndarray) -> np.ndarray:
     ceil(log2((h + 1) / SEED_WIDTH)) rounds after the seed, each one
     O(m log m) in the m suffixes still tied; O(n log^2 n) at worst.
     Suffix positions and ranks are int32 while they fit; only the sort
-    keys are int64.  Agrees with suffix_array_naive on every input.
+    keys are int64.
     """
     if not len(codes):
         raise ValueError("reference is empty")

@@ -3,7 +3,9 @@
 The occurrence, search and locate functions below answer one item at a
 time what the library answers in batches: they read `FmIndex.buckets`
 one bucket at a time through the one-bucket kernels and share no code
-with the batch engine in `fmpm.batch`, which the library runs.
+with the batch engine in `fmpm.batch`, which the library runs.  The text
+functions (encode, is_dna, pack_codes, suffix_array_naive) work one
+character at a time, with no numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import zlib
 from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
-from fmpm.alphabet import A, encode, is_dna, pack_codes
+from fmpm.alphabet import A, AlphabetError
 from fmpm.index import FmIndex, SA_STRIDE
 from fmpm.kernels import (
     BUCKET_CHARS,
@@ -28,7 +30,6 @@ from fmpm.kernels import (
     resolve_kernel,
 )
 from fmpm.search import BwmInterval, Hit, MatchResult
-from fmpm.suffix import suffix_array_naive
 
 _ZERO = OccCounts(0, 0, 0, 0)
 # the public one-symbol count of each kernel
@@ -52,6 +53,55 @@ EDGE_SIZES = sorted(
     {1, 2, 3, 31, 77, 127} | {m + d for m in (32, 64, 96, 128, 256, 384) for d in (-1, 0, 1)}
 )
 PERIODIC_TEXTS = ["ACG" * 90, "A" * 130, ("acgt" * 70)[:257], "AAC" * 43]
+
+
+def encode(text: str) -> list[int]:
+    """Symbol codes of a DNA string, raising AlphabetError at the first other character."""
+    codes = []
+    for i, ch in enumerate(text):
+        code = "ACGTacgt".find(ch)
+        if code < 0:
+            raise AlphabetError(
+                f"invalid character {ch!r} at position {i}; expected one of ACGT"
+            )
+        codes.append(code % 4)
+    return codes
+
+
+def is_dna(text: str) -> bool:
+    """True when every character of `text` is A/C/G/T (either case)."""
+    return all(ch in "ACGTacgt" for ch in text)
+
+
+def pack_codes(codes: list[int], pad_to: int | None = None) -> bytes:
+    """Pack 2-bit symbol codes into bytes, four per byte, low-order fields first.
+
+    Code j occupies bits [2*(j % 4), 2*(j % 4) + 1] of byte j // 4, so
+    earlier codes sit in lower-order bits; unused trailing fields of the
+    last byte are zero.  `pad_to` extends the result with zero bytes up
+    to a fixed block size.
+    """
+    out = bytearray((len(codes) + 3) // 4)
+    for j, code in enumerate(codes):
+        out[j >> 2] |= (code & 3) << ((j & 3) << 1)
+    if pad_to is not None:
+        if len(out) > pad_to:
+            raise ValueError(f"{len(codes)} characters do not fit in {pad_to} bytes")
+        out.extend(b"\x00" * (pad_to - len(out)))
+    return bytes(out)
+
+
+def suffix_array_naive(reference: str) -> list[int]:
+    """Comparison-sort oracle: sort all suffixes of reference + terminator.
+
+    Materializes every suffix, so keep inputs small (a few thousand chars).
+    ASCII ordering of '$' < 'A' < 'C' < 'G' < 'T' matches the code order.
+    """
+    if not reference:
+        raise ValueError("reference is empty")
+    encode(reference)
+    text = reference.upper() + "$"
+    return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def random_dna(rng: random.Random, n: int) -> str:
@@ -181,81 +231,52 @@ def unpack_samples(section: bytes, n: int) -> list[int]:
     return [stream >> (j * width) & ((1 << width) - 1) for j in range(n // 32 + 1)]
 
 
-def occ(index: FmIndex, symbol: int, k: int, kernel: Kernel | str | None = None) -> int:
-    """Occurrences of `symbol` in transform rows 0..k, inclusive.
+def occ_all(
+    index: FmIndex, k: int, kernel: Kernel | str | None = None, memo: dict | None = None
+) -> OccCounts:
+    """All four occurrence counts at position k (k == -1 gives zeros).
 
-    k == -1 is the defined empty-prefix base case and returns 0.  The
+    Position k is the prefix k % 128 + 1 of bucket k // 128.  The
     terminator is packed as code 0, so the raw A count is corrected down
-    by one once the prefix covers the sentinel row.
+    by one once the prefix covers the sentinel row.  `memo`, a dict made
+    by one oracle call for all of its counts, keeps each position's
+    counts, so the kernel counts each distinct (bucket, prefix) once.
     """
-    if not 0 <= symbol < 4:
-        raise ValueError(f"symbol code {symbol} outside [0, 4)")
-    if k < 0:
-        if k == -1:
-            return 0
-        raise ValueError(f"position {k} below -1")
-    if k > index.n:
-        raise ValueError(f"position {k} beyond transform end {index.n}")
-    j, r = divmod(k, BUCKET_CHARS)
-    bucket = index.buckets[j]
-    count = bucket.base[symbol] + _COUNT_BUCKET[resolve_kernel(kernel)](bucket.chars, r + 1, symbol)
-    if symbol == A and index.sentinel_row <= k:
-        count -= 1
-    return count
-
-
-def occ_all(index: FmIndex, k: int, kernel: Kernel | str | None = None) -> OccCounts:
-    """All four occurrence counts at position k (k == -1 gives zeros)."""
     if k == -1:
         return _ZERO
     if not 0 <= k <= index.n:
         raise ValueError(f"position {k} outside [-1, {index.n}]")
+    if memo is not None and k in memo:
+        return memo[k]
     j, r = divmod(k, BUCKET_CHARS)
     bucket = index.buckets[j]
     inside = count_bucket_all4(bucket.chars, r + 1, kernel)
     counts = [b + d for b, d in zip(bucket.base, inside)]
     if index.sentinel_row <= k:
         counts[A] -= 1
-    return OccCounts(*counts)
+    counts = OccCounts(*counts)
+    if memo is not None:
+        memo[k] = counts
+    return counts
 
 
 def occ_pair_all(
-    index: FmIndex, low: int, high: int, kernel: Kernel | str | None = None
+    index: FmIndex,
+    low: int,
+    high: int,
+    kernel: Kernel | str | None = None,
+    memo: dict | None = None,
 ) -> OccPair:
     """Counts for all symbols at two positions, low <= high.
 
     The workhorse of interval updates, which need Occ at k-1 and l for
-    every candidate symbol.  When both positions land in the same bucket
-    its packed block is fetched once and scanned for both prefixes.
+    every candidate symbol.
     """
     if low > high:
         raise ValueError(f"pair positions out of order: {low} > {high}")
-    kernel = resolve_kernel(kernel)
-    if low == high:
-        at = occ_all(index, high, kernel)
-        return OccPair(at_low=at, at_high=at)
-    if low < 0:
-        if low != -1:
-            raise ValueError(f"position {low} below -1")
-        return OccPair(at_low=_ZERO, at_high=occ_all(index, high, kernel))
-    if high > index.n:
-        raise ValueError(f"position {high} beyond transform end {index.n}")
-    j_low, r_low = divmod(low, BUCKET_CHARS)
-    j_high, r_high = divmod(high, BUCKET_CHARS)
-    if j_low != j_high:
-        return OccPair(
-            at_low=occ_all(index, low, kernel), at_high=occ_all(index, high, kernel)
-        )
-    bucket = index.buckets[j_low]
-    inside_low = count_bucket_all4(bucket.chars, r_low + 1, kernel)
-    inside_high = count_bucket_all4(bucket.chars, r_high + 1, kernel)
-    counts_low = [b + d for b, d in zip(bucket.base, inside_low)]
-    counts_high = [b + d for b, d in zip(bucket.base, inside_high)]
-    if index.sentinel_row <= low:
-        counts_low[A] -= 1
-    if index.sentinel_row <= high:
-        counts_high[A] -= 1
-    return OccPair(at_low=OccCounts(*counts_low), at_high=OccCounts(*counts_high))
+    return OccPair(
+        at_low=occ_all(index, low, kernel, memo), at_high=occ_all(index, high, kernel, memo)
+    )
 
 
 def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
@@ -273,11 +294,12 @@ def extend_backward(
     interval: BwmInterval,
     symbol: int,
     kernel: Kernel | str | None = None,
+    memo: dict | None = None,
 ) -> BwmInterval:
     """Narrow an interval to rotations prefixed by one more symbol."""
     if interval.is_empty:
         raise ValueError("cannot extend an empty interval")
-    pair = occ_pair_all(index, interval.k - 1, interval.l, kernel)
+    pair = occ_pair_all(index, interval.k - 1, interval.l, kernel, memo)
     c = index.c[symbol]
     return BwmInterval(k=c + pair.at_low[symbol] + 1, l=c + pair.at_high[symbol])
 
@@ -297,11 +319,12 @@ def exact_search(
         return BwmInterval(k=1, l=0, degenerate=True)
     kernel = resolve_kernel(kernel)
     codes = encode(pattern)
+    memo: dict = {}
     interval = init_interval(index, codes[-1])
     for symbol in reversed(codes[:-1]):
         if interval.is_empty:
             break
-        interval = extend_backward(index, interval, symbol, kernel)
+        interval = extend_backward(index, interval, symbol, kernel, memo)
     return interval
 
 
@@ -330,6 +353,7 @@ def inexact_search(
     kernel = resolve_kernel(kernel)
     codes = encode(pattern)
     c = index.c
+    memo: dict = {}
     best: dict[tuple[int, int], int] = {}
     # (next pattern position, remaining budget, k, l); the full row range
     # [0, n] makes the first extension coincide with init_interval.
@@ -346,7 +370,7 @@ def inexact_search(
         if budget > 0:
             # skip: consume the pattern character without extending
             stack.append((i - 1, budget - 1, k, l))
-        pair = occ_pair_all(index, k - 1, l, kernel)
+        pair = occ_pair_all(index, k - 1, l, kernel, memo)
         want = codes[i]
         for symbol in range(4):
             base = c[symbol]

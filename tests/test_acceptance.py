@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fmpm.alphabet import A, C, G, encode, encode_array, pack_codes
+from fmpm.alphabet import A, C, G, encode_array
 from fmpm.batch import locate_rows, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import (
@@ -33,14 +33,15 @@ from fmpm.search import (
     collect_hits,
     exact_search,
     inexact_search,
-    locate_all,
 )
 from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import bwt_codes, suffix_array
 
 from oracles import (
+    encode,
     hamming_positions,
     min_anchored_edit_distance,
+    pack_codes,
     random_bucket,
     random_dna,
     scan_positions,
@@ -178,7 +179,7 @@ def test_criterion_05_exact_search_oracle(suite5):
     for ref_id, pattern in cases:
         text, index = pool[ref_id]
         interval = exact_search(index, pattern)
-        hits = locate_all(index, interval, 0, len(pattern))
+        hits, _ = collect_hits(index, [MatchResult(interval, 0)], len(pattern))
         assert [h.global_pos for h in hits] == scan_positions(text, pattern), (
             ref_id,
             pattern,
@@ -304,7 +305,9 @@ def test_criterion_10_serialization_round_trip():
         a = exact_search(index, pattern)
         b = exact_search(restored, pattern)
         assert a == b
-        assert locate_all(index, a, 0, m) == locate_all(restored, b, 0, m)
+        assert collect_hits(index, [MatchResult(a, 0)], m) == collect_hits(
+            restored, [MatchResult(b, 0)], m
+        )
     for _ in range(10):
         m = rng.randint(8, 14)
         start = rng.randint(0, len(text) - m)

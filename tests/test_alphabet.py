@@ -4,23 +4,54 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmpm.alphabet import SYMBOLS, AlphabetError, encode, is_dna, is_dna_many, pack_codes
+from fmpm.alphabet import SYMBOLS, AlphabetError, encode_array, is_dna_many
+
+from oracles import encode, is_dna, pack_codes
 
 
 def test_codes_follow_lexicographic_order():
-    assert encode("ACGT") == [0, 1, 2, 3]
-    assert encode("acgt") == [0, 1, 2, 3]
+    assert encode_array("ACGT").tolist() == [0, 1, 2, 3]
+    assert encode_array("acgt").tolist() == [0, 1, 2, 3]
+    assert encode_array("").tolist() == []
 
 
 def test_encode_rejects_bad_character():
-    with pytest.raises(AlphabetError, match="position 2"):
-        encode("ACNG")
+    # the first bad character and its position; a non-ASCII character
+    # counts as one position, an astral one too
+    cases = [
+        ("ACNG", "'N' at position 2"),
+        ("acgtN", "'N' at position 4"),
+        ("AC\u00e9G", "'\u00e9' at position 2"),
+        ("ACGT\U0001f600A", "'\U0001f600' at position 4"),
+        ("NACGU", "'N' at position 0"),
+    ]
+    for text, where in cases:
+        with pytest.raises(AlphabetError) as raised:
+            encode_array(text)
+        assert str(raised.value) == f"invalid character {where}; expected one of ACGT"
+
+
+@given(st.text(alphabet="ACGTacgtNn\u00e9\U0001f600") | st.text())
+def test_encode_array_equals_encode(text):
+    try:
+        want = encode(text)
+    except AlphabetError as expected:
+        with pytest.raises(AlphabetError) as raised:
+            encode_array(text)
+        assert str(raised.value) == str(expected)
+    else:
+        assert encode_array(text).tolist() == want
 
 
 def test_is_dna():
-    assert is_dna("ACGTacgt")
-    assert not is_dna("ACGU")
-    assert is_dna("")
+    assert is_dna_many(["ACGTacgt", "ACGU", "", "N", "\u00e9"]).tolist() == [
+        True,
+        False,
+        True,
+        False,
+        False,
+    ]
+    assert is_dna_many([]).tolist() == []
 
 
 @given(st.lists(st.text(alphabet="ACGTacgtNn\u00e9\U0001f600") | st.text(), max_size=8))
@@ -72,10 +103,10 @@ def test_char_code_and_round_trip():
         packed = _pack(text)
         # code j sits in bits [2*(j % 4), 2*(j % 4) + 1] of byte j // 4
         codes = [(packed[j >> 2] >> ((j & 3) << 1)) & 3 for j in range(n)]
-        assert codes == encode(text)
+        assert codes == encode_array(text).tolist()
         assert "".join(SYMBOLS[c] for c in codes) == text
 
 
 def test_decode_inverts_encode():
-    assert "".join(SYMBOLS[c] for c in encode("GATTACA")) == "GATTACA"
-    assert "".join(SYMBOLS[c] for c in encode("gattaca")) == "GATTACA"
+    assert "".join(SYMBOLS[c] for c in encode_array("GATTACA")) == "GATTACA"
+    assert "".join(SYMBOLS[c] for c in encode_array("gattaca")) == "GATTACA"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fmpm.batch
 import fmpm.kernels
-from fmpm.alphabet import encode_array, is_dna
+from fmpm.alphabet import encode_array
 from fmpm.batch import (
     difference_bounds,
     exact_search_many,
@@ -27,7 +27,6 @@ from fmpm.index import SA_STRIDE, build_index
 from fmpm.kernels import Kernel
 from fmpm.search import MatchResult
 from fmpm.serialize import IndexFormatError, deserialize_index, serialize_index
-from fmpm.suffix import suffix_array_naive
 
 import oracles
 from oracles import (
@@ -37,8 +36,10 @@ from oracles import (
     edge_text,
     exact_search,
     inexact_search,
+    is_dna,
     occ_all,
     random_dna,
+    suffix_array_naive,
 )
 
 

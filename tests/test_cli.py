@@ -4,12 +4,16 @@ import subprocess
 import sys
 import zlib
 
+import numpy as np
 import pytest
 
 import fmpm.bench
 import fmpm.kernels
 from fmpm.cli import EXIT_CORRUPT, EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fmpm.index import build_index
 from fmpm.kernels import Kernel, resolve_kernel
+
+from oracles import EDGE_SIZES, edge_text, hamming_positions
 
 
 @pytest.fixture()
@@ -301,6 +305,24 @@ def test_bench_checksums_agree(reference, acag_index, tmp_path, capsys, monkeypa
     assert [r[0] for r in rows] == ["scalar", "bytelut", "nibble", "simd"]
     assert len({r[5] for r in rows}) == 1
     assert "answer checksums agree" in captured.err
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_bench_patterns_are_text_within_one_substitution(n):
+    # the patterns are read by backward walks from sampled rows, not cut
+    # from a rebuilt text; each is a substring with at most one change
+    text = edge_text(n)
+    index = build_index(text)
+    workload = fmpm.bench._build_workload(index, 40, n)
+    assert len(workload.exact_patterns) == 40
+    for pattern in workload.exact_patterns:
+        assert min(8, n) <= len(pattern) <= min(24, n)
+        assert hamming_positions(text.upper(), pattern, 1), pattern
+    again = fmpm.bench._build_workload(index, 40, n)
+    assert again.exact_patterns == workload.exact_patterns
+    assert again.inexact_patterns == workload.inexact_patterns
+    for name in ("blocks", "prefix_lens", "symbols"):
+        assert np.array_equal(getattr(again, name), getattr(workload, name)), name
 
 
 def test_bench_exits_4_when_kernels_disagree(tmp_path, capsys, monkeypatch):

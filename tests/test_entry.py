@@ -39,6 +39,18 @@ def test_import_fmpm_loads_no_numpy_and_sets_nothing():
     assert out == "True\n['fmpm', 'fmpm.__main__']\nNone\n"
 
 
+@pytest.mark.parametrize("module", ["batch", "bench", "cli", "suffix"])
+def test_submodule_without_public_names_resolves_on_first_use(module):
+    # no other submodule has been imported to bind it on the package
+    out, _ = _python(
+        "-c",
+        "import sys, fmpm\n"
+        "print('numpy' in sys.modules)\n"
+        f"print(fmpm.{module} is sys.modules['fmpm.{module}'])",
+    )
+    assert out == "False\nTrue\n"
+
+
 def test_every_public_name_resolves():
     for name in fmpm.__all__:
         assert getattr(fmpm, name) is not None, name
@@ -49,7 +61,10 @@ def test_every_public_name_resolves():
 # names that had a second, per-item form in `fmpm.search`, `fmpm.suffix` or
 # `fmpm.alphabet`; `fmpm.batch` and the remaining names give each operation.
 # `mask_bucket` was a second way to cut a prefix from a bucket, next to
-# `kernels.mask_blocks`
+# `kernels.mask_blocks`.  `encode` and `is_dna` were per-item forms of
+# `encode_array` and `is_dna_many`, `locate_all` of `collect_hits`;
+# `reconstruct_reference` had no caller once `fmpm bench` read its patterns
+# by backward walks, and `suffix_array_naive` is a test oracle
 REMOVED_NAMES = (
     "OccPair",
     "PackedText",
@@ -57,8 +72,11 @@ REMOVED_NAMES = (
     "bwt_char_at",
     "bwt_from_sa",
     "decode",
+    "encode",
     "extend_backward",
     "init_interval",
+    "is_dna",
+    "locate_all",
     "locate_row",
     "mask_bucket",
     "occ",
@@ -67,12 +85,14 @@ REMOVED_NAMES = (
     "pack_2bit",
     "psi_inverse",
     "psi_inverse_fused",
+    "reconstruct_reference",
+    "suffix_array_naive",
     "unpack_2bit",
 )
 
 
 def test_removed_names_are_gone():
-    assert len(fmpm.__all__) == 47
+    assert len(fmpm.__all__) == 42
     for name in REMOVED_NAMES:
         assert name not in fmpm.__all__, name
         with pytest.raises(AttributeError):

@@ -19,9 +19,16 @@ from fmpm.index import (
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
 from fmpm.serialize import deserialize_index, serialize_index
-from fmpm.suffix import suffix_array, suffix_array_naive
+from fmpm.suffix import suffix_array
 
-from oracles import EDGE_SIZES, edge_text, naive_bwt, random_dna, reference_index_bytes
+from oracles import (
+    EDGE_SIZES,
+    edge_text,
+    naive_bwt,
+    random_dna,
+    reference_index_bytes,
+    suffix_array_naive,
+)
 
 
 def test_c_table_examples():

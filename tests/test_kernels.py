@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fmpm.kernels
-from fmpm.alphabet import A, C, G, T, encode, pack_codes
+from fmpm.alphabet import A, C, G, T
 from fmpm.kernels import (
     BUCKET_BYTES,
     BUCKET_CHARS,
@@ -22,7 +22,7 @@ from fmpm.kernels import (
     resolve_kernel,
 )
 
-from oracles import random_bucket
+from oracles import encode, pack_codes, random_bucket
 
 FIG_STRING = "ccacttgcgaaatttacaaggtttattaggtt"
 FIG_BLOCK = pack_codes(encode(FIG_STRING)) + bytes(BUCKET_BYTES - 8)

@@ -14,8 +14,6 @@ from fmpm.search import (
     collect_hits,
     exact_search,
     inexact_search,
-    locate_all,
-    reconstruct_reference,
 )
 from fmpm.suffix import suffix_array
 
@@ -91,7 +89,7 @@ def test_exact_positions_match_scan():
             start = rng.randint(0, len(text) - m)
             pattern = text[start : start + m]
             interval = exact_search(index, pattern)
-            hits = locate_all(index, interval, 0, m)
+            hits, _ = collect_hits(index, [MatchResult(interval, 0)], m)
             assert [h.global_pos for h in hits] == scan_positions(text, pattern)
 
 
@@ -241,19 +239,19 @@ def test_locate_row_recovers_full_suffix_array():
         assert locate_rows(index, np.arange(n + 1)).tolist() == sa.tolist()
 
 
-def test_locate_all_empty_interval(acag):
-    assert locate_all(acag, BwmInterval(5, 4), 0, 1) == []
+def test_collect_hits_empty_interval(acag):
+    assert collect_hits(acag, [MatchResult(BwmInterval(5, 4), 0)], 1) == ([], False)
 
 
-def test_locate_all_maps_records():
+def test_collect_hits_maps_records():
     index = build_index("AAACCC" + "GGGTTT", [("r1", 0, 6), ("r2", 6, 6)])
     interval = exact_search(index, "CCC")
-    hits = locate_all(index, interval, 0, 3)
-    assert hits == [Hit(record="r1", offset=3, global_pos=3, diffs=0)]
+    hits = collect_hits(index, [MatchResult(interval, 0)], 3)
+    assert hits == ([Hit(record="r1", offset=3, global_pos=3, diffs=0)], False)
     # a pattern spanning the junction exists in the concatenation only
     interval = exact_search(index, "CCGG")
     assert not interval.is_empty
-    assert locate_all(index, interval, 0, 4) == []
+    assert collect_hits(index, [MatchResult(interval, 0)], 4) == ([], False)
 
 
 def test_collect_hits_truncation():
@@ -292,10 +290,3 @@ def test_collect_hits_keeps_min_diffs():
     assert by_pos[0] == 0
     assert by_pos[4] == 0
 
-
-def test_reconstruct_reference_round_trip():
-    rng = random.Random(62)
-    for n in (1, 5, 127, 128, 129, 500):
-        text = random_dna(rng, n)
-        index = build_index(text)
-        assert reconstruct_reference(index) == text

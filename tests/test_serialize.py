@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fmpm.batch import bwt_symbols, match_many
 from fmpm.cli import EXIT_CORRUPT, main
 from fmpm.index import build_index
-from fmpm.search import exact_search, locate_all
+from fmpm.search import MatchResult, collect_hits, exact_search
 from fmpm.serialize import (
     BadMagicError,
     ChecksumError,
@@ -211,7 +211,9 @@ def test_queries_identical_after_round_trip():
         a = exact_search(index, pattern)
         b = exact_search(restored, pattern)
         assert a == b
-        assert locate_all(index, a, 0, m) == locate_all(restored, b, 0, m)
+        assert collect_hits(index, [MatchResult(a, 0)], m) == collect_hits(
+            restored, [MatchResult(b, 0)], m
+        )
 
 
 @pytest.mark.parametrize(

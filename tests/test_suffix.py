@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpm.suffix
-from fmpm.alphabet import SYMBOLS, AlphabetError, TERMINATOR, encode, encode_array
-from fmpm.suffix import SEED_WIDTH, bwt_codes, suffix_array, suffix_array_naive
+from fmpm.alphabet import SYMBOLS, AlphabetError, TERMINATOR, encode_array
+from fmpm.suffix import SEED_WIDTH, bwt_codes, suffix_array
 
-from oracles import random_dna
+from oracles import encode, random_dna, suffix_array_naive
 
 
 # sizes at and either side of the SA sample stride, the bucket width and

@@ -23,8 +23,6 @@ from fmpm.search import (
     collect_hits,
     exact_search,
     inexact_search,
-    locate_all,
-    reconstruct_reference,
 )
 
 from oracles import EDGE_SIZES, PERIODIC_TEXTS, edge_text, random_dna
@@ -149,9 +147,13 @@ def test_locate_and_reconstruct_equal_oracles(text):
     n = index.n
     rows = sorted({*range(0, n + 1, 37), index.sentinel_row, n})
     want = [oracles.locate_row(index, i, SCALAR) for i in rows]
+    # every row but the sentinel's holds the character before its suffix
+    others = np.delete(np.arange(n + 1), index.sentinel_row)
     for kernel in Kernel:
         assert locate_rows(index, rows, kernel).tolist() == want, kernel
-        assert reconstruct_reference(index, kernel) == text.upper(), kernel
+        codes = np.zeros(n, dtype=np.uint8)
+        codes[locate_rows(index, others, kernel) - 1] = bwt_symbols(index, others)
+        assert "".join("ACGT"[c] for c in codes.tolist()) == text.upper(), kernel
     rng = random.Random(len(text) + 2)
     # row 0 is the terminator's suffix, at position n, which is never a hit
     intervals = [BwmInterval(0, min(n, 40)), BwmInterval(3, 2)]
@@ -160,7 +162,8 @@ def test_locate_and_reconstruct_equal_oracles(text):
         diffs = j % 3  # a hit must fit 4 - diffs characters inside its record
         want = oracles.locate_all(index, interval, diffs, 4, SCALAR)
         for kernel in Kernel:
-            assert locate_all(index, interval, diffs, 4, kernel) == want, (interval, kernel)
+            got, _ = collect_hits(index, [MatchResult(interval, diffs)], 4, kernel)
+            assert got == want, (interval, kernel)
 
 
 def _engine_refused(*args, **kwargs):
@@ -170,29 +173,21 @@ def _engine_refused(*args, **kwargs):
 def test_bad_arguments_raise_before_the_engine(monkeypatch):
     index = build_index(random_dna(random.Random(9), 130))
     n = index.n
-    for name in (
-        "bwt_symbols",
-        "exact_search_many",
-        "inexact_search_many",
-        "locate_hits",
-        "locate_rows",
-    ):
+    for name in ("exact_search_many", "inexact_search_many", "locate_hits"):
         monkeypatch.setattr(fmpm.search, name, _engine_refused)
     calls = [
         lambda: exact_search(index, ""),
         lambda: inexact_search(index, "ACG", -1),
         lambda: inexact_search(index, "", 1),
-        lambda: locate_all(index, BwmInterval(-1, 3), 0, 2),
-        lambda: locate_all(index, BwmInterval(1, n + 1), 0, 2),
+        lambda: collect_hits(index, [MatchResult(BwmInterval(-1, 3), 0)], 2),
         lambda: collect_hits(index, [MatchResult(BwmInterval(0, n + 1), 0)], 2),
     ]
     bad_kernel = "no-such-kernel"
     calls += [
         lambda: exact_search(index, "A", bad_kernel),
         lambda: inexact_search(index, "AC", 1, bad_kernel),
-        lambda: locate_all(index, BwmInterval(0, 0), 0, 1, bad_kernel),
+        lambda: collect_hits(index, [MatchResult(BwmInterval(0, 0), 0)], 1, bad_kernel),
         lambda: collect_hits(index, [], 1, bad_kernel),
-        lambda: reconstruct_reference(index, bad_kernel),
     ]
     for j, call in enumerate(calls):
         try:
