@@ -373,9 +373,11 @@ def match_many(
     Exact search (max_diff 0) walks all patterns in lockstep; a positive
     budget runs all patterns' edit frontiers as one with
     `inexact_search_many`.  Locate is batched either way.  Patterns with
-    characters outside ACGT are flagged degenerate and get no hits; an
-    empty pattern, a negative budget or a negative `max_hits` raises
-    ValueError.
+    characters outside ACGT are flagged degenerate and get no hits.  A
+    negative budget, a negative `max_hits`, or a pattern no longer than
+    `max_diff` (with that many differences every position matches; at
+    max_diff 0, an empty pattern) raises ValueError naming the first such
+    pattern.
     """
     kernel = resolve_kernel(kernel)
     if max_diff < 0:
@@ -383,8 +385,14 @@ def match_many(
     if max_hits is not None and max_hits < 0:
         raise ValueError(f"hit limit {max_hits} is negative")
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    if not lengths.all():
-        raise ValueError(f"pattern {int(np.argmin(lengths))} is empty")
+    short = np.flatnonzero(lengths <= max_diff)
+    if len(short):
+        pid, m = int(short[0]), int(lengths[short[0]])
+        raise ValueError(
+            f"pattern {pid} is empty"
+            if not m
+            else f"pattern {pid} has {m} character(s); -z must be below that"
+        )
     degenerate = ~is_dna_many(patterns)
     dna = np.flatnonzero(~degenerate)
     if max_diff == 0:

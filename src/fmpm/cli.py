@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .batch import match_many
+from .batch import BatchHits, match_many
 from .index import FmIndex, build_index
-from .kernels import Kernel, resolve_kernel
+from .kernels import Kernel
 from .serialize import IndexFormatError, deserialize_index, serialize_index
 
 EXIT_OK = 0
@@ -74,11 +74,6 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("index", help="index file path")
     p_bench.add_argument("--iters", type=int, default=200, help="queries per kernel")
     p_bench.add_argument("--seed", type=int, default=0, help="workload seed")
-    p_bench.add_argument(
-        "--kernels",
-        default=None,
-        help="comma-separated kernel list (default: all four)",
-    )
     return parser
 
 
@@ -94,7 +89,8 @@ def _load_index(path: str) -> FmIndex:
 def cmd_index(args: argparse.Namespace) -> int:
     from .fasta import read_fasta
 
-    with open(args.fasta, "r", encoding="utf-8") as fh:
+    # a leading byte-order mark is not part of the first header
+    with open(args.fasta, "r", encoding="utf-8-sig") as fh:
         records = read_fasta(fh, sanitize=args.sanitize)
     substituted = sum(r.substituted for r in records)
     if substituted:
@@ -120,6 +116,17 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def hit_lines(index: FmIndex, hits: BatchHits) -> list[str]:
+    """The line `fmpm match` prints for each hit: pattern, record, offset, diffs."""
+    names = [r.name for r in index.records]
+    return [
+        f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n"
+        for pid, rec, offset, diffs in zip(
+            hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
+        )
+    ]
+
+
 def cmd_match(args: argparse.Namespace) -> int:
     if args.max_diff < 0:
         raise ValueError("-z must be >= 0")
@@ -127,30 +134,14 @@ def cmd_match(args: argparse.Namespace) -> int:
         raise ValueError("--max-hits must be >= 0")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    kernel = resolve_kernel(args.kernel)
     index = _load_index(args.index)
     if args.pattern is not None:
         patterns = [args.pattern]
     else:
-        with open(args.patterns_file, "r", encoding="utf-8") as fh:
+        with open(args.patterns_file, "r", encoding="utf-8-sig") as fh:
             patterns = [line.strip() for line in fh if line.strip()]
-    for pid, pattern in enumerate(patterns):
-        if not pattern:
-            raise ValueError(f"pattern {pid} is empty")
-        # with as many differences as characters, every position matches
-        if args.max_diff >= len(pattern):
-            raise ValueError(
-                f"pattern {pid} has {len(pattern)} character(s); -z must be below that"
-            )
-
-    hits = match_many(index, patterns, args.max_diff, kernel, args.max_hits)
-    names = [r.name for r in index.records]
-    lines = [
-        f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n"
-        for pid, rec, offset, diffs in zip(
-            hits.pattern.tolist(), hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist()
-        )
-    ]
+    hits = match_many(index, patterns, args.max_diff, args.kernel, args.max_hits)
+    lines = hit_lines(index, hits)
     # hits come sorted by pattern; a pattern's notes go out before its lines
     noted = (hits.degenerate | hits.truncated).nonzero()[0]
     written = 0
@@ -174,10 +165,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
     index = _load_index(args.index)
-    kernels = None
-    if args.kernels:
-        kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
-    reports = bench_mod.run_bench(index, kernels, iterations=args.iters, seed=args.seed)
+    reports = bench_mod.run_bench(index, iterations=args.iters, seed=args.seed)
     print(bench_mod.format_tsv(reports))
     print(bench_mod.format_summary(reports), file=sys.stderr)
     return EXIT_OK if len({r.checksum for r in reports}) == 1 else EXIT_DISAGREE

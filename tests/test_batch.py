@@ -87,6 +87,25 @@ def test_match_many_rejects_an_empty_pattern(patterns):
         match_many(index, patterns, 0)
 
 
+@pytest.mark.parametrize(
+    "patterns, max_diff, message",
+    [
+        (["ACG"], 3, "pattern 0 has 3 character(s); -z must be below that"),
+        (["ACGTA", "ACGT"], 4, "pattern 1 has 4 character(s); -z must be below that"),
+        (["ACGT", "AC", ""], 2, "pattern 1 has 2 character(s); -z must be below that"),
+        (["ACGT", "", "AC"], 2, "pattern 1 is empty"),
+        (["ANA", "ACGT"], 10**20, "pattern 0 has 3 character(s); -z must be below that"),
+    ],
+    ids=["as-long", "second", "short-before-empty", "empty-before-short", "huge-budget"],
+)
+def test_match_many_refuses_a_pattern_no_longer_than_max_diff(patterns, max_diff, message):
+    # with as many differences as characters, every position would match
+    index = build_index(edge_text(340))
+    with pytest.raises(ValueError) as refused:
+        match_many(index, patterns, max_diff)
+    assert str(refused.value) == message
+
+
 def _forbid_all_four(kernel, monkeypatch):
     """Make `kernel` fail when asked for all four counts of a bucket."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import fmpm.bench
 import fmpm.kernels
-from fmpm.cli import EXIT_CORRUPT, EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fmpm.bench import run_bench
+from fmpm.cli import EXIT_CORRUPT, EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_index, main
 from fmpm.index import build_index
 from fmpm.kernels import Kernel, resolve_kernel
 
@@ -80,6 +82,7 @@ def test_kernel_selections_byte_identical(acag_index, tmp_path, capsys):
 
 def test_kernel_has_one_source_and_four_names(acag_index, capsys, monkeypatch):
     assert main(["match", str(acag_index), "-p", "CA", "--kernel", "auto"]) == EXIT_USAGE
+    # `fmpm bench` has no kernel option, it always runs all four: `--kernels` is unknown
     assert main(["bench", str(acag_index), "--iters", "1", "--kernels", "auto"]) == EXIT_USAGE
     capsys.readouterr()
     with pytest.raises(ValueError, match="scalar, bytelut, nibble, simd$"):
@@ -267,6 +270,41 @@ def test_duplicate_record_name_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+BOM = "\ufeff"
+
+
+def test_fasta_with_a_byte_order_mark_indexes_as_without(tmp_path):
+    indexes = []
+    for name, prefix in (("plain", ""), ("bom", BOM)):
+        fasta, out = tmp_path / f"{name}.fa", tmp_path / f"{name}.fmi"
+        fasta.write_text(f"{prefix}>r1\nACAGTTACAG\n>r2\nGGCA\n", encoding="utf-8")
+        assert main(["index", str(fasta), "-o", str(out)]) == EXIT_OK
+        indexes.append(out.read_bytes())
+    assert indexes[0] == indexes[1]
+
+
+def test_patterns_file_with_a_byte_order_mark_reads_as_without(acag_index, tmp_path, capsys):
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", BOM)):
+        pf = tmp_path / f"{name}.txt"
+        pf.write_text(f"{prefix}CA\nAG\n", encoding="utf-8")
+        assert main(["match", str(acag_index), "-f", str(pf)]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].out == "0\tr1\t1\t0\n1\tr1\t2\t0\n"
+    assert outputs[1].err == ""
+
+
+def test_files_that_are_not_utf8_stay_usage_errors(acag_index, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b">r\xe91\nACGT\n")
+    assert main(["index", str(bad), "-o", str(tmp_path / "x.fmi")]) == EXIT_USAGE
+    assert main(["match", str(acag_index), "-f", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    message = "fmpm: 'utf-8' codec can't decode byte 0xe9 in position 2: invalid continuation byte"
+    assert err == [message] * 2
+
+
 def test_multi_record_offsets(tmp_path, capsys):
     fasta = tmp_path / "two.fa"
     fasta.write_text(">r1\nAAACCC\n>r2\nGGGTTT\n")
@@ -323,6 +361,29 @@ def test_bench_patterns_are_text_within_one_substitution(n):
     assert again.inexact_patterns == workload.inexact_patterns
     for name in ("blocks", "prefix_lens", "symbols"):
         assert np.array_equal(getattr(again, name), getattr(workload, name)), name
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_bench_checksum_hashes_the_lines_match_prints(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    fasta, out = tmp_path / "ref.fa", tmp_path / "ref.fmi"
+    fasta.write_text(
+        "".join(f">r{j}\n{''.join(rng.choices('ACGT', k=400))}\n" for j in range(3))
+    )
+    assert main(["index", str(fasta), "-o", str(out)]) == EXIT_OK
+    index = _load_index(str(out))
+    workload = fmpm.bench._build_workload(index, 30, seed)
+    stdout = []
+    for z, patterns in (("0", workload.exact_patterns), ("1", workload.inexact_patterns)):
+        pf = tmp_path / f"z{z}.txt"
+        pf.write_text("".join(p + "\n" for p in patterns))
+        capsys.readouterr()
+        assert main(["match", str(out), "-f", str(pf), "-z", z]) == EXIT_OK
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] and stdout[1]
+    want = hashlib.sha256("".join(stdout).encode()).hexdigest()
+    reports = run_bench(index, iterations=30, seed=seed)
+    assert [(r.kernel, r.checksum) for r in reports] == [(k.value, want) for k in Kernel]
 
 
 def test_bench_exits_4_when_kernels_disagree(tmp_path, capsys, monkeypatch):
