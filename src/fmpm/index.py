@@ -53,6 +53,9 @@ class FmIndex:
     whenever an index is made, so the two cannot disagree.  All three are
     C-contiguous arrays.  The query engine (`fmpm.batch`) reads them
     directly; `fmpm.serialize` alone knows how the file lays them out.
+    Making an index, by a build, a load or `dataclasses.replace`, runs
+    `check_index` and raises its ValueError, so every FmIndex that exists
+    writes a file that loads back equal.
     """
 
     n: int
@@ -77,6 +80,7 @@ class FmIndex:
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "c", tuple(self.c))
         object.__setattr__(self, "records", tuple(self.records))
+        check_index(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FmIndex):
@@ -132,9 +136,9 @@ def build_index(
     """Build the full index for a reference string.
 
     `records` names stretches of the reference as (name, start, length)
-    triples; they must tile [0, n) contiguously, which is checked before
-    the suffix sort.  Omitted, the whole reference becomes a single record
-    called "ref".
+    triples; they must tile [0, n) contiguously under distinct one-word
+    names, which is checked before the suffix sort.  Omitted, the whole
+    reference becomes a single record called "ref".
     """
     codes = encode_array(reference)
     n = len(codes)
@@ -173,8 +177,8 @@ def _normalize_records(
     names = set()
     expected_start = 0
     for name, start, length in records:
-        if not name:
-            raise ValueError("record name is empty")
+        if name.split() != [name]:  # what a FASTA header's first word can be
+            raise ValueError(f"record name {name!r} is empty or holds whitespace")
         if name in names:
             raise ValueError(f"record name {name!r} is used twice")
         names.add(name)
@@ -192,15 +196,17 @@ def _normalize_records(
 def check_index(index: FmIndex) -> None:
     """Validate structural invariants; raises ValueError on any violation.
 
-    Checks the bucket and sample counts; zero padding past the transform;
-    the C table against the transform's totals, which are the last
-    block's base (derived when the index was made) plus that block's own
-    counts, so only the last block is counted here; an A field (the
+    `FmIndex` runs it whenever an index is made, so a caller need not.
+
+    Checks the shapes of the blocks and samples; zero padding past the
+    transform; the C table against the transform's totals, which are the
+    last block's base (derived when the index was made) plus that block's
+    own counts, so only the last block is counted here; an A field (the
     terminator) at the sentinel row; samples within [0, n], sample 0 being
     n (row 0 is the terminator suffix); and records tiling [0, n) under
-    distinct names.  The header fields (n, c, sentinel_row, record spans)
-    are compared as Python ints, so an oversized one fails a check here
-    instead of overflowing a fixed-width array.
+    distinct one-word names.  The header fields (n, c, sentinel_row,
+    record spans) are compared as Python ints, so an oversized one fails a
+    check here instead of overflowing a fixed-width array.
 
     Without walking the transform it cannot see a change that keeps the
     transform's totals, such as two fields swapped inside one block or
@@ -214,10 +220,10 @@ def check_index(index: FmIndex) -> None:
     if n <= 0:
         raise ValueError("index covers an empty reference")
     n_buckets = n // BUCKET_CHARS + 1
-    if index.bucket_count != n_buckets:
-        raise ValueError(f"expected {n_buckets} buckets for n={n}, found {index.bucket_count}")
-    if len(index.samples) != n // SA_STRIDE + 1:
-        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {len(index.samples)}")
+    if index.blocks.shape != (n_buckets, BUCKET_BYTES):
+        raise ValueError(f"expected {n_buckets} buckets for n={n}, found {index.blocks.shape}")
+    if index.samples.shape != (n // SA_STRIDE + 1,):
+        raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {index.samples.shape}")
     if not 0 <= index.sentinel_row <= n:
         raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
 

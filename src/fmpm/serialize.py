@@ -35,7 +35,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .index import FmIndex, RecordSpan, SA_STRIDE, check_index
+from .index import FmIndex, RecordSpan, SA_STRIDE
 from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
@@ -146,12 +146,9 @@ def _unpack_samples(packed: bytes, count: int, width: int) -> np.ndarray:
 def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     """Write the index to a binary stream; returns the byte count.
 
-    Raises ValueError for a suffix-array sample outside [0, n], which the
-    file's fields would store as another value.
+    Raises nothing: every FmIndex passed `check_index` when it was made,
+    so each of its values fits its field.
     """
-    samples = index.samples
-    if len(samples) and (samples.min() < 0 or samples.max() > index.n):
-        raise ValueError(f"a suffix-array sample is outside [0, {index.n}]")
     w = _CrcWriter(sink)
     w.write(MAGIC)
     w.write(struct.pack("<HH", VERSION, 0))
@@ -159,8 +156,8 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<5Q", *index.c))
     w.write(struct.pack("<Q", index.bucket_count))
     w.write(index.blocks)
-    w.write(struct.pack("<Q", len(samples)))
-    w.write(_pack_samples(samples, _sample_width(index.n)))
+    w.write(struct.pack("<Q", len(index.samples)))
+    w.write(_pack_samples(index.samples, _sample_width(index.n)))
     w.write(struct.pack("<I", len(index.records)))
     for record in index.records:
         name = record.name.encode("utf-8")
@@ -173,7 +170,10 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
 
 
 def deserialize_index(source: BinaryIO) -> FmIndex:
-    """Read an index written by serialize_index, verifying the checksum and `check_index`."""
+    """Read an index written by serialize_index, verifying the checksum.
+
+    Raises IndexFormatError, also for an index that `check_index` refuses.
+    """
     r = _CrcReader(source)
     magic = r.read(4, "magic")
     if magic != MAGIC:
@@ -222,16 +222,11 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     (stored,) = struct.unpack("<I", trailer)
     if stored != computed:
         raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
-    index = FmIndex(
-        n=n,
-        c=c,
-        blocks=np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES),
-        sentinel_row=sentinel_row,
-        samples=_unpack_samples(packed, sample_count, width),
-        records=tuple(records),
-    )
-    try:
-        check_index(index)
+    blocks = np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES)
+    samples = _unpack_samples(packed, sample_count, width)
+    try:  # making the index runs `check_index`
+        return FmIndex(
+            n=n, c=c, blocks=blocks, sentinel_row=sentinel_row, samples=samples, records=records
+        )
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from None
-    return index

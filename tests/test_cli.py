@@ -238,6 +238,16 @@ def test_duplicate_record_name_behind_a_valid_checksum_exits_corrupt(two_record_
     assert "record name 'r1' is used twice" in captured.err
 
 
+def test_record_name_with_a_tab_behind_a_valid_checksum_exits_corrupt(two_record_index, capsys):
+    # a tab would split the name across two fields of each hit line
+    name_at = len(two_record_index.read_bytes()) - 4 - 16 - 2
+    _rewrite_with_crc(two_record_index, name_at, b"r\t")
+    assert main(["match", str(two_record_index), "-p", "ACGTA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "record name 'r\\t' is empty or holds whitespace" in captured.err
+
+
 def test_not_an_index(tmp_path):
     bogus = tmp_path / "bogus.fmi"
     bogus.write_bytes(b"this is not an index file at all")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fmpm.index
 from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
+    FmIndex,
     RecordSpan,
     SA_STRIDE,
     build_c_table,
@@ -94,14 +95,22 @@ def test_base_telescoping_across_buckets():
 
 def test_bases_are_derived_from_the_blocks():
     index = build_index(random_dna(random.Random(34), 300))
+    # trade an A field of block 0 that is not the sentinel row for a C
+    # field of block 1: the totals hold, so the index is still made (a gap
+    # `check_index` documents), and only the base between them moves
+    bits = np.unpackbits(index.blocks, axis=1, bitorder="little")
+    fields = bits[:, 0::2] | bits[:, 1::2] << 1  # field r of each block
+    a = next(r for r in np.flatnonzero(fields[0] == 0) if r != index.sentinel_row)
+    c = np.flatnonzero(fields[1] == 1)[0]
     blocks = index.blocks.copy()
-    blocks[0] = 0xFF  # bucket 0 now holds 128 T fields
+    blocks[0, a >> 2] |= 1 << 2 * (a & 3)  # A (0) becomes C (1)
+    blocks[1, c >> 2] ^= 1 << 2 * (c & 3)  # C (1) becomes A (0)
     changed = dataclasses.replace(index, blocks=blocks)
     # the index holds a read-only view; the caller's array stays writable
     assert blocks.flags.writeable and not changed.blocks.flags.writeable
     assert not changed.bases.flags.writeable
-    assert changed.bases[1].tolist() == [0, 0, 0, 128]
-    assert np.array_equal(changed.bases[2] - changed.bases[1], index.bases[2] - index.bases[1])
+    assert (changed.bases[1] - index.bases[1]).tolist() == [-1, 1, 0, 0]
+    assert np.array_equal(changed.bases[2], index.bases[2])
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(index, bases=index.bases)
     # equal blocks make equal bases, so equality compares the stored fields
@@ -129,9 +138,8 @@ def test_records_validation():
 
 def test_check_index_catches_tampering():
     index = build_index(random_dna(random.Random(34), 150))
-    broken = dataclasses.replace(index, c=(0, 1, 2, 3, 5))
     with pytest.raises(ValueError):
-        check_index(broken)
+        dataclasses.replace(index, c=(0, 1, 2, 3, 5))
 
 
 def _patched(array, at, value):
@@ -167,6 +175,14 @@ def _non_terminator_row(index):
         ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, -1))),
         ("sample 0", dict(samples=_patched(_CHECKED.samples, 0, 0))),
         ("records cover", dict(records=_CHECKED.records[:1])),
+        # the right counts in the wrong shapes, which the file cannot hold
+        ("3 buckets", dict(blocks=np.hstack([_CHECKED.blocks, np.zeros_like(_CHECKED.blocks)]))),
+        ("10 samples", dict(samples=_CHECKED.samples.reshape(-1, 1))),
+        # a tab would split the record's name across two fields of a hit line
+        (
+            r"record name 'r\\t1' is empty or holds whitespace",
+            dict(records=(RecordSpan("r\t1", 0, 120), _CHECKED.records[1])),
+        ),
     ],
     ids=[
         "zeroed-block",
@@ -179,12 +195,19 @@ def _non_terminator_row(index):
         "sample-negative",
         "sample-0",
         "records",
+        "block-shape",
+        "sample-shape",
+        "record-name-tab",
     ],
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
+    # making an index runs check_index, by dataclasses.replace or directly
     check_index(_CHECKED)
     with pytest.raises(ValueError, match=message):
-        check_index(dataclasses.replace(_CHECKED, **fields))
+        dataclasses.replace(_CHECKED, **fields)
+    made = {f.name: getattr(_CHECKED, f.name) for f in dataclasses.fields(FmIndex) if f.init}
+    with pytest.raises(ValueError, match=message):
+        FmIndex(**{**made, **fields})
 
 
 def test_bad_records_rejected_before_the_sort(monkeypatch):

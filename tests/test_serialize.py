@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import random
 import struct
@@ -157,13 +158,62 @@ def test_nonzero_bits_after_the_last_sample_rejected():
 
 
 @pytest.mark.parametrize("sample", [5, 8, -1], ids=["n+1", "2**3", "negative"])
-def test_writer_rejects_a_sample_outside_the_reference(sample):
+def test_replace_rejects_a_sample_outside_the_reference(sample):
     # a 3-bit field would store 8 as 0 and -1 as 7, which the load could not
-    # tell from written values; every sample outside [0, n] is refused
+    # tell from written values; no index holding a sample outside [0, n] is
+    # made, so the writer never sees one
     samples = _ACAG.samples.copy()
     samples[0] = sample
     with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
-        serialize_index(dataclasses.replace(_ACAG, samples=samples), io.BytesIO())
+        dataclasses.replace(_ACAG, samples=samples)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_index(n):
+    halves = [("r1", 0, n // 2), ("r2", n // 2, n - n // 2)] if n > 1 else None
+    return build_index(edge_text(n), halves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_index_that_is_made_loads_back_equal(data):
+    # one field set to a drawn value: either making the index refuses it,
+    # or the file holds it exactly (the writer checks nothing itself).  The
+    # draws lean to values an index can hold: a sample or sentinel row in
+    # [0, n], and a block byte with its four fields reordered, which keeps
+    # the totals
+    n = data.draw(st.sampled_from(EDGE_SIZES), label="n")
+    index = _edge_index(n)
+    value = st.integers(0, n) | st.integers(-(2**63), 2**63 - 1)
+    field = data.draw(st.sampled_from(["c", "sentinel_row", "samples", "blocks", "records"]))
+    if field == "c":
+        c = list(index.c)
+        c[data.draw(st.integers(0, 4))] = data.draw(value)
+        changes = dict(c=tuple(c))
+    elif field == "sentinel_row":
+        changes = dict(sentinel_row=data.draw(value))
+    elif field == "samples":
+        samples = index.samples.copy()
+        samples[data.draw(st.integers(0, len(samples) - 1))] = data.draw(value)
+        changes = dict(samples=samples)
+    elif field == "blocks":
+        blocks = index.blocks.copy()
+        at = data.draw(st.tuples(st.integers(0, len(blocks) - 1), st.integers(0, 31)))
+        fields = [blocks[at] >> 2 * r & 3 for r in range(4)]
+        reordered = st.permutations(fields).map(lambda f: f[0] | f[1] << 2 | f[2] << 4 | f[3] << 6)
+        blocks[at] = data.draw(reordered | st.integers(0, 255))
+        changes = dict(blocks=blocks)
+    else:
+        records = list(index.records)
+        j = data.draw(st.integers(0, len(records) - 1))
+        span = data.draw(st.sampled_from(["start", "length"]))
+        records[j] = dataclasses.replace(records[j], **{span: data.draw(value)})
+        changes = dict(records=tuple(records))
+    try:
+        made = dataclasses.replace(index, **changes)
+    except ValueError:
+        return
+    assert deserialize_index(io.BytesIO(roundtrip_bytes(made))) == made
 
 
 def test_truncated_everywhere():
