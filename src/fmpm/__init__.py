@@ -10,7 +10,8 @@ predecessor rows to the nearest sample.
 `fmpm.batch` is that engine: `match_many` answers many patterns in one
 pass, as `fmpm match` does, and `rank_many`, `lf_step` and `locate_rows`
 count, step and locate at any number of positions or rows.  The search
-functions exported here answer one pattern at a time through it.
+functions exported here answer one pattern at a time through it, with its
+checks and none of their own.
 
 Every public name, and the submodule that defines it, is imported on
 first use (PEP 562), so `import fmpm` loads neither numpy nor any

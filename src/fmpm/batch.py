@@ -1,7 +1,7 @@
 """The query engine: backward search and locate for many patterns at once.
 
 `fmpm match` runs `match_many`, and each function of `fmpm.search` is a
-thin wrapper over one call of a function here.  `rank_many`, `lf_step`
+thin wrapper over the functions here.  `rank_many`, `lf_step`
 and `locate_rows` are the one form of the occurrence count, the LF step
 and locate, and take one position or row as well as many.  Each
 backward-search step of every pattern still in play, each round of the
@@ -264,6 +264,13 @@ def lf_step(
     return symbol, np.asarray(index.c)[symbol] + rank_many(index, rows, symbol, kernel)
 
 
+def _check_rows(index: FmIndex, rows: np.ndarray) -> None:
+    """Raise ValueError naming the first row outside [0, n]."""
+    outside = (rows < 0) | (rows > index.n)
+    if outside.any():
+        raise ValueError(f"row {rows[outside.argmax()]} outside [0, {index.n}]")
+
+
 def locate_rows(
     index: FmIndex, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
@@ -275,7 +282,7 @@ def locate_rows(
     from row b that meets row a after t steps gives SA[b] = SA[a] + t, so
     overlapping hits share the rest of one walk; those positions are
     resolved after the walks, along chains of such meetings, by pointer
-    jumping.  Raises ValueError for a row outside [0, n], and
+    jumping.  Raises ValueError naming the first row outside [0, n], and
     IndexFormatError, as a load does for a bad file, when a position falls
     outside [0, n] or a walk does not terminate (no stop row within n + 1
     steps, or meetings that form a cycle): only a corrupt sample or
@@ -284,8 +291,7 @@ def locate_rows(
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
         return np.zeros(0, dtype=np.int64)
-    if not 0 <= rows.min() <= rows.max() <= index.n:
-        raise ValueError(f"rows must lie in [0, {index.n}]")
+    _check_rows(index, rows)
     # the sentinel row is located too, at position 0, and never walks
     rows, inverse = np.unique(np.append(rows, index.sentinel_row), return_inverse=True)
     pos = np.zeros(len(rows), dtype=np.int64)
@@ -345,8 +351,9 @@ def locate_hits(
     whose pattern_length - diffs characters cross a record boundary are
     dropped, and of the hits at one position of one pattern the one with
     the fewest diffs is kept.  Returns (pattern, record, offset, diffs),
-    sorted by pattern and position.
+    sorted by pattern and position.  k and l are checked before any row is listed.
     """
+    _check_rows(index, np.stack([k, l], axis=1).reshape(-1))
     widths = l - k + 1
     first = np.cumsum(widths) - widths
     rows = np.arange(int(widths.sum())) + np.repeat(k - first, widths)
@@ -361,23 +368,13 @@ def locate_hits(
     return pattern[picked], record[picked], offset[picked], diffs[picked]
 
 
-def match_many(
-    index: FmIndex,
-    patterns: Sequence[str],
-    max_diff: int,
-    kernel: Kernel | str | None = None,
-    max_hits: int | None = None,
-) -> BatchHits:
-    """Hits of every pattern: what `collect_hits` gives for each, in one pass.
+def check_batch(
+    patterns: Sequence[str], max_diff: int, max_hits: int | None, kernel: Kernel | str | None
+) -> tuple[Kernel, np.ndarray, np.ndarray]:
+    """(kernel, pattern lengths, non-ACGT flags) of a batch, or ValueError.
 
-    Exact search (max_diff 0) walks all patterns in lockstep; a positive
-    budget runs all patterns' edit frontiers as one with
-    `inexact_search_many`.  Locate is batched either way.  Patterns with
-    characters outside ACGT are flagged degenerate and get no hits.  A
-    negative budget, a negative `max_hits`, or a pattern no longer than
-    `max_diff` (with that many differences every position matches; at
-    max_diff 0, an empty pattern) raises ValueError naming the first such
-    pattern.
+    Refuses an unknown kernel, a negative budget or `max_hits`, and, naming
+    the first, a pattern no longer than `max_diff` (so every position matches).
     """
     kernel = resolve_kernel(kernel)
     if max_diff < 0:
@@ -393,7 +390,34 @@ def match_many(
             if not m
             else f"pattern {pid} has {m} character(s); -z must be below that"
         )
-    degenerate = ~is_dna_many(patterns)
+    return kernel, lengths, ~is_dna_many(patterns)
+
+
+def cut_hits(
+    pattern: np.ndarray, count: int, max_hits: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the first `max_hits` hits of each of `count` patterns, which lost any)."""
+    limit = len(pattern) if max_hits is None else max_hits
+    per_pattern = np.bincount(pattern, minlength=count)
+    rank = np.arange(len(pattern)) - (np.cumsum(per_pattern) - per_pattern)[pattern]
+    return rank < limit, per_pattern > limit
+
+
+def match_many(
+    index: FmIndex,
+    patterns: Sequence[str],
+    max_diff: int,
+    kernel: Kernel | str | None = None,
+    max_hits: int | None = None,
+) -> BatchHits:
+    """Hits of every pattern: what `collect_hits` gives for each, in one pass.
+
+    Exact search (max_diff 0) walks all patterns in lockstep; a positive
+    budget runs all patterns' edit frontiers as one with
+    `inexact_search_many`.  Locate is batched either way.  Patterns with
+    characters outside ACGT get no hits.
+    """
+    kernel, lengths, degenerate = check_batch(patterns, max_diff, max_hits, kernel)
     dna = np.flatnonzero(~degenerate)
     if max_diff == 0:
         k, l = exact_search_many(index, [patterns[i] for i in dna], kernel)
@@ -403,12 +427,5 @@ def match_many(
         pattern, k, l, used = inexact_search_many(index, [patterns[i] for i in dna], max_diff, kernel)
         intervals = [dna[pattern], k, l, used]
     pattern, record, offset, diffs = locate_hits(index, *intervals, lengths, kernel)
-
-    truncated = np.zeros(len(patterns), dtype=bool)
-    if max_hits is not None:
-        per_pattern = np.bincount(pattern, minlength=len(patterns))
-        truncated = per_pattern > max_hits
-        rank = np.arange(len(pattern)) - (np.cumsum(per_pattern) - per_pattern)[pattern]
-        kept = rank < max_hits
-        pattern, record, offset, diffs = pattern[kept], record[kept], offset[kept], diffs[kept]
-    return BatchHits(pattern, record, offset, diffs, truncated, degenerate)
+    kept, truncated = cut_hits(pattern, len(patterns), max_hits)
+    return BatchHits(pattern[kept], record[kept], offset[kept], diffs[kept], truncated, degenerate)

@@ -179,6 +179,8 @@ def _normalize_records(
     for name, start, length in records:
         if name.split() != [name]:  # what a FASTA header's first word can be
             raise ValueError(f"record name {name!r} is empty or holds whitespace")
+        if any("\ud800" <= ch <= "\udfff" for ch in name):  # lone surrogates; UTF-8 has none
+            raise ValueError(f"record name {name!r} does not encode as UTF-8")
         if name in names:
             raise ValueError(f"record name {name!r} is used twice")
         names.add(name)

@@ -1,12 +1,13 @@
 """Backward search, bounded-difference search and locate, one pattern at a time.
 
-Thin wrappers over the batch engine in `fmpm.batch`: each function checks
-its arguments, raising ValueError on any the engine would misread, and
-makes one call into the engine.  Every call pays numpy's per-call
-overhead, so callers with many patterns should hand them to
-`fmpm.batch.match_many` at once.  Occurrence counts, LF steps and the
-positions of single rows come from the engine directly: `rank_many`,
-`lf_step` and `locate_rows` take any number of positions or rows.
+Thin wrappers over the batch engine in `fmpm.batch`, with no checks of
+their own: each refuses, with the same ValueError, what `match_many`
+refuses for a batch of one pattern and `locate_rows` for a row outside
+[0, n].  Every call pays numpy's per-call overhead, so callers with many
+patterns should hand them to `match_many` at once.  Occurrence counts,
+LF steps and the positions of single rows come from the engine directly:
+`rank_many`, `lf_step` and `locate_rows` take any number of positions or
+rows.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .alphabet import is_dna_many
-from .batch import exact_search_many, inexact_search_many, locate_hits
+from .batch import check_batch, cut_hits, exact_search_many, inexact_search_many, locate_hits
 from .index import FmIndex
-from .kernels import Kernel, resolve_kernel
+from .kernels import Kernel
 
 
 class BwmInterval(NamedTuple):
@@ -57,11 +57,6 @@ class Hit(NamedTuple):
     diffs: int
 
 
-def _check_row(index: FmIndex, i: int) -> None:
-    if not 0 <= i <= index.n:
-        raise ValueError(f"row {i} outside [0, {index.n}]")
-
-
 def exact_search(
     index: FmIndex, pattern: str, kernel: Kernel | str | None = None
 ) -> BwmInterval:
@@ -71,10 +66,8 @@ def exact_search(
     soon as the interval empties.  A pattern with characters outside ACGT
     yields an empty interval flagged degenerate rather than an error.
     """
-    kernel = resolve_kernel(kernel)
-    if not pattern:
-        raise ValueError("pattern is empty")
-    if not is_dna_many([pattern])[0]:
+    kernel, _, degenerate = check_batch([pattern], 0, None, kernel)
+    if degenerate[0]:
         return BwmInterval(k=1, l=0, degenerate=True)
     k, l = exact_search_many(index, [pattern], kernel)
     return BwmInterval(k=int(k[0]), l=int(l[0]))
@@ -93,18 +86,12 @@ def inexact_search(
     except a match, and empty intervals are pruned.  One result per
     interval, with its fewest differences, sorted by interval.
     """
-    kernel = resolve_kernel(kernel)
-    if max_diff < 0:
-        raise ValueError(f"difference budget {max_diff} is negative")
-    if not pattern:
-        raise ValueError("pattern is empty")
-    if not is_dna_many([pattern])[0]:
+    kernel, _, degenerate = check_batch([pattern], max_diff, None, kernel)
+    if degenerate[0]:
         return []
-    _, *found = inexact_search_many(index, [pattern], max_diff, kernel)
-    return [
-        MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
-        for k, l, used in zip(*(column.tolist() for column in found))
-    ]
+    _, k, l, used = inexact_search_many(index, [pattern], max_diff, kernel)
+    found = zip(k.tolist(), l.tolist(), used.tolist())
+    return [MatchResult(BwmInterval(k, l), used) for k, l, used in found]
 
 
 def collect_hits(
@@ -122,22 +109,13 @@ def collect_hits(
     end of the reference) is an artifact of concatenation.  Returns the
     hits sorted by position and whether `max_hits` truncated them.
     """
-    kernel = resolve_kernel(kernel)
-    if max_hits is not None and max_hits < 0:
-        raise ValueError(f"hit limit {max_hits} is negative")
+    kernel, _, _ = check_batch([], 0, max_hits, kernel)
     found = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches if not m.interval.is_empty]
-    for k, l, _ in found:
-        _check_row(index, k)
-        _check_row(index, l)
     k, l, diffs = np.array(found, dtype=np.int64).reshape(-1, 3).T
-    _, record, offset, diffs = locate_hits(
+    pattern, record, offset, diffs = locate_hits(
         index, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
     )
-    hits = []
-    for r, o, d in zip(record.tolist(), offset.tolist(), diffs.tolist()):
-        span = index.records[r]
-        hits.append(Hit(record=span.name, offset=o, global_pos=span.start + o, diffs=d))
-    truncated = max_hits is not None and len(hits) > max_hits
-    if truncated:
-        hits = hits[:max_hits]
-    return hits, truncated
+    kept, truncated = cut_hits(pattern, 1, max_hits)
+    spans = [index.records[r] for r in record[kept].tolist()]
+    located = zip(spans, offset[kept].tolist(), diffs[kept].tolist())
+    return [Hit(s.name, o, s.start + o, d) for s, o, d in located], bool(truncated[0])

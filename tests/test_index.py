@@ -183,6 +183,11 @@ def _non_terminator_row(index):
             r"record name 'r\\t1' is empty or holds whitespace",
             dict(records=(RecordSpan("r\t1", 0, 120), _CHECKED.records[1])),
         ),
+        # a lone surrogate has no UTF-8 form, so the index could not be written
+        (
+            r"record name 'r\\udc80' does not encode as UTF-8",
+            dict(records=(RecordSpan("r\udc80", 0, 120), _CHECKED.records[1])),
+        ),
     ],
     ids=[
         "zeroed-block",
@@ -198,6 +203,7 @@ def _non_terminator_row(index):
         "block-shape",
         "sample-shape",
         "record-name-tab",
+        "record-name-surrogate",
     ],
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
@@ -222,6 +228,8 @@ def test_bad_records_rejected_before_the_sort(monkeypatch):
     # hits print only the record name, so two records may not share one
     with pytest.raises(ValueError, match="record name 'a' is used twice"):
         build_index("ACGT" * 100000, [("a", 0, 3), ("b", 3, 5), ("a", 8, 399992)])
+    with pytest.raises(ValueError, match="does not encode as UTF-8"):
+        build_index("ACGT" * 100000, [("r\udc80", 0, 400000)])
 
 
 def test_build_memory_per_character():

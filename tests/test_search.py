@@ -114,12 +114,6 @@ def test_inexact_examples(acag):
     assert [(h.global_pos, h.diffs) for h in hits] == [(0, 1), (2, 1)]
 
 
-def test_inexact_budget_at_least_pattern_length(acag):
-    # the all-skip path always survives, whatever the pattern
-    assert inexact_search(acag, "TT", 2)
-    assert inexact_search(acag, "T", 1)
-
-
 def test_inexact_rejects_negative_budget(acag):
     with pytest.raises(ValueError):
         inexact_search(acag, "A", -1)

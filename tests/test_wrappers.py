@@ -1,20 +1,22 @@
 """The library functions of `fmpm.search`, and the rank, LF-step and locate
 functions of `fmpm.batch`, against the per-item oracles under every
-kernel, and the argument checks of `fmpm.search`.
+kernel, and against `match_many`, whose checks they share.
 
-Each `fmpm.search` function is a wrapper over one call into the batch
-engine; the oracles in `oracles.py` read the index one bucket at a time
-with the scalar kernel and share no code with that engine.
+Each `fmpm.search` function is a wrapper over the batch engine with no
+checks of its own; the oracles in `oracles.py` read the index one bucket
+at a time with the scalar kernel and share no code with that engine.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmpm.search
 import oracles
-from fmpm.batch import bwt_symbols, lf_step, locate_rows, rank_many
+from fmpm.batch import bwt_symbols, lf_step, locate_rows, match_many, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import Kernel
 from fmpm.search import (
@@ -126,7 +128,8 @@ def test_inexact_search_and_collect_hits_equal_oracles(text):
     rng = random.Random(len(text) + 1)
     start = rng.randrange(len(text))
     pattern = text[start : start + 6]
-    for max_diff in range(4):
+    # a budget of the pattern's length or more is refused, as in match_many
+    for max_diff in range(min(4, len(pattern))):
         want = oracles.inexact_search(index, pattern, max_diff, SCALAR)
         for kernel in Kernel:
             assert inexact_search(index, pattern, max_diff, kernel) == want, (max_diff, kernel)
@@ -172,15 +175,14 @@ def _engine_refused(*args, **kwargs):
 
 def test_bad_arguments_raise_before_the_engine(monkeypatch):
     index = build_index(random_dna(random.Random(9), 130))
-    n = index.n
     for name in ("exact_search_many", "inexact_search_many", "locate_hits"):
         monkeypatch.setattr(fmpm.search, name, _engine_refused)
     calls = [
         lambda: exact_search(index, ""),
         lambda: inexact_search(index, "ACG", -1),
         lambda: inexact_search(index, "", 1),
-        lambda: collect_hits(index, [MatchResult(BwmInterval(-1, 3), 0)], 2),
-        lambda: collect_hits(index, [MatchResult(BwmInterval(0, n + 1), 0)], 2),
+        lambda: inexact_search(index, "ACG", 3),
+        lambda: collect_hits(index, [], 1, None, -1),
     ]
     bad_kernel = "no-such-kernel"
     calls += [
@@ -195,3 +197,74 @@ def test_bad_arguments_raise_before_the_engine(monkeypatch):
         except ValueError:
             continue
         pytest.fail(f"call {j} raised no ValueError")
+
+
+@pytest.mark.parametrize(
+    "intervals, first",
+    [
+        ([(-1, 3)], -1),
+        ([(0, 131)], 131),
+        ([(3, 140)], 140),
+        ([(0, 5), (7, 6), (-2, 1)], -2),
+        ([(3, 140), (-2, 1)], 140),
+        ([(0, 10**12)], 10**12),  # refused before any row is listed
+    ],
+    ids=["below", "above", "upper-bound", "second-interval", "interval-order", "huge"],
+)
+def test_collect_hits_names_the_first_row_outside_the_index(intervals, first):
+    # the engine's row check, the one locate_rows makes, k before l
+    index = build_index(random_dna(random.Random(9), 130))
+    matches = [MatchResult(BwmInterval(k, l), 0) for k, l in intervals]
+    for kernel in Kernel:
+        with pytest.raises(ValueError) as refused:
+            collect_hits(index, matches, 2, kernel)
+        assert str(refused.value) == f"row {first} outside [0, 130]", kernel
+
+
+def _per_pattern(index, pattern, max_diff, kernel, max_hits):
+    """(record, offset, diffs) of each hit and the truncated flag, one call at a time."""
+    if max_diff:
+        matches = inexact_search(index, pattern, max_diff, kernel)
+    else:
+        interval = exact_search(index, pattern, kernel)
+        matches = [] if interval.is_empty else [MatchResult(interval, 0)]
+    hits, truncated = collect_hits(index, matches, len(pattern), kernel, max_hits)
+    return [(h.record, h.offset, h.diffs) for h in hits], truncated
+
+
+@st.composite
+def single_queries(draw):
+    """A text, a budget and a hit limit, and a pattern that may be empty,
+    lowercase, hold an N, or be about as long as the budget."""
+    text = draw(st.sampled_from(TEXTS))
+    max_diff = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=max_diff + 2) | st.integers(0, 12))
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=max(0, len(text) - m)))
+        pattern = text[start : start + m]
+    else:
+        pattern = draw(st.text(alphabet="ACGT", min_size=m, max_size=m))
+    if pattern and draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=len(pattern) - 1))
+        pattern = pattern[:j] + "N" + pattern[j + 1 :]
+    pattern = pattern.lower() if draw(st.booleans()) else pattern.upper()
+    return text, pattern, max_diff, draw(st.sampled_from([None, 0, 1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_queries())
+def test_per_pattern_calls_equal_match_many(query):
+    text, pattern, max_diff, max_hits = query
+    index = _indexed(text)
+    names = [r.name for r in index.records]
+    for kernel in Kernel:
+        try:
+            hits = match_many(index, [pattern], max_diff, kernel, max_hits)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as also:
+                _per_pattern(index, pattern, max_diff, kernel, max_hits)
+            assert str(also.value) == str(refused), kernel
+            continue
+        found = zip(hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist())
+        want = ([(names[r], o, d) for r, o, d in found], bool(hits.truncated[0]))
+        assert _per_pattern(index, pattern, max_diff, kernel, max_hits) == want, kernel
