@@ -373,8 +373,8 @@ def check_batch(
 ) -> tuple[Kernel, np.ndarray, np.ndarray]:
     """(kernel, pattern lengths, non-ACGT flags) of a batch, or ValueError.
 
-    Refuses an unknown kernel, a negative budget or `max_hits`, and, naming
-    the first, a pattern no longer than `max_diff` (so every position matches).
+    Refuses an unknown kernel, a negative budget or `max_hits`, and the first
+    pattern no longer than `max_diff`, which would match at every position.
     """
     kernel = resolve_kernel(kernel)
     if max_diff < 0:
@@ -414,8 +414,9 @@ def match_many(
 
     Exact search (max_diff 0) walks all patterns in lockstep; a positive
     budget runs all patterns' edit frontiers as one with
-    `inexact_search_many`.  Locate is batched either way.  Patterns with
-    characters outside ACGT get no hits.
+    `inexact_search_many`.  Locate is batched either way.  `check_batch`
+    judges the arguments, and patterns with characters outside ACGT get no
+    hits.
     """
     kernel, lengths, degenerate = check_batch(patterns, max_diff, max_hits, kernel)
     dna = np.flatnonzero(~degenerate)
