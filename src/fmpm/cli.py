@@ -1,18 +1,22 @@
 """Command-line interface: index, match, bench.
 
-The FASTA reader and the bench harness are imported by the commands that
-use them, so `fmpm match` loads only the index, kernels and batch engine.
+The FASTA reader, the batch engine and the bench harness are imported by
+the commands that use them, so `fmpm index` loads no query engine and
+`fmpm match` only the index, kernels and batch engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .batch import BatchHits, match_many
 from .index import FmIndex, build_index
 from .kernels import Kernel
 from .serialize import IndexFormatError, deserialize_index, serialize_index
+
+if TYPE_CHECKING:
+    from .batch import BatchHits
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,10 +132,10 @@ def hit_lines(index: FmIndex, hits: BatchHits) -> list[str]:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    if args.max_diff < 0:
-        raise ValueError("-z must be >= 0")
-    if args.max_hits is not None and args.max_hits < 0:
-        raise ValueError("--max-hits must be >= 0")
+    from .batch import check_batch, match_many
+
+    # usage errors come before any I/O; the patterns are judged once read
+    check_batch([], args.max_diff, args.max_hits, args.kernel)
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     index = _load_index(args.index)

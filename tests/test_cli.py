@@ -131,6 +131,16 @@ def test_budget_at_pattern_length_rejected(acag_index, tmp_path, capsys):
     assert main(["match", str(acag_index), "-p", "ACG", "-z", "2"]) == EXIT_OK
 
 
+def test_negative_budget_or_hit_limit_refused_before_any_io(acag_index, tmp_path, capsys):
+    missing = str(tmp_path / "missing.fmi")
+    for index in (str(acag_index), missing):
+        assert main(["match", index, "-p", "CA", "-z", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "fmpm: difference budget -1 is negative\n"
+        assert main(["match", index, "-p", "CA", "--max-hits", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "fmpm: hit limit -1 is negative\n"
+    assert main(["match", missing, "-p", "CA", "--max-hits", "0"]) == EXIT_IO
+
+
 def test_threads_validated(acag_index, capsys):
     assert main(["match", str(acag_index), "-p", "CA", "--threads", "0"]) == EXIT_USAGE
     assert "--threads" in capsys.readouterr().err

@@ -155,6 +155,17 @@ def test_match_child_imports_no_search_build_or_bench_code(tmp_path):
     assert not loaded & {"fmpm.search", "fmpm.bench", "fmpm.fasta", "hashlib"}
 
 
+def test_index_child_imports_no_query_engine(tmp_path):
+    fasta = tmp_path / "ref.fa"
+    fasta.write_text(">ref\nACAGTTACAG\n")
+    fmi = tmp_path / "ref.fmi"
+    _, err = _python("-X", "importtime", "-m", "fmpm", "index", str(fasta), "-o", str(fmi))
+    assert "indexed 1 record(s), 10 characters" in err
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
+    assert {"fmpm.index", "fmpm.fasta", "numpy"} <= loaded
+    assert not loaded & {"fmpm.batch", "fmpm.search", "fmpm.bench"}
+
+
 @pytest.fixture()
 def unfreeze():
     # `fmpm.__main__.main()` freezes every object alive when it has imported

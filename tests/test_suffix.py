@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 import fmpm.suffix
 from fmpm.alphabet import SYMBOLS, AlphabetError, TERMINATOR, encode_array
-from fmpm.suffix import SEED_WIDTH, bwt_codes, suffix_array
+from fmpm.suffix import _seed_width, bwt_codes, suffix_array
 
 from oracles import encode, random_dna, suffix_array_naive
 
 
-# sizes at and either side of the SA sample stride, the bucket width and
-# the seed width and its first doublings
+# sizes at and either side of the SA sample stride, the bucket width, and
+# a seed width of 24 characters and its first doublings
 EDGE_SIZES = sorted(
-    {
-        m + d
-        for m in (32, 64, 96, 128, 256, SEED_WIDTH, 2 * SEED_WIDTH, 4 * SEED_WIDTH)
-        for d in (-1, 0, 1)
-    }
+    {m + d for m in (32, 64, 96, 128, 256, 24, 48, 96) for d in (-1, 0, 1)}
 )
+
+# reference lengths 2**k - 1 and 2**k: where the position bits below each
+# seed grow by one, and so where the seed width can shrink
+POSITION_BIT_SIZES = [size for k in range(1, 13) for size in (2**k - 1, 2**k)]
 
 
 def _sa_of(text):
@@ -52,6 +52,34 @@ def test_empty_and_invalid_reference():
 
 def test_lowercase_accepted():
     assert _sa_of("acag") == [4, 0, 2, 1, 3]
+
+
+def test_seed_width_fits_int64_above_the_positions():
+    assert [_seed_width(n + 1) for n in (100_000, 400_000, 4_000_000)] == [19, 18, 17]
+    for n in range(2, 5000):
+        width, bits = _seed_width(n), (n - 1).bit_length()
+        assert ((5**width - 1) << bits | (n - 1)) < 2**63 <= (5 ** (width + 1) - 1) << bits
+
+
+def test_matches_naive_oracle_where_the_seed_width_changes():
+    assert len({_seed_width(n + 1) for n in POSITION_BIT_SIZES}) > 5
+    rng = random.Random(8)
+    for n in POSITION_BIT_SIZES:
+        for text in (random_dna(rng, n), ("AACAG" * n)[:n]):
+            assert _sa_of(text) == suffix_array_naive(text), (n, text[:40])
+
+
+def test_matches_naive_oracle_on_repeats_longer_than_the_seed():
+    # every repeat here spans many seeds, so rounds of rank doubling run
+    # after the first sort until the tied prefix outgrows the repeat
+    rng = random.Random(9)
+    for unit in ("A", "AC", "ACGT", "ACGTA", random_dna(rng, 30), random_dna(rng, 100)):
+        for n in (300, 1000, 3000):
+            assert 4 * _seed_width(n + 1) < n
+            text = (unit * n)[:n]
+            assert _sa_of(text) == suffix_array_naive(text), (unit, n)
+            mutated = text[: n // 2] + "ACGT".replace(text[n // 2], "")[0] + text[n // 2 + 1 :]
+            assert _sa_of(mutated) == suffix_array_naive(mutated), (unit, n)
 
 
 def test_matches_naive_oracle():
