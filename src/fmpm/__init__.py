@@ -35,7 +35,6 @@ _EXPORTS = {
     "fasta": ("FastaError", "FastaRecord", "read_fasta"),
     "index": (
         "FmIndex",
-        "OccBucket",
         "RecordSpan",
         "SA_STRIDE",
         "build_c_table",
@@ -47,13 +46,6 @@ _EXPORTS = {
         "BUCKET_CHARS",
         "Kernel",
         "KernelTrace",
-        "NibbleTables",
-        "OccCounts",
-        "count_bucket_all4",
-        "count_bucket_bytelut",
-        "count_bucket_nibble",
-        "count_bucket_scalar",
-        "count_bucket_simd",
         "resolve_kernel",
     ),
     "search": (

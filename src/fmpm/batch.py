@@ -62,8 +62,9 @@ def rank_many(
     """Occurrences in rows 0..pos[i] of symbol[i], or of each symbol if None.
 
     Shape (len(pos),) with `symbol` and (len(pos), 4) without: entries of
-    `pos` must lie in [-1, n], and -1 gives zeros; nothing here checks
-    that.  With `symbol`, the per-bucket kernels count that symbol only.
+    `pos` must lie in [-1, n], and -1 gives zeros, and those of `symbol`
+    in [0, 3]; nothing here checks either, as the engine takes its
+    symbols from codes.  With `symbol`, the kernels count that symbol only.
     This is the one place the terminator, packed as A, is taken back off
     the A count.
     """

@@ -24,6 +24,8 @@ class RecordSpan:
     length: int
 
 
+# read only by perfbench/traced.py's `kernel_layer`, through `FmIndex.buckets`;
+# both go once it times `count_blocks` on `blocks` itself
 @dataclass(frozen=True)
 class OccBucket:
     """Counter block covering 128 transform characters.
@@ -109,8 +111,7 @@ class FmIndex:
         """int64 length of each record."""
         return np.array([r.length for r in self.records], dtype=np.int64)
 
-    # one bucket at a time, for the per-bucket readers: perfbench/traced.py
-    # and the oracles of tests/oracles.py read `index.buckets[j].chars`
+    # one bucket at a time, for perfbench/traced.py's `kernel_layer`, its only caller
     @cached_property
     def buckets(self) -> tuple[OccBucket, ...]:
         blocks = self.blocks.tobytes()

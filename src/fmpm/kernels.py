@@ -20,12 +20,15 @@ counting body:
               over a batch of buckets (`count_blocks_simd`), shifting each
               row once for its own symbol or four times for all four.
 
-`count_blocks` is the one function that takes a kernel by name, and the
-one place a prefix is cut from a bucket: it zeroes every field past each
-row's prefix once (`mask_blocks`), `bytelut`, `nibble` and `simd` count
-all 128 fields of the masked rows, and it takes the zeroed fields, which
-decode as A, off the A count.  `scalar` stops at the prefix itself.  Each
-`count_bucket_<kernel>` name, and `count_bucket_all4`, is its one-row case.
+`count_blocks` is the one way to count: it takes a kernel by name, and it
+is the one place a prefix is cut from a bucket.  It zeroes every field
+past each row's prefix once (`mask_blocks`), `bytelut`, `nibble` and
+`simd` count all 128 fields of the masked rows, and it takes the zeroed
+fields, which decode as A, off the A count.  `scalar` stops at the prefix
+itself.  `trace_nibble` records the nibble pipeline's intermediate values
+for one bucket.  The `count_bucket_<kernel>` names and `count_bucket_all4`
+are one-row `count_blocks` calls for the benchmark's kernel timings, not
+library API.
 
 The nibble pipeline works on complemented low-nibble counts so that a
 sum-of-absolute-differences against the high-nibble counts folds both
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,51 +55,20 @@ _HIGH6_FILL = 0xFCFCFCFCFCFCFCFC
 # 32 bytes * 255: the SAD value of an all-zero count
 _BUCKET_SAD_CEILING = 8160
 
-
-class OccCounts(NamedTuple):
-    """Per-symbol counts in A, C, G, T order (indexable by symbol code)."""
-
-    a: int
-    c: int
-    g: int
-    t: int
-
-
-class NibbleTables(NamedTuple):
-    """16-entry lookup tables indexed by a half-byte (two packed symbols).
-
-    hi[v] packs the counts of each symbol s among the two 2-bit fields of v
-    into bits [2s, 2s+1].  lo[v] is the bitwise complement of the same
-    packed byte, pre-complemented so the extraction phase can produce
-    255 - count without extra work.
-    """
-
-    lo: bytes
-    hi: bytes
-
-    @staticmethod
-    def build() -> "NibbleTables":
-        hi = bytearray(16)
-        for v in range(16):
-            packed = 0
-            for code in (v & 3, (v >> 2) & 3):
-                packed += 1 << (code << 1)
-            hi[v] = packed
-        lo = bytes(~b & 0xFF for b in hi)
-        return NibbleTables(lo=lo, hi=bytes(hi))
-
-
-TABLES = NibbleTables.build()
-
 _ALL_SYMBOLS = (0, 1, 2, 3)
 
-_NP_LO = np.frombuffer(TABLES.lo, dtype=np.uint8)
-_NP_HI = np.frombuffer(TABLES.hi, dtype=np.uint8)
 _NP_FILL = np.uint64(_HIGH6_FILL)
 _NP_KEEP = np.uint64(_LOW2_MASK)
 # the bit offset of each of a byte's four fields, and of each symbol's count in
 # a nibble-table entry
 _FIELD_SHIFTS = np.arange(0, 8, 2, dtype=np.uint32)
+# the nibble tables, indexed by a half-byte (two fields): _NP_HI[v] holds the
+# count of each symbol s among the fields of v in bits [2s, 2s + 1], and _NP_LO
+# is its complement, so the extraction phase yields 255 - count unaided
+_NP_HI = (
+    np.uint32(1) << ((np.arange(16, dtype=np.uint32)[:, np.newaxis] >> _FIELD_SHIFTS[:2] & 3) << 1)
+).sum(axis=1, dtype=np.uint8)
+_NP_LO = ~_NP_HI
 
 # _PREFIX_MASKS[r] keeps the first r two-bit fields of a block and zeroes the rest
 _PREFIX_MASKS = np.packbits(
@@ -119,9 +90,8 @@ _SYMBOL_SHIFTS = _FIELD_SHIFTS.astype(np.uint64)[:, np.newaxis, np.newaxis]
 
 @dataclass
 class KernelTrace:
-    """Intermediate values of one nibble-kernel invocation, for tests.
+    """Intermediate values of the nibble pipeline on one bucket, from `trace_nibble`.
 
-    Filled only when passed explicitly; production calls skip all of it.
     Words are little-endian 64-bit views of each 8-byte group of the
     masked block.  `raw_count` counts all 128 fields, so the masked-off
     ones count as A; `count` is the prefix's count.
@@ -136,55 +106,51 @@ class KernelTrace:
     count: int = 0
 
 
-def _check_bucket(block: bytes, prefix_len: int) -> None:
+def _count_bucket(
+    block: bytes, prefix_len: int, kernel: Kernel | str | None, symbol: int | None = None
+) -> np.ndarray:
+    """`count_blocks` on one checked bucket: its four counts, or `symbol`'s count."""
     if len(block) != BUCKET_BYTES:
         raise ValueError(f"bucket block must be {BUCKET_BYTES} bytes, got {len(block)}")
     if not 0 <= prefix_len <= BUCKET_CHARS:
         raise ValueError(f"prefix_len {prefix_len} outside [0, {BUCKET_CHARS}]")
-
-
-def _count_bucket(
-    block: bytes, prefix_len: int, kernel: Kernel | str | None, symbol: int | None = None
-) -> np.ndarray:
-    """`count_blocks` on one bucket: its four counts, or `symbol`'s count."""
-    _check_bucket(block, prefix_len)
+    if symbol is not None and not 0 <= symbol <= 3:
+        raise ValueError(f"symbol {symbol} outside [0, 3]")
     row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
     symbols = None if symbol is None else np.array([symbol])
     return count_blocks(row, np.array([prefix_len]), kernel, symbols)[0]
 
 
+def trace_nibble(block: bytes, prefix_len: int, symbol: int) -> KernelTrace:
+    """The nibble pipeline's intermediate values counting `symbol` in one bucket prefix."""
+    trace = KernelTrace(count=int(_count_bucket(block, prefix_len, Kernel.NIBBLE, symbol)))
+    row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
+    _nibble(mask_blocks(row, np.array([prefix_len]))[0].tobytes(), (symbol,), trace)
+    return trace
+
+
+# one-row counts for perfbench/traced.py's `kernel_layer`, their only caller;
+# they go once it times `count_blocks` itself
 def count_bucket_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
-    """Reference count: unpack and compare one character at a time."""
     return int(_count_bucket(block, prefix_len, Kernel.SCALAR, symbol))
 
 
 def count_bucket_bytelut(block: bytes, prefix_len: int, symbol: int) -> int:
-    """One symbol's lane of the packed word-table count."""
     return int(_count_bucket(block, prefix_len, Kernel.BYTELUT, symbol))
 
 
-def count_bucket_nibble(
-    block: bytes, prefix_len: int, symbol: int, trace: KernelTrace | None = None
-) -> int:
-    """The nibble pipeline for one symbol; `trace` records its intermediate values."""
-    count = int(_count_bucket(block, prefix_len, Kernel.NIBBLE, symbol))
-    if trace is not None:
-        row = np.frombuffer(block, dtype=np.uint8)[np.newaxis]
-        _nibble(mask_blocks(row, np.array([prefix_len]))[0].tobytes(), (symbol,), trace)
-        trace.count = count
-    return count
+def count_bucket_nibble(block: bytes, prefix_len: int, symbol: int) -> int:
+    return int(_count_bucket(block, prefix_len, Kernel.NIBBLE, symbol))
 
 
 def count_bucket_simd(block: bytes, prefix_len: int, symbol: int) -> int:
-    """One symbol of the nibble pipeline vectorized over numpy lanes."""
     return int(_count_bucket(block, prefix_len, Kernel.SIMD, symbol))
 
 
 def count_bucket_all4(
     block: bytes, prefix_len: int, kernel: Kernel | str | None = None
-) -> OccCounts:
-    """All four symbol counts for one bucket prefix in a single pass."""
-    return OccCounts(*_count_bucket(block, prefix_len, kernel).tolist())
+) -> tuple[int, int, int, int]:
+    return tuple(_count_bucket(block, prefix_len, kernel).tolist())
 
 
 def _count_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
@@ -195,11 +161,11 @@ def _count_scalar(block: bytes, prefix_len: int, symbol: int) -> int:
     return count
 
 
-def _all4_scalar(block: bytes, prefix_len: int) -> OccCounts:
+def _all4_scalar(block: bytes, prefix_len: int) -> list[int]:
     counts = [0, 0, 0, 0]
     for j in range(prefix_len):
         counts[(block[j >> 2] >> ((j & 3) << 1)) & 3] += 1
-    return OccCounts(*counts)
+    return counts
 
 
 def _nibble(
@@ -218,7 +184,7 @@ def _nibble(
     fields masked off as padding show up in the A count.  `trace` records
     the SADs of the last symbol, so pass it with one.
     """
-    lo_t, hi_t = TABLES
+    lo_t, hi_t = _NP_LO.tobytes(), _NP_HI.tobytes()
     sads = [0] * len(symbols)
     for g in range(0, BUCKET_BYTES, _GROUP_BYTES):
         lo_w = 0
@@ -338,7 +304,9 @@ def count_blocks(
 
     Without `symbol`, all four counts, shape (m, 4); with it, the count of
     symbol[i] in block i, shape (m,), and every kernel counts that symbol
-    only.  `scalar` reads each row's prefix field by field.  The others
+    only.  Nothing here checks the arguments: each symbol[i] must lie in
+    [0, 3] and each prefix_lens[i] in [0, 128], or the kernels disagree.
+    `scalar` reads each row's prefix field by field.  The others
     count every field of the masked rows, `bytelut` and `simd` in one
     numpy pass and `nibble` row by row, and the masked-off fields, which
     decode as A, come off the A count here.

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 The occurrence, search and locate functions below answer one item at a
-time what the library answers in batches: they read `FmIndex.buckets`
-one bucket at a time through the one-bucket kernels and share no code
-with the batch engine in `fmpm.batch`, which the library runs.  The text
-functions (encode, is_dna, pack_codes, suffix_array_naive) work one
-character at a time, with no numpy.
+time what the library answers in batches: they read one bucket of
+`FmIndex.blocks` and `FmIndex.bases` at a time, count it with a one-row
+`count_blocks` call and share no code with the batch engine in
+`fmpm.batch`, which the library runs.  The text functions (encode,
+is_dna, pack_codes, suffix_array_naive) work one character at a time,
+with no numpy.
 """
 
 from __future__ import annotations
@@ -16,36 +17,21 @@ import zlib
 from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from fmpm.alphabet import A, AlphabetError
 from fmpm.index import FmIndex, SA_STRIDE
-from fmpm.kernels import (
-    BUCKET_CHARS,
-    Kernel,
-    OccCounts,
-    count_bucket_all4,
-    count_bucket_bytelut,
-    count_bucket_nibble,
-    count_bucket_scalar,
-    count_bucket_simd,
-    resolve_kernel,
-)
+from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
 from fmpm.search import BwmInterval, Hit, MatchResult
 
-_ZERO = OccCounts(0, 0, 0, 0)
-# the public one-symbol count of each kernel
-_COUNT_BUCKET = {
-    Kernel.SCALAR: count_bucket_scalar,
-    Kernel.BYTELUT: count_bucket_bytelut,
-    Kernel.NIBBLE: count_bucket_nibble,
-    Kernel.SIMD: count_bucket_simd,
-}
+_ZERO = (0, 0, 0, 0)
 
 
 class OccPair(NamedTuple):
     """Occurrence counts at the two positions an interval update needs."""
 
-    at_low: OccCounts
-    at_high: OccCounts
+    at_low: tuple[int, int, int, int]
+    at_high: tuple[int, int, int, int]
 
 
 # below one bucket, and at or one off multiples of the sample stride and the bucket
@@ -116,6 +102,19 @@ def edge_text(n: int) -> str:
 
 def random_bucket(rng: random.Random) -> bytes:
     return bytes(rng.getrandbits(8) for _ in range(32))
+
+
+def block_rows(blocks: Iterable[bytes]) -> np.ndarray:
+    """32-byte blocks as the (m, 32) uint8 rows that `count_blocks` takes."""
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, BUCKET_BYTES)
+
+
+def scalar_counts(rows: np.ndarray, prefix_lens: np.ndarray) -> list[list[int]]:
+    """Each row's four prefix counts, from one one-symbol `scalar` pass per symbol."""
+    return np.stack(
+        [count_blocks(rows, prefix_lens, Kernel.SCALAR, np.full(len(rows), s)) for s in range(4)],
+        axis=1,
+    ).tolist()
 
 
 def scan_positions(text: str, pattern: str) -> list[int]:
@@ -233,7 +232,7 @@ def unpack_samples(section: bytes, n: int) -> list[int]:
 
 def occ_all(
     index: FmIndex, k: int, kernel: Kernel | str | None = None, memo: dict | None = None
-) -> OccCounts:
+) -> tuple[int, int, int, int]:
     """All four occurrence counts at position k (k == -1 gives zeros).
 
     Position k is the prefix k % 128 + 1 of bucket k // 128.  The
@@ -249,12 +248,11 @@ def occ_all(
     if memo is not None and k in memo:
         return memo[k]
     j, r = divmod(k, BUCKET_CHARS)
-    bucket = index.buckets[j]
-    inside = count_bucket_all4(bucket.chars, r + 1, kernel)
-    counts = [b + d for b, d in zip(bucket.base, inside)]
+    inside = count_blocks(index.blocks[j : j + 1], np.array([r + 1]), kernel)[0]
+    counts = (index.bases[j] + inside).tolist()
     if index.sentinel_row <= k:
         counts[A] -= 1
-    counts = OccCounts(*counts)
+    counts = tuple(counts)
     if memo is not None:
         memo[k] = counts
     return counts
@@ -403,9 +401,9 @@ def psi_inverse_fused(
     if i == index.sentinel_row:
         return None
     j, r = divmod(i, BUCKET_CHARS)
-    bucket = index.buckets[j]
-    symbol = (bucket.chars[r >> 2] >> ((r & 3) << 1)) & 3
-    count = bucket.base[symbol] + _COUNT_BUCKET[resolve_kernel(kernel)](bucket.chars, r + 1, symbol)
+    symbol = (int(index.blocks[j, r >> 2]) >> ((r & 3) << 1)) & 3
+    inside = count_blocks(index.blocks[j : j + 1], np.array([r + 1]), kernel, np.array([symbol]))
+    count = int(index.bases[j, symbol] + inside[0])
     if symbol == 0 and index.sentinel_row <= i:
         count -= 1
     return symbol, index.c[symbol] + count

@@ -15,17 +15,7 @@ import pytest
 from fmpm.alphabet import A, C, G, encode_array
 from fmpm.batch import locate_rows, rank_many
 from fmpm.index import build_index
-from fmpm.kernels import (
-    BUCKET_BYTES,
-    BUCKET_CHARS,
-    Kernel,
-    KernelTrace,
-    count_bucket_all4,
-    count_bucket_bytelut,
-    count_bucket_nibble,
-    count_bucket_scalar,
-    count_bucket_simd,
-)
+from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, trace_nibble
 from fmpm.bench import run_bench, format_summary
 from fmpm.search import (
     BwmInterval,
@@ -38,12 +28,14 @@ from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import bwt_codes, suffix_array
 
 from oracles import (
+    block_rows,
     encode,
     hamming_positions,
     min_anchored_edit_distance,
     pack_codes,
     random_bucket,
     random_dna,
+    scalar_counts,
     scan_positions,
 )
 
@@ -117,11 +109,10 @@ def test_criterion_02_packed_block_and_trace():
     word = int.from_bytes(packed, "little")
     assert word == 0xFA3CFE813F026F45
     block = packed + bytes(BUCKET_BYTES - len(packed))
-    trace = KernelTrace()
-    count = count_bucket_nibble(block, 32, G, trace=trace)
+    trace = trace_nibble(block, 32, G)
     assert trace.masked_words[0] == 0xFA3CFE813F026F45
     assert trace.group_sads[0] == 0x7F2
-    assert count == 6
+    assert trace.count == 6
     print(
         "[criterion 2] packed block 0xfa3cfe813f026f45, group SAD 0x7f2, count 6: PASS"
     )
@@ -130,26 +121,27 @@ def test_criterion_02_packed_block_and_trace():
 def test_criterion_03_kernel_equivalence():
     begin = time.perf_counter()
     rng = random.Random(103)
-    kernels = (count_bucket_bytelut, count_bucket_nibble, count_bucket_simd)
 
     randomized = 100_000
-    for _ in range(randomized):
-        block = random_bucket(rng)
-        prefix_len = rng.randint(0, BUCKET_CHARS)
-        symbol = rng.randrange(4)
-        want = count_bucket_scalar(block, prefix_len, symbol)
-        for fn in kernels:
-            assert fn(block, prefix_len, symbol) == want, (fn.__name__, prefix_len, symbol)
-
+    cases = [
+        (random_bucket(rng), rng.randint(0, BUCKET_CHARS), rng.randrange(4))
+        for _ in range(randomized)
+    ]
     buckets = [random_bucket(rng) for _ in range(100)]
-    swept = 0
-    for block in buckets:
-        for prefix_len in range(BUCKET_CHARS + 1):
-            symbol = rng.randrange(4)
-            want = count_bucket_scalar(block, prefix_len, symbol)
-            for fn in kernels:
-                assert fn(block, prefix_len, symbol) == want
-            swept += 1
+    cases += [
+        (block, prefix_len, rng.randrange(4))
+        for block in buckets
+        for prefix_len in range(BUCKET_CHARS + 1)
+    ]
+    swept = len(cases) - randomized
+
+    # one batch per kernel, each row checked against the scalar row
+    blocks, prefix_lens, symbols = zip(*cases)
+    rows, prefix_lens, symbols = block_rows(blocks), np.array(prefix_lens), np.array(symbols)
+    want = count_blocks(rows, prefix_lens, Kernel.SCALAR, symbols)
+    for kernel in (Kernel.BYTELUT, Kernel.NIBBLE, Kernel.SIMD):
+        bad = np.flatnonzero(count_blocks(rows, prefix_lens, kernel, symbols) != want)
+        assert not len(bad), (kernel.value, bad[0], prefix_lens[bad[0]], symbols[bad[0]])
     elapsed = time.perf_counter() - begin
     assert elapsed < 60.0, f"kernel equivalence took {elapsed:.1f}s"
     print(
@@ -160,15 +152,15 @@ def test_criterion_03_kernel_equivalence():
 
 def test_criterion_04_sad_identity_on_full_buckets():
     rng = random.Random(104)
+    blocks = [random_bucket(rng) for _ in range(120)]
+    want = scalar_counts(block_rows(blocks), np.full(len(blocks), BUCKET_CHARS))
     checked = 0
-    for _ in range(120):
-        block = random_bucket(rng)
+    for block, counts in zip(blocks, want):
         for symbol in range(4):
-            trace = KernelTrace()
-            count = count_bucket_nibble(block, BUCKET_CHARS, symbol, trace=trace)
+            trace = trace_nibble(block, BUCKET_CHARS, symbol)
             assert trace.raw_count == 8160 - trace.sad_total
-            assert count == trace.raw_count  # full bucket: no padding correction for A
-            assert count == count_bucket_scalar(block, BUCKET_CHARS, symbol)
+            assert trace.count == trace.raw_count  # full bucket: no padding correction for A
+            assert trace.count == counts[symbol]
             checked += 1
     print(f"[criterion 4] SAD identity raw == 8160 - S on {checked} full-bucket traces: PASS")
 

@@ -18,7 +18,7 @@ from fmpm.index import (
     build_index,
     check_index,
 )
-from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_bucket_all4
+from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks
 from fmpm.serialize import deserialize_index, serialize_index
 from fmpm.suffix import suffix_array
 
@@ -50,7 +50,7 @@ def test_build_index_small_reference():
     assert index.n == 4
     assert index.c == (0, 2, 3, 4, 4)
     assert index.sentinel_row == 1
-    assert len(index.buckets) == 1
+    assert len(index.blocks) == 1
     assert index.samples.tolist() == [4]
     assert index.records == (RecordSpan(name="ref", start=0, length=4),)
     check_index(index)
@@ -70,9 +70,9 @@ def test_bucket_contents_match_bwt():
     bwt = naive_bwt(text)
     assert index.sentinel_row == bwt.index(TERMINATOR)
     read_back = []
-    for j, bucket in enumerate(index.buckets):
+    for j, block in enumerate(index.blocks.tolist()):
         for r in range(min(BUCKET_CHARS, 301 - j * BUCKET_CHARS)):
-            read_back.append((bucket.chars[r >> 2] >> ((r & 3) << 1)) & 3)
+            read_back.append((block[r >> 2] >> ((r & 3) << 1)) & 3)
     codes = [0 if ch == TERMINATOR else "ACGT".index(ch) for ch in bwt]
     assert read_back == codes
 
@@ -84,12 +84,13 @@ def test_base_telescoping_across_buckets():
         sink = io.BytesIO()
         serialize_index(index, sink)
         for held in (index, deserialize_index(io.BytesIO(sink.getvalue()))):
-            assert len(held.buckets) == n // BUCKET_CHARS + 1
-            base = (0, 0, 0, 0)
-            for bucket in held.buckets:
-                assert bucket.base == base, n
-                inside = count_bucket_all4(bucket.chars, BUCKET_CHARS, Kernel.SCALAR)
-                base = tuple(b + d for b, d in zip(base, inside))
+            assert len(held.blocks) == n // BUCKET_CHARS + 1
+            full = np.full(len(held.blocks), BUCKET_CHARS)
+            counts = count_blocks(held.blocks, full, Kernel.SCALAR).tolist()
+            base = [0, 0, 0, 0]
+            for got, inside in zip(held.bases.tolist(), counts):
+                assert got == base, n
+                base = [b + d for b, d in zip(base, inside)]
             check_index(held)
 
 
@@ -249,10 +250,8 @@ def test_final_bucket_padding_is_zero():
     # 128 chars + terminator: second bucket holds one real character
     text = random_dna(random.Random(35), BUCKET_CHARS)
     index = build_index(text)
-    assert len(index.buckets) == 2
-    tail = index.buckets[1]
-    assert len(tail.chars) == BUCKET_BYTES
-    assert set(tail.chars[1:]) == {0}
+    assert index.blocks.shape == (2, BUCKET_BYTES)
+    assert set(index.blocks[1, 1:].tolist()) == {0}
     check_index(index)
 
 

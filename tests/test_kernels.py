@@ -5,48 +5,49 @@ import pytest
 
 import fmpm.kernels
 from fmpm.alphabet import A, C, G, T
+from fmpm.index import build_index
 from fmpm.kernels import (
     BUCKET_BYTES,
     BUCKET_CHARS,
     Kernel,
-    KernelTrace,
-    NibbleTables,
-    TABLES,
-    count_bucket_all4,
-    count_bucket_bytelut,
-    count_bucket_nibble,
-    count_bucket_scalar,
-    count_bucket_simd,
     count_blocks,
     mask_blocks,
     resolve_kernel,
+    trace_nibble,
 )
 
-from oracles import encode, pack_codes, random_bucket
+from oracles import (
+    EDGE_SIZES,
+    block_rows,
+    edge_text,
+    encode,
+    pack_codes,
+    random_bucket,
+    scalar_counts,
+)
 
 FIG_STRING = "ccacttgcgaaatttacaaggtttattaggtt"
 FIG_BLOCK = pack_codes(encode(FIG_STRING)) + bytes(BUCKET_BYTES - 8)
 
-COUNT_FNS = [
-    count_bucket_scalar,
-    count_bucket_bytelut,
-    count_bucket_nibble,
-    count_bucket_simd,
-]
+
+def _count(kernel, blocks, prefix_lens, symbols=None):
+    """`count_blocks` over a list of blocks, as a list."""
+    symbols = None if symbols is None else np.array(symbols)
+    return count_blocks(block_rows(blocks), np.array(prefix_lens), kernel, symbols).tolist()
 
 
 def test_nibble_tables_shape_and_contents():
-    tables = NibbleTables.build()
-    assert tables == TABLES
-    assert len(tables.lo) == 16 and len(tables.hi) == 16
+    lo, hi = fmpm.kernels._NP_LO.tobytes(), fmpm.kernels._NP_HI.tobytes()
+    assert hi.hex() == "02051141050814441114205041445080"
+    assert lo.hex() == "fdfaeebefaf7ebbbeeebdfafbebbaf7f"
     for v in range(16):
         pair = (v & 3, (v >> 2) & 3)
         for symbol in range(4):
             want = pair.count(symbol)
-            assert (tables.hi[v] >> (2 * symbol)) & 3 == want
-        assert tables.lo[v] == (~tables.hi[v]) & 0xFF
+            assert (hi[v] >> (2 * symbol)) & 3 == want
+        assert lo[v] == (~hi[v]) & 0xFF
         # two characters per nibble, however they split across symbols
-        assert sum((tables.hi[v] >> (2 * s)) & 3 for s in range(4)) == 2
+        assert sum((hi[v] >> (2 * s)) & 3 for s in range(4)) == 2
 
 
 def test_mask_blocks_boundaries():
@@ -61,36 +62,43 @@ def test_mask_blocks_boundaries():
 
 
 def test_scalar_known_counts():
-    assert count_bucket_scalar(FIG_BLOCK, 32, G) == 6
-    assert count_bucket_scalar(FIG_BLOCK, 7, G) == 1
-    assert count_bucket_scalar(FIG_BLOCK, 0, G) == 0
-    assert count_bucket_scalar(FIG_BLOCK, 32, T) == 12
+    got = _count(Kernel.SCALAR, [FIG_BLOCK] * 4, [32, 7, 0, 32], [G, G, G, T])
+    assert got == [6, 1, 0, 12]
 
 
 def test_all_zero_bucket_counts():
     zero = bytes(BUCKET_BYTES)
-    for fn in COUNT_FNS:
-        assert fn(zero, BUCKET_CHARS, A) == BUCKET_CHARS
-        assert fn(zero, 0, A) == 0
-        assert fn(zero, BUCKET_CHARS, C) == 0
-        assert fn(zero, 77, A) == 77
+    for kernel in Kernel:
+        got = _count(kernel, [zero] * 4, [BUCKET_CHARS, 0, BUCKET_CHARS, 77], [A, A, C, A])
+        assert got == [BUCKET_CHARS, 0, 0, 77], kernel
 
 
 def test_bad_arguments_rejected():
+    # the one-bucket check: a block, a prefix or a symbol out of range
     zero = bytes(BUCKET_BYTES)
-    for fn in COUNT_FNS:
+    cases = [
+        (zero[:-1], 4, A),
+        (zero, BUCKET_CHARS + 1, A),
+        (zero, -1, A),
+        (zero, 4, 4),
+        (zero, 4, -1),
+    ]
+    for kernel in Kernel:
+        for block, prefix_len, symbol in cases:
+            with pytest.raises(ValueError):
+                fmpm.kernels._count_bucket(block, prefix_len, kernel, symbol)
+    for block, prefix_len, symbol in cases:
         with pytest.raises(ValueError):
-            fn(zero[:-1], 4, A)
-        with pytest.raises(ValueError):
-            fn(zero, BUCKET_CHARS + 1, A)
-        with pytest.raises(ValueError):
-            fn(zero, -1, A)
+            trace_nibble(block, prefix_len, symbol)
+    # without a symbol, only the block and the prefix are checked
+    for kernel in Kernel:
+        for block, prefix_len, _ in cases[:3]:
+            with pytest.raises(ValueError):
+                fmpm.kernels._count_bucket(block, prefix_len, kernel)
 
 
 def test_nibble_trace_on_figure_block():
-    trace = KernelTrace()
-    count = count_bucket_nibble(FIG_BLOCK, 32, G, trace=trace)
-    assert count == 6
+    trace = trace_nibble(FIG_BLOCK, 32, G)
     assert trace.masked_words[0] == 0xFA3CFE813F026F45
     assert trace.group_sads[0] == 0x7F2
     # the three masked groups carry no characters at all
@@ -102,8 +110,7 @@ def test_nibble_trace_on_figure_block():
 
 def test_nibble_lookup_words_on_figure_block():
     # register-level values derived by hand from the table construction
-    trace = KernelTrace()
-    count_bucket_nibble(FIG_BLOCK, 32, G, trace=trace)
+    trace = trace_nibble(FIG_BLOCK, 32, G)
     assert trace.lookup_lo_words[0] == 0xDFBEAFFA7FEE7FF7
     assert trace.lookup_hi_words[0] == 0x8041801141021405
 
@@ -112,58 +119,61 @@ def test_nibble_lookup_words_on_figure_block():
 def test_nibble_trace_at_partial_prefixes(prefix_len):
     # the masked-off fields decode as A: in the raw count, not in the count
     block = random_bucket(random.Random(prefix_len))
-    trace = KernelTrace()
-    count = count_bucket_nibble(block, prefix_len, A, trace=trace)
-    assert trace.count == count == count_bucket_scalar(block, prefix_len, A)
+    trace = trace_nibble(block, prefix_len, A)
+    assert [trace.count] == _count(Kernel.SCALAR, [block], [prefix_len], [A])
     assert trace.raw_count - trace.count == BUCKET_CHARS - prefix_len
     assert trace.raw_count == 8160 - trace.sad_total
 
 
 def test_bytelut_has_one_body(monkeypatch):
-    # the per-bucket names count through the word table that `fmpm match` runs
+    # `count_blocks` counts one symbol and all four through the word table
     def word_table(masked, symbol=None):
         raise AssertionError("the word table ran")
 
     monkeypatch.setattr(fmpm.kernels, "count_blocks_bytelut", word_table)
     with pytest.raises(AssertionError, match="word table"):
-        count_bucket_bytelut(FIG_BLOCK, 32, G)
+        _count(Kernel.BYTELUT, [FIG_BLOCK], [32], [G])
     with pytest.raises(AssertionError, match="word table"):
-        count_bucket_all4(FIG_BLOCK, 32, "bytelut")
+        _count("bytelut", [FIG_BLOCK], [32])
 
 
 def test_trace_identity_raw_equals_ceiling_minus_sad():
     rng = random.Random(21)
-    for _ in range(40):
-        block = random_bucket(rng)
+    blocks = [random_bucket(rng) for _ in range(40)]
+    want = scalar_counts(block_rows(blocks), np.full(len(blocks), BUCKET_CHARS))
+    for block, counts in zip(blocks, want):
         for symbol in range(4):
-            trace = KernelTrace()
-            count_bucket_nibble(block, BUCKET_CHARS, symbol, trace=trace)
+            trace = trace_nibble(block, BUCKET_CHARS, symbol)
             assert trace.raw_count == 8160 - trace.sad_total
-            assert trace.raw_count == count_bucket_scalar(block, BUCKET_CHARS, symbol)
+            assert trace.raw_count == counts[symbol]
+
+
+def _assert_kernels_agree(blocks, prefix_lens, symbols):
+    """Every kernel's one-symbol `count_blocks` rows equal the `scalar` rows."""
+    rows, prefix_lens, symbols = block_rows(blocks), np.array(prefix_lens), np.array(symbols)
+    want = count_blocks(rows, prefix_lens, Kernel.SCALAR, symbols)
+    for kernel in (Kernel.BYTELUT, Kernel.NIBBLE, Kernel.SIMD):
+        bad = np.flatnonzero(count_blocks(rows, prefix_lens, kernel, symbols) != want)
+        assert not len(bad), (kernel, bad[0], prefix_lens[bad[0]], symbols[bad[0]])
 
 
 def test_kernels_agree_randomized():
     rng = random.Random(22)
-    for _ in range(400):
-        block = random_bucket(rng)
-        prefix_len = rng.randint(0, BUCKET_CHARS)
-        symbol = rng.randrange(4)
-        want = count_bucket_scalar(block, prefix_len, symbol)
-        assert count_bucket_bytelut(block, prefix_len, symbol) == want
-        assert count_bucket_nibble(block, prefix_len, symbol) == want
-        assert count_bucket_simd(block, prefix_len, symbol) == want
+    cases = [
+        (random_bucket(rng), rng.randint(0, BUCKET_CHARS), rng.randrange(4)) for _ in range(400)
+    ]
+    _assert_kernels_agree(*zip(*cases))
 
 
 def test_kernels_agree_all_prefix_lengths():
     rng = random.Random(23)
-    for _ in range(4):
-        block = random_bucket(rng)
-        for prefix_len in range(BUCKET_CHARS + 1):
-            for symbol in range(4):
-                want = count_bucket_scalar(block, prefix_len, symbol)
-                assert count_bucket_bytelut(block, prefix_len, symbol) == want
-                assert count_bucket_nibble(block, prefix_len, symbol) == want
-                assert count_bucket_simd(block, prefix_len, symbol) == want
+    cases = [
+        (block, prefix_len, symbol)
+        for block in [random_bucket(rng) for _ in range(4)]
+        for prefix_len in range(BUCKET_CHARS + 1)
+        for symbol in range(4)
+    ]
+    _assert_kernels_agree(*zip(*cases))
 
 
 # every (prefix length, symbol) pair, one row each
@@ -185,12 +195,8 @@ def test_count_blocks_equals_scalar_oracle(fill, m):
     cases = [_PREFIX_SYMBOL_CASES[i % len(_PREFIX_SYMBOL_CASES)] for i in range(total)]
     for at in range(0, total, m):
         prefix_lens, symbols = (np.array(column) for column in zip(*cases[at : at + m]))
-        rows = [make(rng) for _ in range(m)]
-        want = [
-            [count_bucket_scalar(row, p, s) for s in range(4)]
-            for row, p in zip(rows, prefix_lens.tolist())
-        ]
-        blocks = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(m, BUCKET_BYTES)
+        blocks = block_rows(make(rng) for _ in range(m))
+        want = scalar_counts(blocks, prefix_lens)
         for kernel in Kernel:
             got = count_blocks(blocks, prefix_lens, kernel)
             assert got.dtype == np.int64 and got.tolist() == want, kernel
@@ -201,40 +207,32 @@ def test_count_blocks_equals_scalar_oracle(fill, m):
 
 def test_all4_matches_singles_and_sums_to_prefix():
     rng = random.Random(24)
-    for _ in range(60):
-        block = random_bucket(rng)
-        prefix_len = rng.randint(0, BUCKET_CHARS)
-        for kernel in Kernel:
-            counts = count_bucket_all4(block, prefix_len, kernel)
-            assert sum(counts) == prefix_len
-            for symbol in range(4):
-                assert counts[symbol] == count_bucket_scalar(block, prefix_len, symbol)
+    cases = [(random_bucket(rng), rng.randint(0, BUCKET_CHARS)) for _ in range(60)]
+    blocks, prefix_lens = zip(*cases)
+    want = scalar_counts(block_rows(blocks), np.array(prefix_lens))
+    assert [sum(counts) for counts in want] == list(prefix_lens)
+    for kernel in Kernel:
+        assert _count(kernel, blocks, prefix_lens) == want, kernel
 
 
 def test_all4_known_block():
-    counts = count_bucket_all4(FIG_BLOCK, 32)
-    assert tuple(counts) == (9, 5, 6, 12)
+    assert _count(None, [FIG_BLOCK], [32]) == [[9, 5, 6, 12]]
 
 
 def test_counts_are_monotone_in_prefix():
     rng = random.Random(25)
     block = random_bucket(rng)
+    prefix_lens = range(1, BUCKET_CHARS + 1)
     for symbol in range(4):
-        prev = 0
-        for prefix_len in range(1, BUCKET_CHARS + 1):
-            cur = count_bucket_nibble(block, prefix_len, symbol)
-            assert cur - prev in (0, 1)
-            prev = cur
+        counts = _count(Kernel.NIBBLE, [block] * BUCKET_CHARS, prefix_lens, [symbol] * BUCKET_CHARS)
+        assert {cur - prev for prev, cur in zip([0, *counts], counts)} <= {0, 1}
 
 
 def test_partial_bucket_padding_not_counted():
     # 5 real characters, the rest padding: only A picks up masked fields
     block = pack_codes([2, 0, 1, 0, 0], pad_to=BUCKET_BYTES)
-    for fn in COUNT_FNS:
-        assert fn(block, 5, A) == 3
-        assert fn(block, 5, C) == 1
-        assert fn(block, 5, G) == 1
-        assert fn(block, 5, T) == 0
+    for kernel in Kernel:
+        assert _count(kernel, [block] * 4, [5] * 4, [A, C, G, T]) == [3, 1, 1, 0], kernel
 
 
 def test_resolve_kernel_values_and_env():
@@ -243,3 +241,25 @@ def test_resolve_kernel_values_and_env():
     assert resolve_kernel(None) is Kernel.BYTELUT
     with pytest.raises(ValueError):
         resolve_kernel("avx999")
+
+
+def test_benchmark_one_row_readers_equal_count_blocks():
+    # perfbench/traced.py's `kernel_layer` times these names, and no other code calls them
+    rng = random.Random(26)
+    block = random_bucket(rng)
+    prefix_lens = range(BUCKET_CHARS + 1)
+    blocks = [block] * len(prefix_lens)
+    for kernel in Kernel:
+        count = getattr(fmpm.kernels, f"count_bucket_{kernel.value}")
+        for symbol in range(4):
+            want = _count(kernel, blocks, prefix_lens, [symbol] * len(blocks))
+            assert [count(block, p, symbol) for p in prefix_lens] == want, (kernel, symbol)
+        with pytest.raises(ValueError):
+            count(block, 0, 4)
+        got = [fmpm.kernels.count_bucket_all4(block, p, kernel=kernel.value) for p in prefix_lens]
+        assert got == [tuple(row) for row in _count(kernel, blocks, prefix_lens)], kernel
+    for n in EDGE_SIZES:
+        index = build_index(edge_text(n))
+        assert len(index.buckets) == len(index.blocks), n
+        for bucket, block, base in zip(index.buckets, index.blocks, index.bases.tolist()):
+            assert bucket.chars == block.tobytes() and bucket.base == tuple(base), n
