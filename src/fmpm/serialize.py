@@ -3,7 +3,7 @@
 Little-endian throughout, CRC32 of everything before the trailer:
 
     magic        4s   "FMPM"
-    version      u16  3
+    version      u16  4
     flags        u16  0 (reserved; any other value is rejected)
     n            u64  reference length
     bucket_size  u32  128 (layout witness, fixed since version 2)
@@ -11,7 +11,8 @@ Little-endian throughout, CRC32 of everything before the trailer:
     sentinel_row u64
     c            5*u64
     bucket_count u64
-    buckets      bucket_count * 32 bytes packed chars
+    deflated     u64  size of the zlib stream that follows
+    buckets      one zlib stream of the bucket_count * 32 bytes of packed chars
     sample_count u64
     sa_samples   ceil(sample_count * w / 8) bytes, w = max(1, n.bit_length())
     record_count u32
@@ -19,7 +20,9 @@ Little-endian throughout, CRC32 of everything before the trailer:
     crc32        u32  over all preceding bytes
 
 The bucket bases are not stored: the index derives them from the blocks,
-and the C table in the header witnesses the blocks' totals.
+and the C table in the header witnesses the blocks' totals.  The packed
+blocks are deflated, since the transform of a repetitive reference forms
+runs; the reader inflates them into exactly bucket_count * 32 bytes.
 
 The suffix-array samples, all within [0, n], form one little-endian bit
 stream of w-bit fields: sample j is bits j*w to j*w + w - 1, counting bit
@@ -39,11 +42,12 @@ from .index import FmIndex, RecordSpan, SA_STRIDE
 from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
-VERSION = 3
+VERSION = 4
 
-# Largest single read.  A corrupt count in a short stream then fails as
-# truncated instead of asking for one huge buffer.
-_READ_CHUNK = 1 << 24
+# First read of a section; each further read asks for as much as the
+# stream has given so far.  A corrupt count in a short stream then fails
+# as truncated instead of asking for one huge buffer.
+_FIRST_READ = 1 << 16
 
 
 class IndexFormatError(Exception):
@@ -87,7 +91,7 @@ class _CrcReader:
         parts = []
         left = size
         while left:
-            part = self._source.read(min(left, _READ_CHUNK))
+            part = self._source.read(min(left, max(_FIRST_READ, size - left)))
             if not part:
                 break
             parts.append(part)
@@ -99,6 +103,24 @@ class _CrcReader:
             )
         self.crc = zlib.crc32(data, self.crc)
         return data
+
+
+def _inflate(deflated: bytes, size: int) -> bytes:
+    """The `size` bytes of the one zlib stream that is all of `deflated`.
+
+    Inflates at most size + 1 bytes, so no stream asks for more memory
+    than the section it claims to be.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(deflated, size + 1)
+    except zlib.error as exc:
+        raise IndexFormatError(f"bucket section is not a valid zlib stream: {exc}") from None
+    if len(data) != size or not inflater.eof or inflater.unused_data:
+        raise IndexFormatError(
+            f"bucket section does not inflate to exactly {size} bytes in one whole zlib stream"
+        )
+    return data
 
 
 def _sample_width(n: int) -> int:
@@ -154,8 +176,9 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(struct.pack("<HH", VERSION, 0))
     w.write(struct.pack("<QIIQ", index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row))
     w.write(struct.pack("<5Q", *index.c))
-    w.write(struct.pack("<Q", index.bucket_count))
-    w.write(index.blocks)
+    deflated = zlib.compress(index.blocks)
+    w.write(struct.pack("<QQ", index.bucket_count, len(deflated)))
+    w.write(deflated)
     w.write(struct.pack("<Q", len(index.samples)))
     w.write(_pack_samples(index.samples, _sample_width(index.n)))
     w.write(struct.pack("<I", len(index.records)))
@@ -198,7 +221,8 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         raise IndexFormatError(
             f"bucket count {bucket_count} does not match n={n} (expected {expected_buckets})"
         )
-    section = r.read(bucket_count * BUCKET_BYTES, "buckets")
+    (deflated_size,) = struct.unpack("<Q", r.read(8, "bucket section size"))
+    deflated = r.read(deflated_size, "buckets")
     (sample_count,) = struct.unpack("<Q", r.read(8, "sample count"))
     if sample_count != n // SA_STRIDE + 1:
         raise IndexFormatError(f"sample count {sample_count} does not match n={n}")
@@ -222,6 +246,10 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     (stored,) = struct.unpack("<I", trailer)
     if stored != computed:
         raise ChecksumError(f"checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
+    # inflated only once the whole file is read: the raw sample section is
+    # about w/64 of the blocks' size, so the stream cannot inflate to more
+    # than about 64/w times the file it came in
+    section = _inflate(deflated, bucket_count * BUCKET_BYTES)
     blocks = np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES)
     samples = _unpack_samples(packed, sample_count, width)
     try:  # making the index runs `check_index`

@@ -199,12 +199,12 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         c.append(c[-1] + full.count(s))
 
     out = bytearray(b"FMPM")
-    out += struct.pack("<HHQIIQ", 3, 0, n, 128, 32, bwt.index("$"))
+    out += struct.pack("<HHQIIQ", 4, 0, n, 128, 32, bwt.index("$"))
     out += struct.pack("<5Q", *c)
     starts = range(0, n + 1, 128)
-    out += struct.pack("<Q", len(starts))
-    for start in starts:
-        out += pack_codes(codes[start : start + 128], pad_to=32)
+    blocks = b"".join(pack_codes(codes[start : start + 128], pad_to=32) for start in starts)
+    deflated = zlib.compress(blocks)
+    out += struct.pack("<QQ", len(starts), len(deflated)) + deflated
     samples = sa[::32]
     width = max(1, n.bit_length())
     out += struct.pack("<Q", len(samples))
@@ -216,6 +216,42 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<QQ", start, length)
     return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+# the header, the C table and the bucket count fill the first 80 bytes of
+# a file; the deflated bucket section's size follows, then the section
+_DEFLATED_SIZE_AT = 80
+
+
+def deflated_section(blob: bytes) -> tuple[int, int]:
+    """Start and end offset of the zlib stream of an index file's packed blocks."""
+    (size,) = struct.unpack_from("<Q", blob, _DEFLATED_SIZE_AT)
+    start = _DEFLATED_SIZE_AT + 8
+    return start, start + size
+
+
+def samples_at(blob: bytes) -> int:
+    """Offset of an index file's sample section, after the sample count."""
+    return deflated_section(blob)[1] + 8
+
+
+def file_blocks(blob: bytes) -> bytearray:
+    """The packed blocks of an index file, inflated from its bucket section."""
+    start, end = deflated_section(blob)
+    return bytearray(zlib.decompress(blob[start:end]))
+
+
+def with_section(blob: bytes, deflated: bytes) -> bytes:
+    """`blob` with its bucket section replaced by `deflated`, and a valid CRC."""
+    start, end = deflated_section(blob)
+    out = bytearray(blob[: start - 8])
+    out += struct.pack("<Q", len(deflated)) + deflated + blob[end:-4]
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))
+
+
+def with_blocks(blob: bytes, blocks: bytes) -> bytes:
+    """`blob` with its packed blocks replaced and deflated again, and a valid CRC."""
+    return with_section(blob, zlib.compress(blocks))
 
 
 def sample_section_bytes(n: int) -> int:

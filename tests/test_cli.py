@@ -15,7 +15,7 @@ from fmpm.cli import EXIT_CORRUPT, EXIT_DISAGREE, EXIT_IO, EXIT_OK, EXIT_USAGE, 
 from fmpm.index import build_index
 from fmpm.kernels import Kernel, resolve_kernel
 
-from oracles import EDGE_SIZES, edge_text, hamming_positions
+from oracles import EDGE_SIZES, edge_text, file_blocks, hamming_positions, samples_at, with_blocks
 
 
 @pytest.fixture()
@@ -204,11 +204,10 @@ def test_out_of_range_sample_exits_corrupt(tmp_path, capsys, sample):
     assert main(["index", str(fasta), "-o", str(fmi)]) == EXIT_OK
     assert main(["match", str(fmi), "-p", "A"]) == EXIT_OK
     capsys.readouterr()
-    buckets = (1000 + 1 + 127) // 128
-    # header with C table and bucket count, buckets, sample count; then
     # 10-bit samples, sample 1 being bits 10 to 19 of the section's first 3 bytes
-    at = 80 + 32 * buckets + 8
-    head = int.from_bytes(fmi.read_bytes()[at : at + 3], "little")
+    blob = fmi.read_bytes()
+    at = samples_at(blob)
+    head = int.from_bytes(blob[at : at + 3], "little")
     head = head & ~(1023 << 10) | sample << 10
     _rewrite_with_crc(fmi, at, head.to_bytes(3, "little"))
     assert main(["match", str(fmi), "-p", "A"]) == EXIT_CORRUPT
@@ -226,12 +225,15 @@ def two_record_index(tmp_path):
     return fmi
 
 
-# bucket j of the file: its 32 packed bytes at 80 + 32 * j; 5,001 transform
-# fields fill buckets 0 to 39.  A zeroed block adds A fields, which the
-# header's C table does not count
+# bucket j: bytes 32 * j to 32 * j + 31 of the inflated bucket section;
+# 5,001 transform fields fill buckets 0 to 39.  A zeroed block adds A
+# fields, which the header's C table does not count
 @pytest.mark.parametrize("bucket", [0, 5, 19, 39])
 def test_zeroed_bucket_block_exits_corrupt(two_record_index, capsys, bucket):
-    _rewrite_with_crc(two_record_index, 80 + 32 * bucket, bytes(32))
+    blob = two_record_index.read_bytes()
+    blocks = file_blocks(blob)
+    blocks[32 * bucket : 32 * bucket + 32] = bytes(32)
+    two_record_index.write_bytes(with_blocks(blob, bytes(blocks)))
     assert main(["match", str(two_record_index), "-p", "ACGTA"]) == EXIT_CORRUPT
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import random
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -294,10 +295,11 @@ def test_file_bytes_match_reference_builder_where_the_sample_width_changes(n):
     records = [("r0", 0, n // 2), ("r1", n // 2, n - n // 2)]
     data = _serialized(text, records)
     assert data == reference_index_bytes(text, records)
-    # header to bucket count, packed blocks, sample count, samples of
-    # n.bit_length() bits each, record count, two records, CRC
+    # header to bucket count, deflated size and packed blocks, sample count,
+    # samples of n.bit_length() bits each, record count, two records, CRC
+    deflated = len(zlib.compress(build_index(text, records).blocks))
     sample_bytes = -(-(n // SA_STRIDE + 1) * n.bit_length() // 8)
-    assert len(data) == 80 + 32 * (n // 128 + 1) + 8 + sample_bytes + 4 + 2 * 22 + 4
+    assert len(data) == 80 + 8 + deflated + 8 + sample_bytes + 4 + 2 * 22 + 4
     assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
 
 

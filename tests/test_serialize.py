@@ -3,6 +3,7 @@ import functools
 import io
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,7 +25,18 @@ from fmpm.serialize import (
     serialize_index,
 )
 
-from oracles import EDGE_SIZES, edge_text, random_dna, sample_section_bytes, unpack_samples
+from oracles import (
+    EDGE_SIZES,
+    deflated_section,
+    edge_text,
+    file_blocks,
+    random_dna,
+    sample_section_bytes,
+    samples_at,
+    unpack_samples,
+    with_blocks,
+    with_section,
+)
 
 
 def roundtrip_bytes(index) -> bytes:
@@ -69,6 +81,7 @@ def test_blocks_and_bases_round_trip_at_edge_sizes(n):
     assert roundtrip_bytes(restored) == blob
     assert np.array_equal(restored.blocks, index.blocks)
     assert np.array_equal(restored.bases, index.bases)
+    assert np.array_equal(restored.samples, index.samples)
 
 
 def test_one_index_read_per_call():
@@ -85,9 +98,10 @@ def test_byte_count_matches_stream():
     sink = io.BytesIO()
     written = serialize_index(index, sink)
     assert written == len(sink.getvalue())
-    # header, 32 bytes per bucket, sample count and five 8-bit samples, one
-    # record "ref", CRC
-    assert written == 80 + 32 * 2 + 8 + 5 + 4 + 4 + 3 + 16 + 4
+    # header, the deflated size and the zlib stream of two buckets' 64
+    # packed bytes, sample count and five 8-bit samples, one record "ref", CRC
+    deflated = len(zlib.compress(index.blocks))
+    assert written == 80 + 8 + deflated + 8 + 5 + 4 + 4 + 3 + 16 + 4
 
 
 def test_bad_magic():
@@ -104,8 +118,18 @@ def test_version_mismatch():
         deserialize_index(io.BytesIO(bytes(blob)))
 
 
-# "ACAG": one bucket at 80, the sample count at 112, its one 3-bit sample at 120
+# "ACAG": one bucket, deflated after its size at 80, then the sample count
+# and one 3-bit sample
 _ACAG = build_index("ACAG")
+
+
+def _version_3_body():
+    """The "ACAG" file less its CRC, its one bucket's 32 packed bytes stored as
+    they are, as version 3 stored them: the sample count at 112, the sample
+    at 120."""
+    blob = roundtrip_bytes(_ACAG)
+    start, end = deflated_section(blob)
+    return bytearray(blob[: start - 8] + _ACAG.blocks.tobytes() + blob[end:-4])
 
 
 def _older_version(version, blob, tmp_path, capsys):
@@ -126,7 +150,7 @@ def _older_version(version, blob, tmp_path, capsys):
 def test_version_1_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
     # a version-1 file stored four u64 bases before each bucket's packed
     # bytes, and a u64 per sample
-    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob = _version_3_body()
     blob[120:121] = _ACAG.samples.astype("<u8").tobytes()
     blob[80:80] = _ACAG.bases.astype("<i8").tobytes()
     _older_version(1, blob, tmp_path, capsys)
@@ -134,13 +158,18 @@ def test_version_1_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
 
 def test_version_2_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
     # a version-2 file stored a u64 per sample
-    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob = _version_3_body()
     blob[120:121] = _ACAG.samples.astype("<u8").tobytes()
     _older_version(2, blob, tmp_path, capsys)
 
 
+def test_version_3_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
+    # a version-3 file stored the packed blocks as they are
+    _older_version(3, _version_3_body(), tmp_path, capsys)
+
+
 def test_nonzero_flags_rejected():
-    # version 3 reserves the flags field as 0
+    # version 4 reserves the flags field as 0
     blob = bytearray(roundtrip_bytes(build_index("ACGT"))[:-4])
     blob[6:8] = struct.pack("<H", 1)
     blob += struct.pack("<I", zlib.crc32(blob))
@@ -149,9 +178,9 @@ def test_nonzero_flags_rejected():
 
 
 def test_nonzero_bits_after_the_last_sample_rejected():
-    # "ACAG" stores one 3-bit sample in byte 120; bits 3 to 7 are padding
+    # "ACAG" stores one 3-bit sample in one byte; bits 3 to 7 are padding
     blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
-    blob[120] |= 1 << 3
+    blob[samples_at(blob)] |= 1 << 3
     blob += struct.pack("<I", zlib.crc32(blob))
     with pytest.raises(IndexFormatError, match="past the last suffix-array sample"):
         deserialize_index(io.BytesIO(bytes(blob)))
@@ -224,22 +253,87 @@ def test_truncated_everywhere():
 
 
 def test_huge_count_in_short_file_is_truncated(tmp_path):
-    # n = 2**40 asks for 2**38 bucket bytes; the file holds a few hundred
-    blob = bytearray(roundtrip_bytes(build_index("ACAG")))
+    # n = 2**40 asks for 2**35 + 1 samples of 41 bits, and a deflated size
+    # of 2**40 for as many bytes; the file holds a few hundred, and the
+    # load's reads ask for 64 KiB at first and then for what the file gave
     n = 1 << 40
-    blob[8:16] = struct.pack("<Q", n)
-    blob[72:80] = struct.pack("<Q", (n + 128) // 128)
-    path = tmp_path / "huge.fmi"
-    path.write_bytes(bytes(blob))
-    with open(path, "rb") as fh, pytest.raises(TruncatedStreamError):
-        deserialize_index(fh)
+    at = samples_at(roundtrip_bytes(_ACAG)) - 8  # the sample count
+    for section, changes in [
+        ("samples", {8: n, 72: (n + 128) // 128, at: n // 32 + 1}),
+        ("buckets", {80: 1 << 40}),  # the deflated size
+    ]:
+        blob = bytearray(roundtrip_bytes(_ACAG))
+        for offset, value in changes.items():
+            blob[offset : offset + 8] = struct.pack("<Q", value)
+        path = tmp_path / "huge.fmi"
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh, pytest.raises(TruncatedStreamError, match=section):
+                deserialize_index(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_checksum_failure():
     blob = bytearray(roundtrip_bytes(build_index(random_dna(random.Random(75), 60))))
-    blob[90] ^= 0xFF  # a byte of the one bucket's packed block, which no field check reads first
+    start, end = deflated_section(blob)
+    blob[(start + end) // 2] ^= 0xFF  # the bucket section is inflated after the CRC check
     with pytest.raises(ChecksumError):
         deserialize_index(io.BytesIO(bytes(blob)))
+
+
+_ACAG_BLOCKS = _ACAG.blocks.tobytes()
+
+
+def _past_the_end():
+    """The "ACAG" file, its deflated size pointing 1,000 bytes past its end."""
+    blob = bytearray(roundtrip_bytes(_ACAG)[:-4])
+    blob[80:88] = struct.pack("<Q", len(blob) + 1000)
+    return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        with_section(roundtrip_bytes(_ACAG), _ACAG_BLOCKS),
+        with_section(roundtrip_bytes(_ACAG), zlib.compress(_ACAG_BLOCKS[:-1])),
+        with_section(roundtrip_bytes(_ACAG), zlib.compress(_ACAG_BLOCKS + b"\0")),
+        with_section(roundtrip_bytes(_ACAG), zlib.compress(_ACAG_BLOCKS) + b"\0"),
+        with_section(roundtrip_bytes(_ACAG), zlib.compress(_ACAG_BLOCKS)[:-1]),
+        with_section(roundtrip_bytes(_ACAG), zlib.compress(bytes(1 << 24))),
+        _past_the_end(),
+    ],
+    ids=[
+        "not-a-zlib-stream",
+        "one-byte-short",
+        "one-byte-long",
+        "bytes-after-the-stream",
+        "stream-cut-short",
+        "inflates-to-16-MiB",
+        "size-past-the-end",
+    ],
+)
+def test_bad_bucket_section_behind_valid_checksum_exits_corrupt(blob, tmp_path, capsys):
+    # the load inflates at most bucket_count * 32 + 1 = 33 bytes, so beyond
+    # the file it reads it holds only the inflater's state (a 32 KiB window)
+    # and a few objects, whatever the stream holds
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError):
+            deserialize_index(io.BytesIO(blob))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(blob) + (1 << 18)
+    path = tmp_path / "bad.fmi"
+    path.write_bytes(blob)
+    assert main(["match", str(path), "-p", "CA"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fmpm: corrupt index: ")
 
 
 def test_unsupported_layout_rejected():
@@ -318,9 +412,10 @@ def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
 _GOOD_TEXT = random_dna(random.Random(13), 700)
 _GOOD_INDEX = build_index(_GOOD_TEXT, [("r1", 0, 300), ("r2", 300, 400)])
 _GOOD = roundtrip_bytes(_GOOD_INDEX)
-_BUCKETS_END = 80 + 32 * _GOOD_INDEX.bucket_count
+_GOOD_BLOCKS = _GOOD_INDEX.blocks.tobytes()
+_DEFLATED_AT, _DEFLATED_END = deflated_section(_GOOD)
 # 22 samples of 10 bits in 28 bytes, after the sample count
-_SAMPLES_AT = _BUCKETS_END + 8
+_SAMPLES_AT = samples_at(_GOOD)
 _SAMPLES_END = _SAMPLES_AT + sample_section_bytes(_GOOD_INDEX.n)
 
 
@@ -354,14 +449,27 @@ def _flipped(offset, value):
     return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
-def _fields(byte):
-    return sorted(byte >> shift & 3 for shift in (0, 2, 4, 6))
+def _fields(blocks):
+    return sorted(byte >> shift & 3 for byte in blocks for shift in (0, 2, 4, 6))
 
 
 def _in_known_gap(offset, value):
     """Whether the flip is one that `check_index` documents it cannot see."""
-    if 80 <= offset < _BUCKETS_END:  # a byte of a packed block
-        return _fields(value) == _fields(_GOOD[offset])
+    if _DEFLATED_AT <= offset < _DEFLATED_END:  # a byte of the deflated blocks
+        # the gap is a whole stream of the blocks' size that keeps the
+        # transform's totals but not its order
+        inflater = zlib.decompressobj()
+        try:
+            blocks = inflater.decompress(_flipped(offset, value)[_DEFLATED_AT:_DEFLATED_END])
+        except zlib.error:
+            return False
+        return (
+            inflater.eof
+            and not inflater.unused_data
+            and len(blocks) == len(_GOOD_BLOCKS)
+            and blocks != _GOOD_BLOCKS
+            and _fields(blocks) == _fields(_GOOD_BLOCKS)
+        )
     if _SAMPLES_AT <= offset < _SAMPLES_END:  # one or two samples moved within [0, n]
         n = _GOOD_INDEX.n
         samples = unpack_samples(_flipped(offset, value)[_SAMPLES_AT:_SAMPLES_END], n)
@@ -378,8 +486,8 @@ def _in_known_gap(offset, value):
 
 # first and last byte of each header field after the magic (version and flags,
 # n, the layout witnesses, sentinel_row), of the C table, the bucket count,
-# the bucket section, the sample count, the sample section and the record
-# count; each is drawn as often as the others
+# the deflated size, the bucket section, the sample count, the sample section
+# and the record count; each is drawn as often as the others
 _SECTIONS = [
     (4, 7),
     (8, 15),
@@ -387,8 +495,9 @@ _SECTIONS = [
     (24, 31),
     (32, 71),
     (72, 79),
-    (80, _BUCKETS_END - 1),
-    (_BUCKETS_END, _SAMPLES_AT - 1),
+    (80, 87),
+    (_DEFLATED_AT, _DEFLATED_END - 1),
+    (_DEFLATED_END, _SAMPLES_AT - 1),
     (_SAMPLES_AT, _SAMPLES_END - 1),
     (_SAMPLES_END, _SAMPLES_END + 3),
 ]
@@ -408,17 +517,25 @@ def test_flipped_byte_is_caught_or_harmless(offset, value):
     assert answers == _GOOD_ANSWERS
 
 
+def _block_byte_set(at, value):
+    """The good file with byte `at` of its packed blocks set to `value`,
+    deflated again behind a valid CRC."""
+    blocks = file_blocks(_GOOD)
+    blocks[at] = value
+    return with_blocks(_GOOD, bytes(blocks))
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a gap check_index documents")
 @pytest.mark.parametrize(
-    "offset, value",
+    "blob",
     [
-        (81, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
-        (24, 201),  # the low byte of sentinel_row, moved to another row holding A
-        (_SAMPLES_AT + 1, 2),  # sample 1's low six bits cleared: 104 becomes 64
+        _block_byte_set(1, 11),  # bucket 0's byte 1 (fields 4 to 7), its fields permuted
+        _flipped(24, 201),  # the low byte of sentinel_row, moved to another row holding A
+        _flipped(_SAMPLES_AT + 1, 2),  # sample 1's low six bits cleared: 104 becomes 64
     ],
     ids=["count-preserving-block-byte", "sentinel-on-another-A-row", "sample-moved-within-range"],
 )
-def test_flip_in_a_known_gap_loads_and_answers_wrong(offset, value):
+def test_flip_in_a_known_gap_loads_and_answers_wrong(blob):
     # the load passes, so only the answers can differ
-    index = deserialize_index(io.BytesIO(_flipped(offset, value)))
+    index = deserialize_index(io.BytesIO(blob))
     assert _answers(index) == _GOOD_ANSWERS
