@@ -35,7 +35,6 @@ _EXPORTS = {
     "fasta": ("FastaError", "FastaRecord", "read_fasta"),
     "index": (
         "FmIndex",
-        "RecordSpan",
         "SA_STRIDE",
         "build_c_table",
         "build_index",

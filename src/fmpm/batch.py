@@ -31,7 +31,7 @@ class BatchHits(NamedTuple):
     """Hits of a batch of patterns, sorted by (pattern, position).
 
     The first four arrays run over hits; `truncated` and `degenerate` run
-    over patterns.  `record` indexes `FmIndex.records`.
+    over patterns.  `record` indexes `FmIndex.names`.
     """
 
     pattern: np.ndarray

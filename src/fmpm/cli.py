@@ -122,7 +122,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def hit_lines(index: FmIndex, hits: BatchHits) -> list[str]:
     """The line `fmpm match` prints for each hit: pattern, record, offset, diffs."""
-    names = [r.name for r in index.records]
+    names = index.names
     return [
         f"{pid}\t{names[rec]}\t{offset}\t{diffs}\n"
         for pid, rec, offset, diffs in zip(

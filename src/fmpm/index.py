@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -13,15 +14,6 @@ from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, count_blo
 from .suffix import bwt_codes, suffix_array
 
 SA_STRIDE = 32
-
-
-@dataclass(frozen=True)
-class RecordSpan:
-    """One named stretch of the concatenated reference."""
-
-    name: str
-    start: int
-    length: int
 
 
 # read only by perfbench/traced.py's `kernel_layer`, through `FmIndex.buckets`;
@@ -53,8 +45,10 @@ class FmIndex:
     suffix-array entry.  `bases` (n_buckets x 4 int64), the counts before
     each bucket, is not a field one passes: it is derived from `blocks`
     whenever an index is made, so the two cannot disagree.  All three are
-    C-contiguous arrays.  The query engine (`fmpm.batch`) reads them
-    directly; `fmpm.serialize` alone knows how the file lays them out.
+    C-contiguous arrays.  Records tile [0, n) in order: their `names` and
+    int64 `lengths` are stored, and their int64 `starts` derived like
+    `bases`.  The query engine (`fmpm.batch`) reads the arrays directly;
+    `fmpm.serialize` alone knows how the file lays them out.
     Making an index, by a build, a load or `dataclasses.replace`, runs
     `check_index` and raises its ValueError, so every FmIndex that exists
     writes a file that loads back equal.
@@ -65,12 +59,14 @@ class FmIndex:
     blocks: np.ndarray = field(repr=False)
     sentinel_row: int
     samples: np.ndarray = field(repr=False)
-    records: tuple[RecordSpan, ...]
+    names: tuple[str, ...]
+    lengths: np.ndarray = field(repr=False)
     bases: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # store read-only views, so a caller's own array keeps its write flag
-        for name, dtype in (("blocks", np.uint8), ("samples", np.int64)):
+        for name, dtype in (("blocks", np.uint8), ("samples", np.int64), ("lengths", np.int64)):
             array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -80,36 +76,30 @@ class FmIndex:
         np.cumsum(count_blocks_bytelut(self.blocks[:-1]), axis=0, out=bases[1:])
         bases.flags.writeable = False
         object.__setattr__(self, "bases", bases)
+        starts = np.cumsum(self.lengths, axis=0) - self.lengths
+        starts.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "c", tuple(self.c))
-        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "names", tuple(self.names))
         check_index(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FmIndex):
             return NotImplemented
         return (
-            (self.n, self.c, self.sentinel_row, self.records)
-            == (other.n, other.c, other.sentinel_row, other.records)
+            (self.n, self.c, self.sentinel_row, self.names)
+            == (other.n, other.c, other.sentinel_row, other.names)
+            and np.array_equal(self.lengths, other.lengths)
             and np.array_equal(self.blocks, other.blocks)
             and np.array_equal(self.samples, other.samples)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.c, self.sentinel_row, self.records))
+        return hash((self.n, self.c, self.sentinel_row, self.names))
 
     @property
     def bucket_count(self) -> int:
         return len(self.blocks)
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """int64 start of each record."""
-        return np.array([r.start for r in self.records], dtype=np.int64)
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """int64 length of each record."""
-        return np.array([r.length for r in self.records], dtype=np.int64)
 
     # one bucket at a time, for perfbench/traced.py's `kernel_layer`, its only caller
     @cached_property
@@ -143,7 +133,14 @@ def build_index(
     """
     codes = encode_array(reference)
     n = len(codes)
-    spans = _normalize_records(records, n)
+    if records is None:
+        records = [("ref", 0, n)]
+    names = tuple(name for name, _, _ in records)
+    try:
+        starts, lengths = np.array([r[1:] for r in records], dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
+        raise ValueError("a record start or length does not fit in int64") from None
+    _check_records(names, starts, lengths, n)
     c = build_c_table([int(np.count_nonzero(codes == s)) for s in range(4)])
     sa = suffix_array(codes)
     bwt, sentinel_row = bwt_codes(codes, sa)
@@ -165,35 +162,36 @@ def build_index(
         blocks=blocks,
         sentinel_row=sentinel_row,
         samples=sa[::SA_STRIDE],
-        records=spans,
+        names=names,
+        lengths=lengths,
     )
 
 
-def _normalize_records(
-    records: Sequence[tuple[str, int, int]] | None, n: int
-) -> tuple[RecordSpan, ...]:
-    if records is None:
-        return (RecordSpan(name="ref", start=0, length=n),)
-    spans = []
-    names = set()
-    expected_start = 0
-    for name, start, length in records:
-        if name.split() != [name]:  # what a FASTA header's first word can be
-            raise ValueError(f"record name {name!r} is empty or holds whitespace")
-        if any("\ud800" <= ch <= "\udfff" for ch in name):  # lone surrogates; UTF-8 has none
-            raise ValueError(f"record name {name!r} does not encode as UTF-8")
-        if name in names:
-            raise ValueError(f"record name {name!r} is used twice")
-        names.add(name)
-        if start != expected_start or length <= 0:
-            raise ValueError(
-                f"record {name!r} (start={start}, length={length}) does not tile the reference"
-            )
-        spans.append(RecordSpan(name=name, start=start, length=length))
-        expected_start = start + length
-    if expected_start != n:
-        raise ValueError(f"records cover {expected_start} of {n} characters")
-    return tuple(spans)
+def _check_records(names: tuple[str, ...], starts: np.ndarray, lengths: np.ndarray, n: int):
+    """Records tile [0, n) under distinct one-word names, in whole-table passes."""
+    if lengths.shape != (len(names),):
+        raise ValueError(f"{len(names)} record names for record lengths of shape {lengths.shape}")
+    bad = np.flatnonzero((lengths < 1) | (lengths > n) | (starts != np.cumsum(lengths) - lengths))
+    if len(bad):
+        j = bad[0]
+        span = f"start={starts[j]}, length={lengths[j]}"
+        raise ValueError(f"record {names[j]!r} ({span}) does not tile the reference")
+    covered = int(lengths.sum())
+    if covered != n:
+        raise ValueError(f"records cover {covered} of {n} characters")
+    # what a FASTA header's first word can be: split() drops an empty name, cuts a spaced one
+    if " ".join(names).split() != list(names):
+        name = next(name for name in names if name.split() != [name])
+        raise ValueError(f"record name {name!r} is empty or holds whitespace")
+    joined = "\n".join(names)
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:  # lone surrogates; UTF-8 has none
+        name = names[joined.count("\n", 0, exc.start)]
+        raise ValueError(f"record name {name!r} does not encode as UTF-8") from None
+    if len(set(names)) != len(names):
+        name = next(name for name, count in Counter(names).items() if count > 1)
+        raise ValueError(f"record name {name!r} is used twice")
 
 
 def check_index(index: FmIndex) -> None:
@@ -207,9 +205,9 @@ def check_index(index: FmIndex) -> None:
     own counts, so only the last block is counted here; an A field (the
     terminator) at the sentinel row; samples within [0, n], sample 0 being
     n (row 0 is the terminator suffix); and records tiling [0, n) under
-    distinct one-word names.  The header fields (n, c, sentinel_row,
-    record spans) are compared as Python ints, so an oversized one fails a
-    check here instead of overflowing a fixed-width array.
+    distinct one-word names.  The header fields (n, c, sentinel_row) are
+    compared as Python ints, so an oversized one fails a check here
+    instead of overflowing a fixed-width array.
 
     Without walking the transform it cannot see a change that keeps the
     transform's totals, such as two fields swapped inside one block or
@@ -251,4 +249,4 @@ def check_index(index: FmIndex) -> None:
     if index.samples[0] != n:
         raise ValueError(f"suffix-array sample 0 is {index.samples[0]}, not n={n}")
 
-    _normalize_records([(r.name, r.start, r.length) for r in index.records], n)
+    _check_records(index.names, index.starts, index.lengths, n)

@@ -116,6 +116,7 @@ def collect_hits(
         index, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
     )
     kept, truncated = cut_hits(pattern, 1, max_hits)
-    spans = [index.records[r] for r in record[kept].tolist()]
-    located = zip(spans, offset[kept].tolist(), diffs[kept].tolist())
-    return [Hit(s.name, o, s.start + o, d) for s, o, d in located], bool(truncated[0])
+    record, offset, diffs = record[kept], offset[kept], diffs[kept]
+    pos = index.starts[record] + offset
+    located = zip(record.tolist(), offset.tolist(), pos.tolist(), diffs.tolist())
+    return [Hit(index.names[r], o, p, d) for r, o, p, d in located], bool(truncated[0])

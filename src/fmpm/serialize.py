@@ -3,7 +3,7 @@
 Little-endian throughout, CRC32 of everything before the trailer:
 
     magic        4s   "FMPM"
-    version      u16  4
+    version      u16  5
     flags        u16  0 (reserved; any other value is rejected)
     n            u64  reference length
     bucket_size  u32  128 (layout witness, fixed since version 2)
@@ -16,7 +16,9 @@ Little-endian throughout, CRC32 of everything before the trailer:
     sample_count u64
     sa_samples   ceil(sample_count * w / 8) bytes, w = max(1, n.bit_length())
     record_count u32
-    records      record_count * (u32 name_len + name utf-8 + u64 start + u64 length)
+    lengths      record_count * u64 (records tile [0, n) in order; no start is stored)
+    names_size   u64
+    names        the one-word record names in UTF-8, joined by "\n"
     crc32        u32  over all preceding bytes
 
 The bucket bases are not stored: the index derives them from the blocks,
@@ -38,11 +40,11 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .index import FmIndex, RecordSpan, SA_STRIDE
+from .index import FmIndex, SA_STRIDE
 from .kernels import BUCKET_BYTES, BUCKET_CHARS
 
 MAGIC = b"FMPM"
-VERSION = 4
+VERSION = 5
 
 # First read of a section; each further read asks for as much as the
 # stream has given so far.  A corrupt count in a short stream then fails
@@ -181,12 +183,11 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     w.write(deflated)
     w.write(struct.pack("<Q", len(index.samples)))
     w.write(_pack_samples(index.samples, _sample_width(index.n)))
-    w.write(struct.pack("<I", len(index.records)))
-    for record in index.records:
-        name = record.name.encode("utf-8")
-        w.write(struct.pack("<I", len(name)))
-        w.write(name)
-        w.write(struct.pack("<QQ", record.start, record.length))
+    w.write(struct.pack("<I", len(index.names)))
+    w.write(index.lengths.astype("<u8"))
+    names = "\n".join(index.names).encode("utf-8")
+    w.write(struct.pack("<Q", len(names)))
+    w.write(names)
     trailer = struct.pack("<I", w.crc)
     sink.write(trailer)
     return w.written + len(trailer)
@@ -229,16 +230,9 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     width = _sample_width(n)
     packed = r.read((sample_count * width + 7) // 8, "samples")
     (record_count,) = struct.unpack("<I", r.read(4, "record count"))
-    records = []
-    for _ in range(record_count):
-        (name_len,) = struct.unpack("<I", r.read(4, "record name length"))
-        raw_name = r.read(name_len, "record name")
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"record name is not UTF-8: {exc}") from None
-        start, length = struct.unpack("<QQ", r.read(16, "record span"))
-        records.append(RecordSpan(name=name, start=start, length=length))
+    lengths = np.frombuffer(r.read(8 * record_count, "record lengths"), dtype="<u8")
+    (names_size,) = struct.unpack("<Q", r.read(8, "record names size"))
+    names = r.read(names_size, "record names")
     computed = r.crc
     trailer = source.read(4)
     if len(trailer) != 4:
@@ -252,9 +246,15 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
     section = _inflate(deflated, bucket_count * BUCKET_BYTES)
     blocks = np.frombuffer(section, dtype=np.uint8).reshape(bucket_count, BUCKET_BYTES)
     samples = _unpack_samples(packed, sample_count, width)
+    big = np.flatnonzero(lengths > np.iinfo(np.int64).max)
+    if len(big):
+        raise IndexFormatError(f"record {big[0]}'s length {lengths[big[0]]} is 2**63 or more")
+    try:
+        names = names.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        j = names.count(b"\n", 0, exc.start)
+        raise IndexFormatError(f"record {j}'s name is not UTF-8: {exc}") from None
     try:  # making the index runs `check_index`
-        return FmIndex(
-            n=n, c=c, blocks=blocks, sentinel_row=sentinel_row, samples=samples, records=records
-        )
+        return FmIndex(n, c, blocks, sentinel_row, samples, names.split("\n"), lengths)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from None

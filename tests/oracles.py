@@ -199,7 +199,7 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         c.append(c[-1] + full.count(s))
 
     out = bytearray(b"FMPM")
-    out += struct.pack("<HHQIIQ", 4, 0, n, 128, 32, bwt.index("$"))
+    out += struct.pack("<HHQIIQ", 5, 0, n, 128, 32, bwt.index("$"))
     out += struct.pack("<5Q", *c)
     starts = range(0, n + 1, 128)
     blocks = b"".join(pack_codes(codes[start : start + 128], pad_to=32) for start in starts)
@@ -212,9 +212,10 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
         sample_section_bytes(n), "little"
     )
     out += struct.pack("<I", len(records))
-    for name, start, length in records:
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded)) + encoded + struct.pack("<QQ", start, length)
+    for _, _, length in records:
+        out += struct.pack("<Q", length)
+    names = "\n".join(name for name, _, _ in records).encode("utf-8")
+    out += struct.pack("<Q", len(names)) + names
     return bytes(out + struct.pack("<I", zlib.crc32(out)))
 
 
@@ -257,6 +258,26 @@ def with_blocks(blob: bytes, blocks: bytes) -> bytes:
 def sample_section_bytes(n: int) -> int:
     """Size of the packed suffix-array sample section for a reference of n chars."""
     return ((n // 32 + 1) * max(1, n.bit_length()) + 7) // 8
+
+
+def records_at(blob: bytes) -> int:
+    """Offset of an index file's record count, after the sample section."""
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    return samples_at(blob) + sample_section_bytes(n)
+
+
+def with_records(
+    blob: bytes, lengths: list[int], names: bytes, names_size: int | None = None
+) -> bytes:
+    """`blob` with its record table rewritten, and a valid CRC.
+
+    `names_size` is the size field written before the names; it defaults
+    to their length.
+    """
+    out = bytearray(blob[: records_at(blob)])
+    out += struct.pack(f"<I{len(lengths)}Q", len(lengths), *lengths)
+    out += struct.pack("<Q", len(names) if names_size is None else names_size) + names
+    return bytes(out + struct.pack("<I", zlib.crc32(out)))
 
 
 def unpack_samples(section: bytes, n: int) -> list[int]:
@@ -484,7 +505,7 @@ def locate_all(
     if interval.is_empty:
         return []
     kernel = resolve_kernel(kernel)
-    starts = [r.start for r in index.records]
+    starts = index.starts.tolist()
     min_span = max(pattern_len - diffs, 0)
     hits = []
     for row in range(interval.k, interval.l + 1):
@@ -492,11 +513,10 @@ def locate_all(
         if pos >= index.n:
             continue
         which = bisect_right(starts, pos) - 1
-        record = index.records[which]
-        offset = pos - record.start
-        if offset + min_span > record.length:
+        offset = pos - starts[which]
+        if offset + min_span > int(index.lengths[which]):
             continue
-        hits.append(Hit(record=record.name, offset=offset, global_pos=pos, diffs=diffs))
+        hits.append(Hit(record=index.names[which], offset=offset, global_pos=pos, diffs=diffs))
     hits.sort(key=lambda h: h.global_pos)
     return hits
 

@@ -67,13 +67,15 @@ def test_every_public_name_resolves():
 # by backward walks, and `suffix_array_naive` is a test oracle.  The one-bucket
 # counts and `OccBucket` are one-row forms of `kernels.count_blocks` and
 # `FmIndex.blocks`, left in their modules for perfbench's kernel timings;
-# `OccCounts` and `NibbleTables` are gone
+# `OccCounts` and `NibbleTables` are gone.  `RecordSpan` was one row of the
+# record table, which `FmIndex.names` and `FmIndex.lengths` hold as a whole
 REMOVED_NAMES = (
     "NibbleTables",
     "OccBucket",
     "OccCounts",
     "OccPair",
     "PackedText",
+    "RecordSpan",
     "build_suffix_array",
     "bwt_char_at",
     "bwt_from_sa",
@@ -103,7 +105,7 @@ REMOVED_NAMES = (
 
 
 def test_removed_names_are_gone():
-    assert len(fmpm.__all__) == 34
+    assert len(fmpm.__all__) == 33
     for name in REMOVED_NAMES:
         assert name not in fmpm.__all__, name
         with pytest.raises(AttributeError):

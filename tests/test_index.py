@@ -13,7 +13,6 @@ import fmpm.index
 from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
     FmIndex,
-    RecordSpan,
     SA_STRIDE,
     build_c_table,
     build_index,
@@ -53,7 +52,8 @@ def test_build_index_small_reference():
     assert index.sentinel_row == 1
     assert len(index.blocks) == 1
     assert index.samples.tolist() == [4]
-    assert index.records == (RecordSpan(name="ref", start=0, length=4),)
+    assert index.names == ("ref",)
+    assert index.starts.tolist() == [0] and index.lengths.tolist() == [4]
     check_index(index)
 
 
@@ -133,8 +133,14 @@ def test_records_validation():
         build_index("ACGT", [("r1", 0, 2), ("r2", 3, 1)])
     with pytest.raises(ValueError):
         build_index("ACGT", [("", 0, 4)])
+    for span in ((2**63, 4), (0, 2**64), (-(2**63) - 1, 4)):
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            build_index("ACGT", [("r1", *span)])
     index = build_index("ACGTACGT", [("r1", 0, 3), ("r2", 3, 5)])
-    assert [r.name for r in index.records] == ["r1", "r2"]
+    assert index.names == ("r1", "r2")
+    assert index.starts.tolist() == [0, 3] and index.lengths.tolist() == [3, 5]
+    for array in (index.starts, index.lengths):
+        assert array.dtype == np.int64 and not array.flags.writeable
     check_index(index)
 
 
@@ -176,20 +182,22 @@ def _non_terminator_row(index):
         ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, 301))),
         ("outside \\[0, 300\\]", dict(samples=_patched(_CHECKED.samples, 1, -1))),
         ("sample 0", dict(samples=_patched(_CHECKED.samples, 0, 0))),
-        ("records cover", dict(records=_CHECKED.records[:1])),
+        ("records cover", dict(names=_CHECKED.names[:1], lengths=_CHECKED.lengths[:1])),
         # the right counts in the wrong shapes, which the file cannot hold
         ("3 buckets", dict(blocks=np.hstack([_CHECKED.blocks, np.zeros_like(_CHECKED.blocks)]))),
         ("10 samples", dict(samples=_CHECKED.samples.reshape(-1, 1))),
         # a tab would split the record's name across two fields of a hit line
-        (
-            r"record name 'r\\t1' is empty or holds whitespace",
-            dict(records=(RecordSpan("r\t1", 0, 120), _CHECKED.records[1])),
-        ),
+        (r"record name 'r\\t1' is empty or holds whitespace", dict(names=("r\t1", "r2"))),
         # a lone surrogate has no UTF-8 form, so the index could not be written
-        (
-            r"record name 'r\\udc80' does not encode as UTF-8",
-            dict(records=(RecordSpan("r\udc80", 0, 120), _CHECKED.records[1])),
-        ),
+        (r"record name 'r\\udc80' does not encode as UTF-8", dict(names=("r\udc80", "r2"))),
+        # hits print only the record name, so two records may not share one
+        ("record name 'r1' is used twice", dict(names=("r1", "r1"))),
+        ("record name '' is empty", dict(names=("r1", ""))),
+        ("3 record names", dict(names=("r1", "r2", "r3"))),
+        # the lengths still sum to n, but a record may not be empty
+        (r"record 'r1' \(start=0, length=0\) does not tile", dict(lengths=[0, 300])),
+        (r"record 'r2' \(start=120, length=301\) does not tile", dict(lengths=[120, 301])),
+        ("records cover 301 of 300", dict(lengths=[121, 180])),
     ],
     ids=[
         "zeroed-block",
@@ -206,6 +214,12 @@ def _non_terminator_row(index):
         "sample-shape",
         "record-name-tab",
         "record-name-surrogate",
+        "record-name-twice",
+        "record-name-empty",
+        "record-count",
+        "record-length-0",
+        "record-length-past-n",
+        "record-lengths-sum",
     ],
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
@@ -296,10 +310,11 @@ def test_file_bytes_match_reference_builder_where_the_sample_width_changes(n):
     data = _serialized(text, records)
     assert data == reference_index_bytes(text, records)
     # header to bucket count, deflated size and packed blocks, sample count,
-    # samples of n.bit_length() bits each, record count, two records, CRC
+    # samples of n.bit_length() bits each, record count, two lengths, the
+    # names' size and "r0\nr1", CRC
     deflated = len(zlib.compress(build_index(text, records).blocks))
     sample_bytes = -(-(n // SA_STRIDE + 1) * n.bit_length() // 8)
-    assert len(data) == 80 + 8 + deflated + 8 + sample_bytes + 4 + 2 * 22 + 4
+    assert len(data) == 80 + 8 + deflated + 8 + sample_bytes + 4 + 2 * 8 + 8 + 5 + 4
     assert deserialize_index(io.BytesIO(data)) == build_index(text, records)
 
 

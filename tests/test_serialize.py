@@ -31,10 +31,12 @@ from oracles import (
     edge_text,
     file_blocks,
     random_dna,
+    records_at,
     sample_section_bytes,
     samples_at,
     unpack_samples,
     with_blocks,
+    with_records,
     with_section,
 )
 
@@ -99,9 +101,10 @@ def test_byte_count_matches_stream():
     written = serialize_index(index, sink)
     assert written == len(sink.getvalue())
     # header, the deflated size and the zlib stream of two buckets' 64
-    # packed bytes, sample count and five 8-bit samples, one record "ref", CRC
+    # packed bytes, sample count and five 8-bit samples, record count, one
+    # length, the names' size and "ref", CRC
     deflated = len(zlib.compress(index.blocks))
-    assert written == 80 + 8 + deflated + 8 + 5 + 4 + 4 + 3 + 16 + 4
+    assert written == 80 + 8 + deflated + 8 + 5 + 4 + 8 + 8 + 3 + 4
 
 
 def test_bad_magic():
@@ -168,8 +171,16 @@ def test_version_3_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
     _older_version(3, _version_3_body(), tmp_path, capsys)
 
 
+def test_version_4_file_exits_corrupt_and_says_to_rebuild(tmp_path, capsys):
+    # a version-4 file stored each record as its name's size, its name, its
+    # start and its length
+    blob = roundtrip_bytes(_ACAG)
+    v4 = blob[: records_at(blob)] + struct.pack("<II", 1, 3) + b"ref" + struct.pack("<QQ", 0, 4)
+    _older_version(4, bytearray(v4), tmp_path, capsys)
+
+
 def test_nonzero_flags_rejected():
-    # version 4 reserves the flags field as 0
+    # version 5 reserves the flags field as 0
     blob = bytearray(roundtrip_bytes(build_index("ACGT"))[:-4])
     blob[6:8] = struct.pack("<H", 1)
     blob += struct.pack("<I", zlib.crc32(blob))
@@ -214,7 +225,8 @@ def test_every_index_that_is_made_loads_back_equal(data):
     n = data.draw(st.sampled_from(EDGE_SIZES), label="n")
     index = _edge_index(n)
     value = st.integers(0, n) | st.integers(-(2**63), 2**63 - 1)
-    field = data.draw(st.sampled_from(["c", "sentinel_row", "samples", "blocks", "records"]))
+    kinds = ["c", "sentinel_row", "samples", "blocks", "names", "lengths"]
+    field = data.draw(st.sampled_from(kinds))
     if field == "c":
         c = list(index.c)
         c[data.draw(st.integers(0, 4))] = data.draw(value)
@@ -232,12 +244,14 @@ def test_every_index_that_is_made_loads_back_equal(data):
         reordered = st.permutations(fields).map(lambda f: f[0] | f[1] << 2 | f[2] << 4 | f[3] << 6)
         blocks[at] = data.draw(reordered | st.integers(0, 255))
         changes = dict(blocks=blocks)
+    elif field == "names":
+        names = list(index.names)
+        names[data.draw(st.integers(0, len(names) - 1))] = data.draw(st.text(max_size=4))
+        changes = dict(names=tuple(names))
     else:
-        records = list(index.records)
-        j = data.draw(st.integers(0, len(records) - 1))
-        span = data.draw(st.sampled_from(["start", "length"]))
-        records[j] = dataclasses.replace(records[j], **{span: data.draw(value)})
-        changes = dict(records=tuple(records))
+        lengths = index.lengths.copy()
+        lengths[data.draw(st.integers(0, len(lengths) - 1))] = data.draw(value)
+        changes = dict(lengths=lengths)
     try:
         made = dataclasses.replace(index, **changes)
     except ValueError:
@@ -253,18 +267,23 @@ def test_truncated_everywhere():
 
 
 def test_huge_count_in_short_file_is_truncated(tmp_path):
-    # n = 2**40 asks for 2**35 + 1 samples of 41 bits, and a deflated size
-    # of 2**40 for as many bytes; the file holds a few hundred, and the
-    # load's reads ask for 64 KiB at first and then for what the file gave
+    # n = 2**40 asks for 2**35 + 1 samples of 41 bits, a deflated size of
+    # 2**40 for as many bytes, and a record count of 2**32 - 1 for 32 GiB of
+    # lengths; the file holds a few hundred, and the load's reads ask for
+    # 64 KiB at first and then for what the file gave
     n = 1 << 40
     at = samples_at(roundtrip_bytes(_ACAG)) - 8  # the sample count
+    records = records_at(roundtrip_bytes(_ACAG))  # the record count
+    q = functools.partial(struct.pack, "<Q")
     for section, changes in [
-        ("samples", {8: n, 72: (n + 128) // 128, at: n // 32 + 1}),
-        ("buckets", {80: 1 << 40}),  # the deflated size
+        ("samples", {8: q(n), 72: q((n + 128) // 128), at: q(n // 32 + 1)}),
+        ("buckets", {80: q(1 << 40)}),  # the deflated size
+        ("record lengths", {records: struct.pack("<I", 2**32 - 1)}),
+        ("record names", {records + 12: q(1 << 40)}),  # the names' size
     ]:
         blob = bytearray(roundtrip_bytes(_ACAG))
         for offset, value in changes.items():
-            blob[offset : offset + 8] = struct.pack("<Q", value)
+            blob[offset : offset + len(value)] = value
         path = tmp_path / "huge.fmi"
         path.write_bytes(bytes(blob))
         tracemalloc.start()
@@ -388,13 +407,16 @@ def _ten_char_blob_with(offset, value):
     return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
+# the 10-character file ends with the one record's length, the names' size
+# and the name "ref"
 @pytest.mark.parametrize(
     "blob",
     [
         _ten_char_blob_with(40, 2**63),  # C[1]
-        _ten_char_blob_with(-16, 2**63 + 5),  # the start of the one record
+        _ten_char_blob_with(-19, 2**63 + 5),  # the length of the one record
+        _ten_char_blob_with(-11, 2**63 + 5),  # the names' size
     ],
-    ids=["c1-2**63", "record-start-2**63+5"],
+    ids=["c1-2**63", "record-length-2**63+5", "names-size-2**63+5"],
 )
 def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
     # a u64 at or above 2**63 fails a check, not a conversion to int64
@@ -407,8 +429,9 @@ def test_oversized_u64_field_is_corrupt(blob, tmp_path, capsys):
 
 
 # One flipped byte behind a valid CRC, anywhere from the version field to the
-# record count, on a 700-character two-record index: the load, or a query at
-# one difference, raises IndexFormatError, or the answers are the good file's.
+# end of the record table, on a 700-character two-record index: the load, or a
+# query at one difference, raises IndexFormatError, or the answers are the good
+# file's, and in the names at most the record holding the byte is renamed.
 _GOOD_TEXT = random_dna(random.Random(13), 700)
 _GOOD_INDEX = build_index(_GOOD_TEXT, [("r1", 0, 300), ("r2", 300, 400)])
 _GOOD = roundtrip_bytes(_GOOD_INDEX)
@@ -417,6 +440,10 @@ _DEFLATED_AT, _DEFLATED_END = deflated_section(_GOOD)
 # 22 samples of 10 bits in 28 bytes, after the sample count
 _SAMPLES_AT = samples_at(_GOOD)
 _SAMPLES_END = _SAMPLES_AT + sample_section_bytes(_GOOD_INDEX.n)
+# the record count, two u64 lengths, the names' size, then "r1\nr2"
+_LENGTHS_AT = _SAMPLES_END + 4
+_NAMES_AT = _LENGTHS_AT + 16 + 8
+assert _GOOD[_NAMES_AT:-4] == b"r1\nr2"
 
 
 def _flip_patterns():
@@ -486,8 +513,9 @@ def _in_known_gap(offset, value):
 
 # first and last byte of each header field after the magic (version and flags,
 # n, the layout witnesses, sentinel_row), of the C table, the bucket count,
-# the deflated size, the bucket section, the sample count, the sample section
-# and the record count; each is drawn as often as the others
+# the deflated size, the bucket section, the sample count, the sample section,
+# the record count, the record lengths, the names' size and the names; each is
+# drawn as often as the others
 _SECTIONS = [
     (4, 7),
     (8, 15),
@@ -499,7 +527,10 @@ _SECTIONS = [
     (_DEFLATED_AT, _DEFLATED_END - 1),
     (_DEFLATED_END, _SAMPLES_AT - 1),
     (_SAMPLES_AT, _SAMPLES_END - 1),
-    (_SAMPLES_END, _SAMPLES_END + 3),
+    (_SAMPLES_END, _LENGTHS_AT - 1),
+    (_LENGTHS_AT, _NAMES_AT - 9),
+    (_NAMES_AT - 8, _NAMES_AT - 1),
+    (_NAMES_AT, len(_GOOD) - 5),
 ]
 
 
@@ -511,10 +542,46 @@ _SECTIONS = [
 def test_flipped_byte_is_caught_or_harmless(offset, value):
     assume(value != _GOOD[offset] and not _in_known_gap(offset, value))
     try:
-        answers = _answers(deserialize_index(io.BytesIO(_flipped(offset, value))))
+        index = deserialize_index(io.BytesIO(_flipped(offset, value)))
+        answers = _answers(index)
     except IndexFormatError:
         return
+    # one changed length always breaks their sum, n, so no flip there loads
+    assert not _LENGTHS_AT <= offset < _NAMES_AT - 8, "a flipped record length loaded"
     assert answers == _GOOD_ANSWERS
+    assert np.array_equal(index.lengths, _GOOD_INDEX.lengths)
+    # a flipped byte of the names renames at most the record that holds it
+    renamed = _GOOD.count(b"\n", _NAMES_AT, offset) if offset >= _NAMES_AT else None
+    for j, (name, good) in enumerate(zip(index.names, _GOOD_INDEX.names)):
+        assert name == good or j == renamed
+
+
+@pytest.mark.parametrize(
+    "lengths, names, names_size, message",
+    [
+        ([300, 401], b"r1\nr2", None, "records cover 701 of 700 characters"),
+        ([0, 700], b"r1\nr2", None, r"record 'r1' \(start=0, length=0\) does not tile"),
+        ([300, 2**63 + 5], b"r1\nr2", None, r"record 1's length 9223372036854775813 is 2\*\*63"),
+        ([300, 400], b"r1\nr2\nr3", None, "3 record names for record lengths of shape"),
+        ([300, 400], b"r1", None, "1 record names for record lengths of shape"),
+        ([300, 400], b"r1\nr\xff", None, "record 1's name is not UTF-8"),
+        # the size claims ten bytes more than the file holds
+        ([300, 400], b"r1\nr2", 15, "stream ended inside record names"),
+    ],
+    ids=["sum", "zero", "2**63+5", "a-name-too-many", "a-name-too-few", "utf-8", "cut-names"],
+)
+def test_bad_record_table_behind_a_valid_checksum_exits_corrupt(
+    lengths, names, names_size, message, tmp_path, capsys
+):
+    blob = with_records(_GOOD, lengths, names, names_size)
+    with pytest.raises(IndexFormatError, match=message):
+        deserialize_index(io.BytesIO(blob))
+    path = tmp_path / "bad.fmi"
+    path.write_bytes(blob)
+    assert main(["match", str(path), "-p", "ACGT"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fmpm: corrupt index: ")
 
 
 def _block_byte_set(at, value):

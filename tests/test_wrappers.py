@@ -256,7 +256,7 @@ def single_queries(draw):
 def test_per_pattern_calls_equal_match_many(query):
     text, pattern, max_diff, max_hits = query
     index = _indexed(text)
-    names = [r.name for r in index.records]
+    names = index.names
     for kernel in Kernel:
         try:
             hits = match_many(index, [pattern], max_diff, kernel, max_hits)
