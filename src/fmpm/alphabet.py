@@ -46,15 +46,17 @@ def encode_array(text: str) -> np.ndarray:
     return codes
 
 
-def is_dna_many(texts: Sequence[str]) -> np.ndarray:
-    """Whether each string is all A/C/G/T (either case), as one bool array.
+def encode_batch(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, lengths, dna) of a batch of strings, in one table lookup.
 
-    One table lookup over all the strings at once.
+    `dna` tells whether each string is all A/C/G/T (either case), and the
+    uint8 `codes` of those strings run end to end.
     """
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     # as in encode_array, each non-ASCII character becomes one invalid '?'
     joined = "".join(texts).encode("ascii", "replace")
-    invalid = _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)] == _INVALID
-    seen = np.concatenate([[0], np.cumsum(invalid)])
-    ends = np.cumsum(lengths)
-    return seen[ends] == seen[ends - lengths]
+    codes = _CODE_OF_BYTE[np.frombuffer(joined, dtype=np.uint8)]
+    dna = np.ones(len(texts), dtype=bool)
+    # each invalid code marks the text holding it, the first to end past it
+    dna[np.searchsorted(np.cumsum(lengths), np.flatnonzero(codes == _INVALID), "right")] = False
+    return codes[np.repeat(dna, lengths)], lengths, dna

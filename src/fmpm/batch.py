@@ -1,7 +1,10 @@
 """The query engine: backward search and locate for many patterns at once.
 
 `fmpm match` runs `match_many`, and each function of `fmpm.search` is a
-thin wrapper over the functions here.  `rank_many`, `lf_step`
+thin wrapper over the functions here.  `check_batch` encodes each batch
+once, and below it the engine sees only its uint8 codes and lengths:
+each bounded-difference state is a position in that code array.
+`rank_many`, `lf_step`
 and `locate_rows` are the one form of the occurrence count, the LF step
 and locate, and take one position or row as well as many.  Each
 backward-search step of every pattern still in play, each round of the
@@ -21,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .alphabet import A, encode_array, is_dna_many
+from .alphabet import A, encode_batch
 from .index import FmIndex, SA_STRIDE
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
 from .serialize import IndexFormatError
@@ -117,21 +120,14 @@ def _walk_back(
     return k, l, width
 
 
-def _encode(patterns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(codes of all patterns end to end, length of each)."""
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    return encode_array("".join(patterns)).astype(np.int64), lengths
-
-
 def exact_search_many(
-    index: FmIndex, patterns: Sequence[str], kernel: Kernel | str | None = None
+    index: FmIndex, codes: np.ndarray, lengths: np.ndarray, kernel: Kernel | str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals (k, l) of non-empty ACGT patterns, as `exact_search` gives them.
+    """Intervals (k, l) of non-empty patterns given as codes end to end, like `exact_search`.
 
     Patterns are walked right to left in lockstep, each stopping at the
     step its interval empties.
     """
-    codes, lengths = _encode(patterns)
     k, l, _ = _walk_back(index, codes, np.cumsum(lengths) - 1, lengths, kernel)
     return k, l
 
@@ -164,61 +160,58 @@ def difference_bounds(
 
 def inexact_search_many(
     index: FmIndex,
-    patterns: Sequence[str],
+    codes: np.ndarray,
+    lengths: np.ndarray,
     max_diff: int,
     kernel: Kernel | str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Intervals within `max_diff` edits of non-empty ACGT patterns, like `inexact_search`.
+    """Intervals within `max_diff` edits of non-empty patterns, like `inexact_search`.
 
     Returns (pattern, k, l, used) arrays, one entry per interval of a
     pattern with its fewest differences, sorted by (pattern, k, l).  The
-    search runs in rounds over one frontier of live states (pattern, i,
-    budget, k, l) of all patterns, admitting one more pattern per round so
-    that only a few patterns' widest rounds are live at once.  One rank
-    call on k - 1 and l of every state gives all eight Occ values each
-    needs, and the skip, insert, match and mismatch children are built from
-    them at once.  A child is pruned when its interval is empty or its
-    budget is below `difference_bounds` of what is left of its pattern.
-    Children that agree on (pattern, i, k, l) are merged into the one with
-    the largest budget, which reaches every interval the others reach with
-    no more differences.
+    search runs in rounds over one frontier of live states (at, budget, k,
+    l) of all patterns, `at` being the position in `codes` of the next
+    code to consume, and admits one more pattern per round so that only a
+    few patterns' widest rounds are live at once.  One rank call on k - 1
+    and l of every state gives all eight Occ values each needs, and the
+    skip, insert, match and mismatch children are built from them at once;
+    a child that consumes its pattern's first code is done.  A child is
+    pruned when its interval is empty or its budget is below
+    `difference_bounds` at `at`.  Children that agree on (at, k, l) are
+    merged into the one with the largest budget, which reaches every
+    interval the others reach with no more differences.
     """
-    codes, lengths = _encode(patterns)
-    starts = np.cumsum(lengths) - lengths
+    ends = np.cumsum(lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)  # the pattern of each code
+    first = np.diff(owner, prepend=-1) > 0  # whether each code is its pattern's first
     c = np.asarray(index.c)
     bound = difference_bounds(index, codes, lengths, kernel)
-    slots = int(lengths.max(initial=0)) + 1
-    children = np.zeros((5, 0), dtype=np.int64)  # rows: pattern, i, budget, k, l
-    done = [np.zeros((4, 0), dtype=np.int64)]
+    states = np.zeros((4, 0), dtype=np.int64)  # rows: at, budget, k, l
+    done = [states]  # states that consumed their pattern's first code
     admitted = 0
     while True:
-        if admitted < len(patterns):
+        if admitted < len(lengths):
             # the full row range [0, n] makes the first extension the initial interval
-            start = [[admitted], [lengths[admitted] - 1], [max_diff], [0], [index.n]]
-            children = np.concatenate([children, start], axis=1)
+            start = [[ends[admitted] - 1], [max_diff], [0], [index.n]]
+            states = np.concatenate([states, start], axis=1)
             admitted += 1
-        pattern, i, budget, k, l = children
-        finished = i < 0
-        done.append(np.stack([pattern, k, l, max_diff - budget])[:, finished])
-        live = np.flatnonzero(~finished)
-        live = live[budget[live] >= bound[starts[pattern[live]] + i[live]]]
-        # one key per (pattern, i) and one per (k, l): (n + 1)**2 fits in
-        # int64, since the suffix sort refuses longer references
-        place, interval = pattern[live] * slots + i[live], k[live] * (index.n + 1) + l[live]
-        live = live[_first_per_key([place, interval], -budget[live])]
-        children = children[:, live]
-        pattern, i, budget, k, l = children
-        if not len(i):
-            if admitted == len(patterns):
+        at, budget, k, l = states
+        live = np.flatnonzero(budget >= bound[at])
+        # (n + 1)**2 fits in int64, since the suffix sort refuses longer references
+        interval = k[live] * (index.n + 1) + l[live]
+        states = states[:, live[_first_per_key([at[live], interval], -budget[live])]]
+        at, budget, k, l = states
+        if not len(at):
+            if admitted == len(lengths):
                 break
             continue
         # about half the positions of a round repeat; each is ranked once
         pos, back = np.unique(np.concatenate([k - 1, l]), return_inverse=True)
         counts = rank_many(index, pos, None, kernel)[back]
-        k2 = c[:4] + counts[: len(i)] + 1
-        l2 = c[:4] + counts[len(i) :]
+        k2 = c[:4] + counts[: len(at)] + 1
+        l2 = c[:4] + counts[len(at) :]
         spend = budget > 0
-        miss = np.arange(4) != codes[starts[pattern] + i, None]
+        miss = np.arange(4) != codes[at, None]
         # insert: extend by a reference character, keep the pattern position;
         # match and mismatch: extend and consume the pattern character
         nonempty = k2 <= l2
@@ -226,21 +219,21 @@ def inexact_search_many(
         row_s, sym_s = np.nonzero(nonempty & (spend[:, None] | ~miss))
         # skip: consume the pattern character without extending
         skip = np.flatnonzero(spend)
-        children = np.concatenate(
+        consumed = np.concatenate(
             [
-                [pattern[row_i], i[row_i], budget[row_i] - 1, k2[row_i, sym_i], l2[row_i, sym_i]],
-                [
-                    pattern[row_s],
-                    i[row_s] - 1,
-                    budget[row_s] - miss[row_s, sym_s],
-                    k2[row_s, sym_s],
-                    l2[row_s, sym_s],
-                ],
-                [pattern[skip], i[skip] - 1, budget[skip] - 1, k[skip], l[skip]],
+                [at[row_s], budget[row_s] - miss[row_s, sym_s], k2[row_s, sym_s], l2[row_s, sym_s]],
+                [at[skip], budget[skip] - 1, k[skip], l[skip]],
             ],
             axis=1,
         )
-    pattern, k, l, used = np.concatenate(done, axis=1)
+        ended = first[consumed[0]]
+        done.append(consumed[:, ended])
+        consumed = consumed[:, ~ended]
+        consumed[0] -= 1
+        insert = [at[row_i], budget[row_i] - 1, k2[row_i, sym_i], l2[row_i, sym_i]]
+        states = np.concatenate([insert, consumed], axis=1)
+    at, budget, k, l = np.concatenate(done, axis=1)
+    pattern, used = owner[at], max_diff - budget
     kept = _first_per_key([pattern, k, l], used)
     return pattern[kept], k[kept], l[kept], used[kept]
 
@@ -371,8 +364,8 @@ def locate_hits(
 
 def check_batch(
     patterns: Sequence[str], max_diff: int, max_hits: int | None, kernel: Kernel | str | None
-) -> tuple[Kernel, np.ndarray, np.ndarray]:
-    """(kernel, pattern lengths, non-ACGT flags) of a batch, or ValueError.
+) -> tuple[Kernel, np.ndarray, np.ndarray, np.ndarray]:
+    """(kernel, *encode_batch(patterns)): the batch's one encoding, or ValueError.
 
     Refuses an unknown kernel, a negative budget or `max_hits`, and the first
     pattern no longer than `max_diff`, which would match at every position.
@@ -382,7 +375,7 @@ def check_batch(
         raise ValueError(f"difference budget {max_diff} is negative")
     if max_hits is not None and max_hits < 0:
         raise ValueError(f"hit limit {max_hits} is negative")
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    codes, lengths, dna = encode_batch(patterns)
     short = np.flatnonzero(lengths <= max_diff)
     if len(short):
         pid, m = int(short[0]), int(lengths[short[0]])
@@ -391,7 +384,7 @@ def check_batch(
             if not m
             else f"pattern {pid} has {m} character(s); -z must be below that"
         )
-    return kernel, lengths, ~is_dna_many(patterns)
+    return kernel, codes, lengths, dna
 
 
 def cut_hits(
@@ -419,15 +412,15 @@ def match_many(
     judges the arguments, and patterns with characters outside ACGT get no
     hits.
     """
-    kernel, lengths, degenerate = check_batch(patterns, max_diff, max_hits, kernel)
-    dna = np.flatnonzero(~degenerate)
+    kernel, codes, lengths, dna = check_batch(patterns, max_diff, max_hits, kernel)
+    searched = np.flatnonzero(dna)
     if max_diff == 0:
-        k, l = exact_search_many(index, [patterns[i] for i in dna], kernel)
+        k, l = exact_search_many(index, codes, lengths[dna], kernel)
         found = k <= l
-        intervals = [dna[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
+        intervals = [searched[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
     else:
-        pattern, k, l, used = inexact_search_many(index, [patterns[i] for i in dna], max_diff, kernel)
-        intervals = [dna[pattern], k, l, used]
+        pattern, k, l, used = inexact_search_many(index, codes, lengths[dna], max_diff, kernel)
+        intervals = [searched[pattern], k, l, used]
     pattern, record, offset, diffs = locate_hits(index, *intervals, lengths, kernel)
     kept, truncated = cut_hits(pattern, len(patterns), max_hits)
-    return BatchHits(pattern[kept], record[kept], offset[kept], diffs[kept], truncated, degenerate)
+    return BatchHits(pattern[kept], record[kept], offset[kept], diffs[kept], truncated, ~dna)

@@ -11,7 +11,6 @@ import numpy as np
 
 from .alphabet import CHARS_PER_BYTE, encode_array
 from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, count_blocks_bytelut
-from .suffix import bwt_codes, suffix_array
 
 SA_STRIDE = 32
 
@@ -67,7 +66,10 @@ class FmIndex:
     def __post_init__(self) -> None:
         # store read-only views, so a caller's own array keeps its write flag
         for name, dtype in (("blocks", np.uint8), ("samples", np.int64), ("lengths", np.int64)):
-            array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            try:
+                array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            except OverflowError:
+                raise ValueError(f"a value of {name} does not fit in {np.dtype(dtype)}") from None
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         # every block but the last is full, and the bases are the exclusive
@@ -131,6 +133,7 @@ def build_index(
     names, which is checked before the suffix sort.  Omitted, the whole
     reference becomes a single record called "ref".
     """
+    from .suffix import bwt_codes, suffix_array  # build-only, so `fmpm match` never loads it
     codes = encode_array(reference)
     n = len(codes)
     if records is None:

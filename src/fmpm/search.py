@@ -66,10 +66,10 @@ def exact_search(
     soon as the interval empties.  A pattern with characters outside ACGT
     yields an empty interval flagged degenerate rather than an error.
     """
-    kernel, _, degenerate = check_batch([pattern], 0, None, kernel)
-    if degenerate[0]:
+    kernel, codes, lengths, dna = check_batch([pattern], 0, None, kernel)
+    if not dna[0]:
         return BwmInterval(k=1, l=0, degenerate=True)
-    k, l = exact_search_many(index, [pattern], kernel)
+    k, l = exact_search_many(index, codes, lengths, kernel)
     return BwmInterval(k=int(k[0]), l=int(l[0]))
 
 
@@ -86,10 +86,10 @@ def inexact_search(
     except a match, and empty intervals are pruned.  One result per
     interval, with its fewest differences, sorted by interval.
     """
-    kernel, _, degenerate = check_batch([pattern], max_diff, None, kernel)
-    if degenerate[0]:
+    kernel, codes, lengths, dna = check_batch([pattern], max_diff, None, kernel)
+    if not dna[0]:
         return []
-    _, k, l, used = inexact_search_many(index, [pattern], max_diff, kernel)
+    _, k, l, used = inexact_search_many(index, codes, lengths, max_diff, kernel)
     found = zip(k.tolist(), l.tolist(), used.tolist())
     return [MatchResult(BwmInterval(k, l), used) for k, l, used in found]
 
@@ -109,7 +109,7 @@ def collect_hits(
     end of the reference) is an artifact of concatenation.  Returns the
     hits sorted by position and whether `max_hits` truncated them.
     """
-    kernel, _, _ = check_batch([], 0, max_hits, kernel)
+    kernel = check_batch([], 0, max_hits, kernel)[0]
     found = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches if not m.interval.is_empty]
     k, l, diffs = np.array(found, dtype=np.int64).reshape(-1, 3).T
     pattern, record, offset, diffs = locate_hits(

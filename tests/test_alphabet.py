@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fmpm.alphabet import SYMBOLS, AlphabetError, encode_array, is_dna_many
+from fmpm.alphabet import SYMBOLS, AlphabetError, encode_array, encode_batch
 
 from oracles import encode, is_dna, pack_codes
 
@@ -43,21 +44,25 @@ def test_encode_array_equals_encode(text):
         assert encode_array(text).tolist() == want
 
 
-def test_is_dna():
-    assert is_dna_many(["ACGTacgt", "ACGU", "", "N", "\u00e9"]).tolist() == [
-        True,
-        False,
-        True,
-        False,
-        False,
-    ]
-    assert is_dna_many([]).tolist() == []
+def test_encode_batch():
+    codes, lengths, dna = encode_batch(["ACGTacgt", "ACGU", "", "N", "\u00e9"])
+    assert dna.tolist() == [True, False, True, False, False]
+    assert lengths.tolist() == [8, 4, 0, 1, 1]
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+    codes, lengths, dna = encode_batch([])
+    assert (codes.tolist(), lengths.tolist(), dna.tolist()) == ([], [], [])
 
 
 @given(st.lists(st.text(alphabet="ACGTacgtNn\u00e9\U0001f600") | st.text(), max_size=8))
-def test_is_dna_many_equals_is_dna(texts):
+def test_encode_batch_equals_is_dna_and_encode_array(texts):
     # lowercase, N and non-ASCII characters, one of them astral (one code point)
-    assert is_dna_many(texts).tolist() == [is_dna(t) for t in texts]
+    codes, lengths, dna = encode_batch(texts)
+    assert dna.tolist() == [is_dna(t) for t in texts]
+    assert lengths.tolist() == [len(t) for t in texts]
+    want = encode_array("".join(t for t in texts if is_dna(t)))
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == want.tolist()
 
 
 def _pack(text):

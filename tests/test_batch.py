@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmpm.alphabet
 import fmpm.batch
 import fmpm.kernels
-from fmpm.alphabet import encode_array
+from fmpm.alphabet import encode_batch
 from fmpm.batch import (
     difference_bounds,
     exact_search_many,
@@ -143,12 +144,11 @@ def test_backward_search_counts_one_symbol_per_step(kernel, monkeypatch):
     text = edge_text(257)
     index = build_index(text)
     patterns = [text[i : i + 3 + i % 13] for i in range(0, 240, 11)] + ["TTTTTTTT", "ACGTACGA"]
-    codes = encode_array("".join(patterns)).astype(np.int64)
-    lengths = np.array([len(p) for p in patterns])
+    codes, lengths, _ = encode_batch(patterns)
     want = [(iv.k, iv.l) for iv in (exact_search(index, p, kernel) for p in patterns)]
     want_bounds = difference_bounds(index, codes, lengths, Kernel.BYTELUT).tolist()
     _forbid_all_four(kernel, monkeypatch)
-    k, l = exact_search_many(index, patterns, kernel)
+    k, l = exact_search_many(index, codes, lengths, kernel)
     assert list(zip(k.tolist(), l.tolist())) == want
     assert difference_bounds(index, codes, lengths, kernel).tolist() == want_bounds
 
@@ -283,7 +283,7 @@ def test_locate_rows_property(case):
 
 
 def _frontier_triples(index, pattern, max_diff, kernel):
-    _, k, l, used = inexact_search_many(index, [pattern], max_diff, kernel)
+    _, k, l, used = inexact_search_many(index, *encode_batch([pattern])[:2], max_diff, kernel)
     return list(zip(k.tolist(), l.tolist(), used.tolist()))
 
 
@@ -375,7 +375,7 @@ def _batch(text, rng):
 
 
 def _many_quads(index, patterns, max_diff, kernel):
-    found = inexact_search_many(index, patterns, max_diff, kernel)
+    found = inexact_search_many(index, *encode_batch(patterns)[:2], max_diff, kernel)
     return list(zip(*(column.tolist() for column in found)))
 
 
@@ -426,8 +426,7 @@ def test_difference_bounds_are_admissible(text, patterns):
     # D(i) must never exceed the differences W[0..i] needs, or the search
     # would prune a state that reaches an interval
     index = build_index(text)
-    codes = encode_array("".join(patterns)).astype(np.int64)
-    lengths = np.array([len(p) for p in patterns])
+    codes, lengths, _ = encode_batch(patterns)
     bound = difference_bounds(index, codes, lengths).tolist()
     for pattern in patterns:
         head, bound = bound[: len(pattern)], bound[len(pattern) :]
@@ -454,10 +453,37 @@ def test_inexact_search_many_rank_rounds(monkeypatch):
 
     monkeypatch.setattr(fmpm.batch, "rank_many", counted_rank)
     longest = max(len(p) for p in patterns)
+    codes, lengths, _ = encode_batch(patterns)
     for max_diff in (1, 2, 3):
         calls.clear()
-        inexact_search_many(index, patterns, max_diff, Kernel.BYTELUT)
+        inexact_search_many(index, codes, lengths, max_diff, Kernel.BYTELUT)
         assert len(calls) <= len(patterns) + 2 * longest + max_diff, max_diff
+
+
+def test_match_many_encodes_a_batch_once(monkeypatch):
+    # check_batch encodes the batch; the search takes its codes as they are
+    text = edge_text(300)
+    index = build_index(text)
+    patterns = [text[40:60], text[100:112].lower(), "ACGNACGT", "GATTACA", text[7:19]]
+    want = [match_many(index, patterns, max_diff) for max_diff in (0, 1, 2)]
+    calls = []
+
+    def counted_batch(texts):
+        calls.append(len(texts))
+        return encode_batch(texts)
+
+    def no_encode_array(text):
+        raise AssertionError("encode_array ran")
+
+    for module in (fmpm.alphabet, fmpm.batch):
+        monkeypatch.setattr(module, "encode_batch", counted_batch)
+        monkeypatch.setattr(module, "encode_array", no_encode_array, raising=False)
+    for max_diff in (0, 1, 2):
+        calls.clear()
+        got = match_many(index, patterns, max_diff)
+        assert calls == [len(patterns)], max_diff
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[max_diff])), max_diff
+        assert len(got.pattern), max_diff
 
 
 def _oracle(index, patterns, max_diff, max_hits):

@@ -62,7 +62,7 @@ def test_every_public_name_resolves():
 # `fmpm.alphabet`; `fmpm.batch` and the remaining names give each operation.
 # `mask_bucket` was a second way to cut a prefix from a bucket, next to
 # `kernels.mask_blocks`.  `encode` and `is_dna` were per-item forms of
-# `encode_array` and `is_dna_many`, `locate_all` of `collect_hits`;
+# `encode_array` and `encode_batch`, `locate_all` of `collect_hits`;
 # `reconstruct_reference` had no caller once `fmpm bench` read its patterns
 # by backward walks, and `suffix_array_naive` is a test oracle.  The one-bucket
 # counts and `OccBucket` are one-row forms of `kernels.count_blocks` and
@@ -168,7 +168,7 @@ def test_match_child_imports_no_search_build_or_bench_code(tmp_path):
     assert out == "0\tref\t1\t0\n0\tref\t7\t0\n"
     loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if "|" in line}
     assert {"fmpm.batch", "numpy"} <= loaded
-    assert not loaded & {"fmpm.search", "fmpm.bench", "fmpm.fasta", "hashlib"}
+    assert not loaded & {"fmpm.search", "fmpm.suffix", "fmpm.bench", "fmpm.fasta", "hashlib"}
 
 
 def test_index_child_imports_no_query_engine(tmp_path):

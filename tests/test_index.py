@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fmpm.index
+import fmpm.suffix
 from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
     FmIndex,
@@ -198,6 +198,9 @@ def _non_terminator_row(index):
         (r"record 'r1' \(start=0, length=0\) does not tile", dict(lengths=[0, 300])),
         (r"record 'r2' \(start=120, length=301\) does not tile", dict(lengths=[120, 301])),
         ("records cover 301 of 300", dict(lengths=[121, 180])),
+        # values no int64 holds, which the file reader refuses before they get here
+        ("a value of lengths does not fit in int64", dict(lengths=[2**63])),
+        ("a value of samples does not fit in int64", dict(samples=[2**63, *_CHECKED.samples[1:]])),
     ],
     ids=[
         "zeroed-block",
@@ -220,6 +223,8 @@ def _non_terminator_row(index):
         "record-length-0",
         "record-length-past-n",
         "record-lengths-sum",
+        "record-length-2**63",
+        "sample-2**63",
     ],
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
@@ -236,7 +241,7 @@ def test_bad_records_rejected_before_the_sort(monkeypatch):
     def no_sort(codes):
         raise AssertionError("the suffix sort ran")
 
-    monkeypatch.setattr(fmpm.index, "suffix_array", no_sort)
+    monkeypatch.setattr(fmpm.suffix, "suffix_array", no_sort)
     with pytest.raises(ValueError, match="records cover 3 of 400000 characters"):
         build_index("ACGT" * 100000, [("a", 0, 3)])
     with pytest.raises(ValueError, match="does not tile"):
