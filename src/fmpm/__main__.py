@@ -2,6 +2,7 @@
 
 import gc
 import os
+import sys
 
 # fmpm makes no BLAS call, but numpy's OpenBLAS starts a thread pool per
 # core when numpy is first imported; ask for one thread unless the user
@@ -18,12 +19,14 @@ def main() -> None:
     # is still collected.
     gc.disable()
     try:
-        from .cli import main_entry  # the first import of numpy
+        # the first import of numpy; `from . import cli` would take the
+        # package's `cli` attribute without consulting `sys.modules`
+        import fmpm.cli as cli
     finally:
         gc.freeze()
         gc.enable()
 
-    main_entry()
+    sys.exit(cli.main())
 
 
 if __name__ == "__main__":

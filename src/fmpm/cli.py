@@ -194,11 +194,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fmpm: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def main_entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

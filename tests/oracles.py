@@ -148,7 +148,10 @@ def min_anchored_edit_distance(pattern: str, window: str, band: int) -> int:
 
     Both strings anchored at their starts; banded at `band`, so any
     distance above it comes back as band + 1.  Prefix lengths considered
-    are len(pattern) +- band, clipped to the window.
+    are len(pattern) +- band, clipped to the window.  Window characters may
+    be inserted before the first aligned one (D[0][j] = j), which the
+    search does not allow, so this checks the soundness of a hit only;
+    `fewest_edits_from` gives the search's own answers.
     """
     m, w = len(pattern), len(window)
     inf = band + 1
@@ -168,6 +171,41 @@ def min_anchored_edit_distance(pattern: str, window: str, band: int) -> int:
     lo = max(0, m - band)
     hi = min(w, m + band)
     return min(prev[lo : hi + 1], default=inf)
+
+
+def fewest_edits_from(pattern: str, text: str) -> np.ndarray:
+    """Fewest edits of `pattern` against text[p:p+j], over all j >= 1, for every start p.
+
+    A semi-global DP (Sellers, J. Algorithms 1980), vectorized over p: row i
+    of D holds, for every p and j, the fewest substitutions, skipped pattern
+    characters and inserted text characters that turn pattern[:i] into
+    text[p:p+j].  No text character may be inserted before the pattern's
+    first character is consumed (D[0][j] is unreachable for j > 0), which is
+    the search's own edit model.  It reads the text itself, not an index;
+    pass one record, since a hit may not cross a record's end.
+    """
+    pat = np.frombuffer(pattern.upper().encode("ascii"), dtype=np.uint8)
+    txt = np.frombuffer(text.upper().encode("ascii"), dtype=np.uint8)
+    m, n = len(pat), len(txt)
+    # one aligned character and m - 1 skips cost at most m, and a span past
+    # 2m costs more than m in inserts alone
+    width = min(2 * m, n)
+    # ahead[p, j] = text[p + j], a 0 byte (no letter) past the end
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([txt, np.zeros(width, dtype=np.uint8)]), width
+    )[:n]
+    unreachable = 2 * m + 1
+    prev = np.full((width + 1, n), unreachable)
+    prev[0] = 0
+    for i in range(1, m + 1):
+        cur = np.empty_like(prev)
+        cur[0] = i
+        for j in range(1, width + 1):
+            aligned = prev[j - 1] + (ahead[:, j - 1] != pat[i - 1])
+            cur[j] = np.minimum(np.minimum(aligned, prev[j] + 1), cur[j - 1] + 1)
+        prev = cur
+    fits = np.arange(1, width + 1)[:, None] <= n - np.arange(n)
+    return np.where(fits, prev[1:], unreachable).min(axis=0)
 
 
 def bwt_prefix_counts(bwt: str, symbol_char: str, k: int) -> int:
@@ -207,10 +245,7 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
     out += struct.pack("<QQ", len(starts), len(deflated)) + deflated
     samples = sa[::32]
     width = max(1, n.bit_length())
-    out += struct.pack("<Q", len(samples))
-    out += sum(s << (j * width) for j, s in enumerate(samples)).to_bytes(
-        sample_section_bytes(n), "little"
-    )
+    out += struct.pack("<Q", len(samples)) + pack_fields(samples, width)
     out += struct.pack("<I", len(records))
     for _, _, length in records:
         out += struct.pack("<Q", length)
@@ -253,6 +288,12 @@ def with_section(blob: bytes, deflated: bytes) -> bytes:
 def with_blocks(blob: bytes, blocks: bytes) -> bytes:
     """`blob` with its packed blocks replaced and deflated again, and a valid CRC."""
     return with_section(blob, zlib.compress(blocks))
+
+
+def pack_fields(values: list[int], width: int) -> bytes:
+    """`values` as one little-endian bit stream of `width`-bit fields, via one big int."""
+    stream = sum(v << (j * width) for j, v in enumerate(values))
+    return stream.to_bytes((len(values) * width + 7) // 8, "little")
 
 
 def sample_section_bytes(n: int) -> int:

@@ -36,6 +36,7 @@ from oracles import (
     collect_hits,
     edge_text,
     exact_search,
+    fewest_edits_from,
     inexact_search,
     is_dna,
     occ_all,
@@ -567,3 +568,46 @@ def test_batched_match_equals_per_pattern_oracle(case):
         want = (EXIT_OK, *_oracle(index, patterns, max_diff, max_hits))
         for kernel in [k.value for k in Kernel]:
             assert _run(argv + ["--kernel", kernel]) == want, kernel
+
+
+@st.composite
+def single_record_cases(draw):
+    n = draw(st.sampled_from(EDGE_SIZES))
+    text = draw(
+        st.text(alphabet="ACGT", min_size=n, max_size=n)
+        | st.sampled_from(["A", "AC", "ACG"]).map(lambda unit: (unit * n)[:n])
+    )
+    max_diff = draw(st.integers(min_value=1, max_value=3))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.integers(min_value=max_diff + 1, max_value=12))
+        if draw(st.booleans()):
+            # a cut of the text with up to max_diff characters changed
+            start = draw(st.integers(min_value=0, max_value=n - 1))
+            pattern = list(text[start : start + m].ljust(m, "A"))
+            for _ in range(draw(st.integers(min_value=0, max_value=max_diff))):
+                pattern[draw(st.integers(0, m - 1))] = draw(st.sampled_from("ACGT"))
+            pattern = "".join(pattern)
+        else:
+            pattern = draw(st.text(alphabet="ACGT", min_size=m, max_size=m))
+        patterns.append(pattern.lower() if draw(st.booleans()) else pattern)
+    lower = draw(st.booleans())
+    return text.lower() if lower else text, patterns, max_diff
+
+
+@settings(max_examples=50, deadline=None)
+@given(single_record_cases())
+@pytest.mark.parametrize("kernel", [k.value for k in Kernel])
+def test_inexact_match_equals_the_edit_distance_oracle_on_one_record(kernel, case):
+    text, patterns, max_diff = case
+    want = []
+    for pid, pattern in enumerate(patterns):
+        fewest = fewest_edits_from(pattern, text)
+        want += [f"{pid}\tr\t{p}\t{fewest[p]}\n" for p in np.flatnonzero(fewest <= max_diff)]
+    with tempfile.TemporaryDirectory() as tmp:
+        fasta, fmi, listed = Path(tmp, "r.fa"), Path(tmp, "r.fmi"), Path(tmp, "patterns.txt")
+        fasta.write_text(f">r\n{text}\n")
+        listed.write_text("".join(p + "\n" for p in patterns))
+        assert _run(["index", str(fasta), "-o", str(fmi)])[0] == EXIT_OK
+        argv = ["match", str(fmi), "-f", str(listed), "-z", str(max_diff), "--kernel", kernel]
+        assert _run(argv) == (EXIT_OK, "".join(want), "")

@@ -192,13 +192,18 @@ def unfreeze():
 
 def test_entry_sets_one_blas_thread_only_when_unset(monkeypatch, unfreeze):
     seen = []
-    monkeypatch.setattr(
-        fmpm.cli, "main_entry", lambda: seen.append(os.environ.get(fmpm.__main__.BLAS_THREADS_ENV))
-    )
+
+    def main():
+        seen.append(os.environ.get(fmpm.__main__.BLAS_THREADS_ENV))
+        return fmpm.cli.EXIT_OK
+
+    monkeypatch.setattr(fmpm.cli, "main", main)
     monkeypatch.setenv(fmpm.__main__.BLAS_THREADS_ENV, "3")
-    fmpm.__main__.main()
+    with pytest.raises(SystemExit, match="0"):
+        fmpm.__main__.main()
     monkeypatch.delenv(fmpm.__main__.BLAS_THREADS_ENV)
-    fmpm.__main__.main()
+    with pytest.raises(SystemExit, match="0"):
+        fmpm.__main__.main()
     assert seen == ["3", "1"]
 
 
@@ -207,9 +212,11 @@ def test_entry_imports_without_collections_then_freezes_them():
         "-c",
         "import gc, fmpm.__main__, fmpm.cli\n"
         "print(gc.isenabled(), gc.get_freeze_count())\n"
-        "fmpm.cli.main_entry = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
-        "fmpm.__main__.main()\n"
-        "print(gc.isenabled())",
+        "fmpm.cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "try:\n"
+        "    fmpm.__main__.main()\n"
+        "except SystemExit:\n"
+        "    print(gc.isenabled())",
     )
     assert out == "True 0\nTrue True\nTrue\n"
 

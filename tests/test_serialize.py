@@ -21,6 +21,8 @@ from fmpm.serialize import (
     IndexFormatError,
     TruncatedStreamError,
     VersionMismatchError,
+    _pack_samples,
+    _unpack_samples,
     deserialize_index,
     serialize_index,
 )
@@ -30,6 +32,7 @@ from oracles import (
     deflated_section,
     edge_text,
     file_blocks,
+    pack_fields,
     random_dna,
     records_at,
     sample_section_bytes,
@@ -93,6 +96,17 @@ def test_one_index_read_per_call():
     assert deserialize_index(stream) == first
     assert deserialize_index(stream) == second
     assert stream.read() == b""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pack_samples_equals_big_int_packing_and_round_trips(data):
+    width = data.draw(st.integers(min_value=1, max_value=40))
+    field = st.integers(min_value=0, max_value=(1 << width) - 1) | st.just((1 << width) - 1)
+    values = data.draw(st.lists(field, min_size=1, max_size=70))
+    packed = _pack_samples(np.array(values, dtype=np.int64), width)
+    assert packed.tobytes() == pack_fields(values, width)
+    assert _unpack_samples(packed.tobytes(), len(values), width).tolist() == values
 
 
 def test_byte_count_matches_stream():
