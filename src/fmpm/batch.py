@@ -4,18 +4,18 @@
 thin wrapper over the functions here.  `check_batch` encodes each batch
 once, and below it the engine sees only its uint8 codes and lengths:
 each bounded-difference state is a position in that code array.
-`rank_many`, `lf_step`
-and `locate_rows` are the one form of the occurrence count, the LF step
-and locate, and take one position or row as well as many.  Each
-backward-search step of every pattern still in play, each round of the
-one bounded-difference frontier of all patterns, and each predecessor
-step of every row still being located is one call of `rank_many`: the
-buckets of all positions are gathered and the selected kernel counts
-their prefixes, in one numpy pass for `bytelut` and `simd`.  Backward
-search and locate ask for one symbol per position; only the frontier asks
-for all four.  Locate walks each distinct row once, and a walk ends at
-another row being located as well as at a sample, so overlapping hits
-share their walks.
+`rank_many`, `lf_step` and `locate_rows` are the one form of the
+occurrence count, the LF step and locate, and take one position or row as
+well as many.  Each backward-search step of every pattern still in play,
+each round of the one bounded-difference frontier of all patterns, and
+each predecessor step of every row still being located is one call of
+`rank_many`: the buckets of all positions are gathered and the selected
+kernel counts their prefixes, in one numpy pass for `bytelut` and `simd`.
+Backward search and locate ask for one symbol per position; only the
+frontier asks for all four.  Locate walks each distinct row once, and a
+walk ends at another row being located as well as at a sample, so
+overlapping hits share their walks.  The engine decodes no packed field
+itself: `lf_step` reads symbols with `fmpm.index.bwt_symbols`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .alphabet import A, encode_batch
-from .index import FmIndex, SA_STRIDE
+from .index import FmIndex, SA_STRIDE, bwt_symbols
 from .kernels import BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
 from .serialize import IndexFormatError
 
@@ -238,21 +238,14 @@ def inexact_search_many(
     return pattern[kept], k[kept], l[kept], used[kept]
 
 
-def bwt_symbols(index: FmIndex, rows: np.ndarray) -> np.ndarray:
-    """Packed transform symbol at each row; the sentinel row reads as A."""
-    rows = np.asarray(rows, dtype=np.int64)
-    # a block packs 128 rows into 32 bytes, so row r sits in byte r >> 2 of all blocks
-    return (index.blocks.reshape(-1)[rows >> 2] >> ((rows & 3) << 1)) & 3
-
-
 def lf_step(
     index: FmIndex, rows: np.ndarray, kernel: Kernel | str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(symbol at each row, row of the suffix one text position earlier).
 
     No row may be the sentinel row, whose suffix has no predecessor.  The
-    symbol is one byte of the flat blocks; `rank_many` gathers each row's
-    block once and counts that symbol only.
+    symbol is read by `bwt_symbols`; `rank_many` gathers each row's block
+    once and counts that symbol only.
     """
     symbol = bwt_symbols(index, rows)
     return symbol, np.asarray(index.c)[symbol] + rank_many(index, rows, symbol, kernel)

@@ -1,4 +1,4 @@
-"""FM-index construction: C table, occurrence buckets, sampled suffix entries."""
+"""FM-index construction: `build_index` packs the transform, and `bwt_symbols` reads it."""
 
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ class FmIndex:
     whenever an index is made, so the two cannot disagree.  All three are
     C-contiguous arrays.  Records tile [0, n) in order: their `names` and
     int64 `lengths` are stored, and their int64 `starts` derived like
-    `bases`.  The query engine (`fmpm.batch`) reads the arrays directly;
-    `fmpm.serialize` alone knows how the file lays them out.
+    `bases`.  The query engine (`fmpm.batch`) reads the arrays directly,
+    a field through `bwt_symbols`; `fmpm.serialize` alone knows the file.
     Making an index, by a build, a load or `dataclasses.replace`, runs
     `check_index` and raises its ValueError, so every FmIndex that exists
     writes a file that loads back equal.
@@ -170,6 +170,13 @@ def build_index(
     )
 
 
+def bwt_symbols(index: FmIndex, rows: np.ndarray) -> np.ndarray:
+    """Packed transform symbol at each row; the sentinel row reads as A, padding as 0."""
+    rows = np.asarray(rows, dtype=np.int64)
+    # a block packs 128 rows into 32 bytes, so row r sits in byte r >> 2 of all blocks
+    return (index.blocks.reshape(-1)[rows >> 2] >> ((rows & 3) << 1)) & 3
+
+
 def _check_records(names: tuple[str, ...], starts: np.ndarray, lengths: np.ndarray, n: int):
     """Records tile [0, n) under distinct one-word names, in whole-table passes."""
     if lengths.shape != (len(names),):
@@ -232,8 +239,7 @@ def check_index(index: FmIndex) -> None:
         raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
 
     last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
-    # field r of a block is bits 2r and 2r + 1 of its little-endian bytes
-    if int.from_bytes(index.blocks[-1].tobytes(), "little") >> (2 * last):
+    if bwt_symbols(index, np.arange(n + 1, n_buckets * BUCKET_CHARS)).any():
         raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
     totals = index.bases[-1] + count_blocks(index.blocks[-1:], np.array([last]), Kernel.BYTELUT)[0]
     totals[0] -= 1  # the terminator, packed as A
@@ -241,7 +247,7 @@ def check_index(index: FmIndex) -> None:
     if index.c != c:
         raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
     row = index.sentinel_row
-    if index.blocks[row // BUCKET_CHARS, row % BUCKET_CHARS >> 2] >> 2 * (row & 3) & 3:
+    if bwt_symbols(index, [row])[0]:
         raise ValueError(f"sentinel row {row} does not hold the terminator's A field")
     bad = np.flatnonzero((index.samples < 0) | (index.samples > n))
     if len(bad):

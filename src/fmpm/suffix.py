@@ -1,15 +1,12 @@
-"""Suffix array construction and the Burrows-Wheeler transform."""
+"""Suffix array and Burrows-Wheeler transform; the terminator is in the row of suffix 0."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alphabet import SYMBOLS
+from .alphabet import A
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-# marks the terminator's row while the transform codes are gathered
-_TERMINATOR_MARK = len(SYMBOLS)
 
 
 def _seed_width(n: int) -> int:
@@ -114,22 +111,15 @@ def bwt_codes(codes: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, int]:
     """Burrows-Wheeler transform codes of a coded reference + terminator.
 
     Row i holds the code of the character preceding suffix sa[i]; the row
-    whose suffix starts at position 0 holds the terminator, coded as A (0).
-    Returns the codes and that row's index.
+    of suffix 0, the smallest entry of `sa`, holds the terminator, coded
+    as A (0).  Returns the codes and that row's index.
     """
     if len(sa) != len(codes) + 1:
         raise ValueError(
             f"suffix array length {len(sa)} does not match reference length {len(codes)}"
         )
-    # entry p of the shifted codes is the code before suffix p; the
-    # terminator gets 4, above every symbol, so its row is the maximum
-    shifted = np.empty(len(codes) + 1, dtype=np.uint8)
-    shifted[0] = _TERMINATOR_MARK
-    shifted[1:] = codes
-    out = shifted[sa]
-    del shifted
-    sentinel_row = int(out.argmax())
-    if out[sentinel_row] != _TERMINATOR_MARK:
+    sentinel_row = int(sa.argmin())
+    if sa[sentinel_row] != 0:
         raise ValueError("suffix array holds no entry for position 0")
-    out[sentinel_row] = 0
-    return out, sentinel_row
+    # entry p of the codes with an A in front is the code before suffix p
+    return np.insert(codes, 0, A)[sa], sentinel_row

@@ -8,7 +8,7 @@ from fmpm.batch import bwt_symbols, rank_many
 from fmpm.index import build_index
 from fmpm.kernels import Kernel
 
-from oracles import bwt_prefix_counts, naive_bwt, random_dna
+from oracles import EDGE_SIZES, PERIODIC_TEXTS, bwt_prefix_counts, edge_text, naive_bwt, random_dna
 
 # occurrence table of the worked 4-character example, rows 0..4
 ACAG_OCC = [
@@ -134,10 +134,13 @@ def test_bwt_char_at(acag):
 
 
 def test_bwt_char_at_matches_construction():
-    text = random_dna(random.Random(47), 500)
-    index = build_index(text)
-    bwt = naive_bwt(text)
-    assert bwt[index.sentinel_row] == TERMINATOR
-    got = bwt_symbols(index, np.arange(len(bwt))).tolist()
-    for i, ch in enumerate(bwt):
-        assert SYMBOLS[got[i]] == ("A" if i == index.sentinel_row else ch)
+    # every bucket boundary, lowercase text and periodic text; naive_bwt uppercases
+    texts = [random_dna(random.Random(47), 500)] + [edge_text(n) for n in EDGE_SIZES]
+    for text in texts + PERIODIC_TEXTS:
+        index = build_index(text)
+        bwt = naive_bwt(text)
+        assert bwt[index.sentinel_row] == TERMINATOR
+        got = bwt_symbols(index, np.arange(len(bwt))).tolist()
+        for i, ch in enumerate(bwt):
+            assert SYMBOLS[got[i]] == ("A" if i == index.sentinel_row else ch), (text, i)
+        assert not bwt_symbols(index, np.arange(len(bwt), index.bucket_count * 128)).any()
