@@ -36,7 +36,6 @@ _EXPORTS = {
     "index": (
         "FmIndex",
         "SA_STRIDE",
-        "build_c_table",
         "build_index",
         "check_index",
     ),

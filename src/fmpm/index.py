@@ -1,7 +1,9 @@
-"""FM-index construction: `build_index` packs the transform, and `bwt_symbols` reads it."""
+"""FM-index construction: `build_index` packs the transform, `FmIndex` derives
+its bases and C table from it, and `bwt_symbols` reads it."""
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -10,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .alphabet import CHARS_PER_BYTE, encode_array
-from .kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, count_blocks_bytelut
+from .kernels import BUCKET_BYTES, BUCKET_CHARS, count_blocks_bytelut
 
 SA_STRIDE = 32
 
@@ -36,25 +38,28 @@ class OccBucket:
 class FmIndex:
     """Succinct FM-index over a concatenated DNA reference.
 
-    All fields are immutable (the arrays are read-only views); instances
-    are safe to share across threads.  c[s] counts reference characters
-    lexicographically below symbol s (c[4] == n), and sentinel_row is the
-    transform row holding the terminator.  `blocks` (n_buckets x 32 uint8)
-    holds each bucket's packed transform and `samples` (int64) every 32nd
-    suffix-array entry.  `bases` (n_buckets x 4 int64), the counts before
-    each bucket, is not a field one passes: it is derived from `blocks`
-    whenever an index is made, so the two cannot disagree.  All three are
-    C-contiguous arrays.  Records tile [0, n) in order: their `names` and
-    int64 `lengths` are stored, and their int64 `starts` derived like
-    `bases`.  The query engine (`fmpm.batch`) reads the arrays directly,
-    a field through `bwt_symbols`; `fmpm.serialize` alone knows the file.
-    Making an index, by a build, a load or `dataclasses.replace`, runs
-    `check_index` and raises its ValueError, so every FmIndex that exists
-    writes a file that loads back equal.
+    All fields are immutable (the arrays are read-only, C-contiguous
+    views); instances are safe to share across threads.  sentinel_row is
+    the transform row holding the terminator, `blocks` (n_buckets x 32
+    uint8) holds each bucket's packed transform and `samples` (int64)
+    every 32nd suffix-array entry.  `bases` (n_buckets x 4 int64), the
+    counts before each bucket, and the C table `c`, where c[s] counts
+    reference characters lexicographically below symbol s (c[4] == n),
+    are not fields one passes: one count of `blocks` derives both when an
+    index is made, so neither can disagree with it.  Records tile [0, n)
+    in order: their `names` and int64 `lengths` are stored, and their
+    int64 `starts` derived.  The query engine (`fmpm.batch`) reads the
+    arrays directly, a field through `bwt_symbols`; `fmpm.serialize`
+    alone knows the file.  Making an index, by a build, a load or
+    `dataclasses.replace`, runs `check_index` before it derives anything
+    from the blocks, and raises its ValueError, so every FmIndex that
+    exists writes a file that loads back equal.  It also raises one for
+    an n or sentinel_row that is not an integer, which it stores as an
+    int, and for an array of non-integers.
     """
 
     n: int
-    c: tuple[int, int, int, int, int]
+    c: tuple[int, int, int, int, int] = field(init=False)
     blocks: np.ndarray = field(repr=False)
     sentinel_row: int
     samples: np.ndarray = field(repr=False)
@@ -64,40 +69,53 @@ class FmIndex:
     starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("n", "sentinel_row"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(operator.index(value)))
+            except TypeError:
+                raise ValueError(f"{name} is {value!r}, not an integer") from None
         # store read-only views, so a caller's own array keeps its write flag
         for name, dtype in (("blocks", np.uint8), ("samples", np.int64), ("lengths", np.int64)):
+            value = getattr(self, name)
             try:
-                array = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+                array = np.ascontiguousarray(value, dtype=dtype).view()
             except OverflowError:
                 raise ValueError(f"a value of {name} does not fit in {np.dtype(dtype)}") from None
+            given = np.asarray(value)  # an empty list reads as float64
+            if given.size and given.dtype.kind not in "iu":
+                raise ValueError(f"{name} holds {given.dtype} values, not integers")
+            if given.dtype != array.dtype and not np.array_equal(array, given):  # the cast wrapped
+                raise ValueError(f"a value of {name} does not fit in {np.dtype(dtype)}")
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        # every block but the last is full, and the bases are the exclusive
-        # running sum of their counts; the terminator counts in the A lane
-        bases = np.zeros((len(self.blocks), 4), dtype=np.int64)
-        np.cumsum(count_blocks_bytelut(self.blocks[:-1]), axis=0, out=bases[1:])
-        bases.flags.writeable = False
-        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "names", tuple(self.names))
         starts = np.cumsum(self.lengths, axis=0) - self.lengths
         starts.flags.writeable = False
         object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "c", tuple(self.c))
-        object.__setattr__(self, "names", tuple(self.names))
         check_index(self)
+        # the bases are the exclusive running sum of the blocks' counts, and C
+        # that of their totals, less the padding and terminator packed as A
+        counts = count_blocks_bytelut(self.blocks)
+        bases = np.cumsum(counts, axis=0)
+        padding = len(self.blocks) * BUCKET_CHARS - self.n
+        object.__setattr__(self, "c", (0, *(np.cumsum(bases[-1]) - padding).tolist()))
+        bases -= counts
+        bases.flags.writeable = False
+        object.__setattr__(self, "bases", bases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FmIndex):
             return NotImplemented
         return (
-            (self.n, self.c, self.sentinel_row, self.names)
-            == (other.n, other.c, other.sentinel_row, other.names)
+            (self.n, self.sentinel_row, self.names) == (other.n, other.sentinel_row, other.names)
             and np.array_equal(self.lengths, other.lengths)
             and np.array_equal(self.blocks, other.blocks)
             and np.array_equal(self.samples, other.samples)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.c, self.sentinel_row, self.names))
+        return hash((self.n, self.sentinel_row, self.names))
 
     @property
     def bucket_count(self) -> int:
@@ -111,16 +129,6 @@ class FmIndex:
             OccBucket(base=tuple(base), chars=blocks[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
             for j, base in enumerate(self.bases.tolist())
         )
-
-
-def build_c_table(totals: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """Exclusive prefix sums of the four symbol totals."""
-    if len(totals) != 4 or any(t < 0 for t in totals):
-        raise ValueError("expected four non-negative symbol totals")
-    c = [0]
-    for t in totals:
-        c.append(c[-1] + t)
-    return tuple(c)
 
 
 def build_index(
@@ -144,7 +152,6 @@ def build_index(
     except OverflowError:
         raise ValueError("a record start or length does not fit in int64") from None
     _check_records(names, starts, lengths, n)
-    c = build_c_table([int(np.count_nonzero(codes == s)) for s in range(4)])
     sa = suffix_array(codes)
     bwt, sentinel_row = bwt_codes(codes, sa)
     del codes
@@ -161,7 +168,6 @@ def build_index(
     del lanes, quads
     return FmIndex(
         n=n,
-        c=c,
         blocks=blocks,
         sentinel_row=sentinel_row,
         samples=sa[::SA_STRIDE],
@@ -189,8 +195,13 @@ def _check_records(names: tuple[str, ...], starts: np.ndarray, lengths: np.ndarr
     covered = int(lengths.sum())
     if covered != n:
         raise ValueError(f"records cover {covered} of {n} characters")
+    try:
+        words = " ".join(names).split()
+    except TypeError:
+        name = next(name for name in names if not isinstance(name, str))
+        raise ValueError(f"record name {name!r} is not a str") from None
     # what a FASTA header's first word can be: split() drops an empty name, cuts a spaced one
-    if " ".join(names).split() != list(names):
+    if words != list(names):
         name = next(name for name in names if name.split() != [name])
         raise ValueError(f"record name {name!r} is empty or holds whitespace")
     joined = "\n".join(names)
@@ -209,15 +220,12 @@ def check_index(index: FmIndex) -> None:
 
     `FmIndex` runs it whenever an index is made, so a caller need not.
 
-    Checks the shapes of the blocks and samples; zero padding past the
-    transform; the C table against the transform's totals, which are the
-    last block's base (derived when the index was made) plus that block's
-    own counts, so only the last block is counted here; an A field (the
-    terminator) at the sentinel row; samples within [0, n], sample 0 being
-    n (row 0 is the terminator suffix); and records tiling [0, n) under
-    distinct one-word names.  The header fields (n, c, sentinel_row) are
-    compared as Python ints, so an oversized one fails a check here
-    instead of overflowing a fixed-width array.
+    Checks n > 0 and the shapes of the blocks and samples, from which the
+    index then derives its bases and C table; zero padding past the
+    transform; an A field (the terminator) at the sentinel row; samples
+    within [0, n], sample 0 being n (row 0 is the terminator suffix); and
+    records tiling [0, n) under distinct one-word names.  The reader,
+    `deserialize_index`, compares a file's header C table with the index's.
 
     Without walking the transform it cannot see a change that keeps the
     transform's totals, such as two fields swapped inside one block or
@@ -237,15 +245,8 @@ def check_index(index: FmIndex) -> None:
         raise ValueError(f"expected {n // SA_STRIDE + 1} samples, found {index.samples.shape}")
     if not 0 <= index.sentinel_row <= n:
         raise ValueError(f"sentinel row {index.sentinel_row} outside [0, {n}]")
-
-    last = n + 1 - (n_buckets - 1) * BUCKET_CHARS  # fields of the transform in the last block
     if bwt_symbols(index, np.arange(n + 1, n_buckets * BUCKET_CHARS)).any():
         raise ValueError(f"bucket {n_buckets - 1} padding fields are not zero")
-    totals = index.bases[-1] + count_blocks(index.blocks[-1:], np.array([last]), Kernel.BYTELUT)[0]
-    totals[0] -= 1  # the terminator, packed as A
-    c = build_c_table(totals.tolist())
-    if index.c != c:
-        raise ValueError(f"C table {index.c} does not match the bucket totals ({c})")
     row = index.sentinel_row
     if bwt_symbols(index, [row])[0]:
         raise ValueError(f"sentinel row {row} does not hold the terminator's A field")

@@ -23,10 +23,11 @@ writes the buffer and then the trailer:
     names        the one-word record names in UTF-8, joined by "\n"
     crc32        u32  over all preceding bytes
 
-The bucket bases are not stored: the index derives them from the blocks,
-and the C table in the header witnesses the blocks' totals.  The packed
-blocks are deflated, since the transform of a repetitive reference forms
-runs; the reader inflates them into exactly bucket_count * 32 bytes.
+The bucket bases are not stored: the index derives them and C from the
+blocks, and the reader requires the header's C table, the blocks' witness,
+to equal the derived one.  The packed blocks are deflated, since the
+transform of a repetitive reference forms runs; the reader inflates them
+into exactly bucket_count * 32 bytes.
 
 The suffix-array samples, all within [0, n], form one little-endian bit
 stream of w-bit fields: sample j is bits j*w to j*w + w - 1, counting bit
@@ -190,7 +191,8 @@ def serialize_index(index: FmIndex, sink: BinaryIO) -> int:
 def deserialize_index(source: BinaryIO) -> FmIndex:
     """Read an index written by serialize_index, verifying the checksum.
 
-    Raises IndexFormatError, also for an index that `check_index` refuses.
+    Raises IndexFormatError, also for an index that `check_index` refuses
+    or whose derived C table is not the header's.
     """
     r = _CrcReader(source)
     magic = r.read(4, "magic")
@@ -249,6 +251,9 @@ def deserialize_index(source: BinaryIO) -> FmIndex:
         j = names.count(b"\n", 0, exc.start)
         raise IndexFormatError(f"record {j}'s name is not UTF-8: {exc}") from None
     try:  # making the index runs `check_index`
-        return FmIndex(n, c, blocks, sentinel_row, samples, names.split("\n"), lengths)
+        index = FmIndex(n, blocks, sentinel_row, samples, names.split("\n"), lengths)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from None
+    if c != index.c:
+        raise IndexFormatError(f"C table {c} does not match the bucket totals ({index.c})")
+    return index

@@ -1,8 +1,11 @@
 import dataclasses
 import io
 import random
+import re
+import struct
 import tracemalloc
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,12 +17,11 @@ from fmpm.alphabet import TERMINATOR, encode_array
 from fmpm.index import (
     FmIndex,
     SA_STRIDE,
-    build_c_table,
     build_index,
     check_index,
 )
 from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks
-from fmpm.serialize import deserialize_index, serialize_index
+from fmpm.serialize import IndexFormatError, deserialize_index, serialize_index
 from fmpm.suffix import suffix_array
 
 from oracles import (
@@ -32,17 +34,17 @@ from oracles import (
 )
 
 
-def test_c_table_examples():
-    assert build_c_table([2, 1, 1, 0]) == (0, 2, 3, 4, 4)
-    assert build_c_table([1, 1, 1, 1]) == (0, 1, 2, 3, 4)
-    assert build_c_table([0, 0, 0, 0]) == (0, 0, 0, 0, 0)
-
-
-def test_c_table_rejects_bad_totals():
-    with pytest.raises(ValueError):
-        build_c_table([1, 2, 3])
-    with pytest.raises(ValueError):
-        build_c_table([1, -1, 0, 0])
+def test_c_table_is_derived_from_the_blocks():
+    # c[s] counts the reference's characters below symbol s, on a build and on a load
+    for n in EDGE_SIZES:
+        text = edge_text(n)
+        want = tuple(accumulate((text.upper().count(s) for s in "ACGT"), initial=0))
+        index = build_index(text)
+        sink = io.BytesIO()
+        serialize_index(index, sink)
+        for held in (index, deserialize_index(io.BytesIO(sink.getvalue()))):
+            assert held.c == want, n
+            assert all(type(count) is int for count in held.c)
 
 
 def test_build_index_small_reference():
@@ -145,9 +147,17 @@ def test_records_validation():
 
 
 def test_check_index_catches_tampering():
+    # the C table is derived from the blocks, so only a file's header copy
+    # can disagree with it, and the reader refuses such a file
     index = build_index(random_dna(random.Random(34), 150))
-    with pytest.raises(ValueError):
-        dataclasses.replace(index, c=(0, 1, 2, 3, 5))
+    sink = io.BytesIO()
+    serialize_index(index, sink)
+    blob = bytearray(sink.getvalue()[:-4])
+    blob[32:72] = struct.pack("<5Q", 0, 1, 2, 3, 5)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    message = f"C table (0, 1, 2, 3, 5) does not match the bucket totals ({index.c})"
+    with pytest.raises(IndexFormatError, match=re.escape(message)):
+        deserialize_index(io.BytesIO(bytes(blob)))
 
 
 def _patched(array, at, value):
@@ -169,13 +179,8 @@ def _non_terminator_row(index):
 @pytest.mark.parametrize(
     "message, fields",
     [
-        # bucket 1's block zeroed: its A fields raise the transform's A total
-        ("C table", dict(blocks=_patched(_CHECKED.blocks, 1, 0))),
         # field 127 of the last block, past the end of the transform
         ("padding", dict(blocks=_patched(_CHECKED.blocks, (2, 31), 0x40))),
-        # field 4 of the last block changed: no base counts it, the C table does
-        ("C table", dict(blocks=_patched(_CHECKED.blocks, (2, 1), 0xFF))),
-        ("C table", dict(c=(0, _CHECKED.c[1] + 1, *_CHECKED.c[2:]))),
         ("sentinel row .* outside", dict(sentinel_row=_CHECKED.n + 1)),
         ("terminator", dict(sentinel_row=_non_terminator_row(_CHECKED))),
         # sample 1 set to n + 1, then to -1, which no field of the file holds
@@ -201,12 +206,23 @@ def _non_terminator_row(index):
         # values no int64 holds, which the file reader refuses before they get here
         ("a value of lengths does not fit in int64", dict(lengths=[2**63])),
         ("a value of samples does not fit in int64", dict(samples=[2**63, *_CHECKED.samples[1:]])),
+        # a cast would truncate these, and the writer could not pack the header fields
+        ("lengths holds float64 values", dict(lengths=[120.5, 179.5])),
+        ("samples holds float64 values", dict(samples=_CHECKED.samples + 0.25)),
+        ("blocks holds float64 values", dict(blocks=_CHECKED.blocks.astype(float))),
+        ("sentinel_row is 4.0, not an integer", dict(sentinel_row=4.0)),
+        ("n is 300.0, not an integer", dict(n=300.0)),
+        ("n is '300', not an integer", dict(n="300")),
+        ("record name b'r1' is not a str", dict(names=(b"r1", "r2"))),
+        # shapes are checked before the bases are derived from the blocks
+        (r"1 buckets for n=5, found \(32,\)", dict(n=5, blocks=np.zeros(32, np.uint8))),
+        (r"1 buckets for n=5, found \(2, 31\)", dict(n=5, blocks=np.zeros((2, 31), np.uint8))),
+        (r"1 buckets for n=5, found \(0, 32\)", dict(n=5, blocks=np.zeros((0, 32), np.uint8))),
+        ("empty reference", dict(n=0, blocks=np.zeros((0, 32), np.uint8))),
+        ("empty reference", dict(n=0, blocks=np.zeros((1, 32), np.uint8))),
     ],
     ids=[
-        "zeroed-block",
         "padding",
-        "last-block-field",
-        "c-table",
         "sentinel-range",
         "sentinel-field",
         "sample-range",
@@ -225,6 +241,18 @@ def _non_terminator_row(index):
         "record-lengths-sum",
         "record-length-2**63",
         "sample-2**63",
+        "float-lengths",
+        "float-samples",
+        "float-blocks",
+        "float-sentinel-row",
+        "float-n",
+        "str-n",
+        "bytes-record-name",
+        "1-d-blocks-at-n=5",
+        "2x31-blocks-at-n=5",
+        "0x32-blocks-at-n=5",
+        "n=0-no-block",
+        "n=0-one-block",
     ],
 )
 def test_check_index_catches_each_broken_invariant(message, fields):
@@ -235,6 +263,25 @@ def test_check_index_catches_each_broken_invariant(message, fields):
     made = {f.name: getattr(_CHECKED, f.name) for f in dataclasses.fields(FmIndex) if f.init}
     with pytest.raises(ValueError, match=message):
         FmIndex(**{**made, **fields})
+
+
+def test_numpy_integers_are_stored_as_int():
+    # a numpy integer is an integer; the index stores it as int, so the writer can pack it
+    made = dataclasses.replace(
+        _CHECKED, n=np.int64(300), sentinel_row=np.uint32(_CHECKED.sentinel_row)
+    )
+    assert type(made.n) is int and type(made.sentinel_row) is int
+    assert made == _CHECKED
+    sink = io.BytesIO()
+    serialize_index(made, sink)
+    assert deserialize_index(io.BytesIO(sink.getvalue())) == _CHECKED
+    # integer arrays of another dtype are cast when every value fits
+    made = dataclasses.replace(_CHECKED, lengths=np.array([120, 180], dtype=np.uint16))
+    assert made.lengths.dtype == np.int64 and made == _CHECKED
+    with pytest.raises(ValueError, match="a value of lengths does not fit in int64"):
+        dataclasses.replace(_CHECKED, lengths=np.array([2**63, 180], dtype=np.uint64))
+    with pytest.raises(ValueError, match="a value of blocks does not fit in uint8"):
+        dataclasses.replace(_CHECKED, blocks=_CHECKED.blocks.astype(np.int64) - 1)
 
 
 def test_bad_records_rejected_before_the_sort(monkeypatch):

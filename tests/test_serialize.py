@@ -235,20 +235,32 @@ def test_every_index_that_is_made_loads_back_equal(data):
     # or the file holds it exactly (the writer checks nothing itself).  The
     # draws lean to values an index can hold: a sample or sentinel row in
     # [0, n], and a block byte with its four fields reordered, which keeps
-    # the totals
+    # the totals.  Integers come as Python or numpy ints, and some values
+    # are floats, which no index holds.  The C table is derived, so its
+    # draw edits a file's header copy, which loads only when it is the same
     n = data.draw(st.sampled_from(EDGE_SIZES), label="n")
     index = _edge_index(n)
-    value = st.integers(0, n) | st.integers(-(2**63), 2**63 - 1)
+    integer = st.integers(0, n) | st.integers(-(2**63), 2**63 - 1)
+    value = integer | integer.map(np.int64) | st.floats(-1.0, n + 1.0) | st.just(1.0)
     kinds = ["c", "sentinel_row", "samples", "blocks", "names", "lengths"]
     field = data.draw(st.sampled_from(kinds))
     if field == "c":
         c = list(index.c)
-        c[data.draw(st.integers(0, 4))] = data.draw(value)
-        changes = dict(c=tuple(c))
+        c[data.draw(st.integers(0, 4))] = data.draw(st.integers(0, n) | st.integers(0, 2**64 - 1))
+        blob = bytearray(roundtrip_bytes(index)[:-4])
+        blob[32:72] = struct.pack("<5Q", *c)
+        blob += struct.pack("<I", zlib.crc32(blob))
+        try:
+            loaded = deserialize_index(io.BytesIO(bytes(blob)))
+        except IndexFormatError as exc:
+            assert tuple(c) != index.c and "does not match the bucket totals" in str(exc)
+            return
+        assert tuple(c) == index.c and loaded == index
+        return
     elif field == "sentinel_row":
         changes = dict(sentinel_row=data.draw(value))
     elif field == "samples":
-        samples = index.samples.copy()
+        samples = index.samples.tolist()  # a list, so a drawn float is not cast
         samples[data.draw(st.integers(0, len(samples) - 1))] = data.draw(value)
         changes = dict(samples=samples)
     elif field == "blocks":
@@ -263,13 +275,14 @@ def test_every_index_that_is_made_loads_back_equal(data):
         names[data.draw(st.integers(0, len(names) - 1))] = data.draw(st.text(max_size=4))
         changes = dict(names=tuple(names))
     else:
-        lengths = index.lengths.copy()
+        lengths = index.lengths.tolist()
         lengths[data.draw(st.integers(0, len(lengths) - 1))] = data.draw(value)
         changes = dict(lengths=lengths)
     try:
         made = dataclasses.replace(index, **changes)
     except ValueError:
         return
+    assert type(made.n) is int and type(made.sentinel_row) is int
     assert deserialize_index(io.BytesIO(roundtrip_bytes(made))) == made
 
 
@@ -409,6 +422,60 @@ def test_inconsistent_header_behind_valid_checksum(field, offset, value):
     with pytest.raises(IndexFormatError) as raised:
         deserialize_index(io.BytesIO(bytes(blob)))
     assert type(raised.value) is IndexFormatError, field
+
+
+# a 300-char, two-record index: three buckets, the last holding 45 fields
+_WITNESSED = build_index(random_dna(random.Random(37), 300), [("r1", 0, 120), ("r2", 120, 180)])
+
+
+def _witnessed_blocks_set(at, value):
+    """The 300-char file with its blocks edited at `at`, header C kept, CRC valid."""
+    blocks = _WITNESSED.blocks.copy()
+    blocks[at] = value
+    return with_blocks(roundtrip_bytes(_WITNESSED), blocks.tobytes())
+
+
+def _witnessed_c1_raised():
+    blob = bytearray(roundtrip_bytes(_WITNESSED)[:-4])
+    blob[40:48] = struct.pack("<Q", _WITNESSED.c[1] + 1)
+    return bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        # bucket 1's block zeroed: its A fields raise the transform's A total
+        _witnessed_blocks_set(1, 0),
+        # field 4 of the last block changed: no base counts it, the C table does
+        _witnessed_blocks_set((2, 1), 0xFF),
+        _witnessed_c1_raised(),
+    ],
+    ids=["zeroed-block", "last-block-field", "c-table"],
+)
+def test_header_c_table_witnesses_the_blocks(blob, tmp_path, capsys):
+    # each file is CRC-valid and its blocks make an index; only the header's
+    # C table and the one derived from the blocks disagree
+    with pytest.raises(IndexFormatError, match=r"C table \(.*\) does not match the bucket totals"):
+        deserialize_index(io.BytesIO(blob))
+    path = tmp_path / "witness.fmi"
+    path.write_bytes(blob)
+    assert main(["match", str(path), "-p", "ACGT"]) == EXIT_CORRUPT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fmpm: corrupt index: C table")
+
+
+def test_empty_reference_file_exits_corrupt(tmp_path, capsys):
+    # n = 0 still asks for one bucket and one 1-bit sample, as n = 1 does
+    blob = bytearray(roundtrip_bytes(build_index("A"))[:-4])
+    blob[8:16] = struct.pack("<Q", 0)
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with pytest.raises(IndexFormatError, match="index covers an empty reference"):
+        deserialize_index(io.BytesIO(bytes(blob)))
+    path = tmp_path / "empty.fmi"
+    path.write_bytes(bytes(blob))
+    assert main(["match", str(path), "-p", "A"]) == EXIT_CORRUPT
+    assert capsys.readouterr().err.startswith("fmpm: corrupt index: ")
 
 
 def _ten_char_blob_with(offset, value):
