@@ -164,43 +164,47 @@ def inexact_search_many(
     lengths: np.ndarray,
     max_diff: int,
     kernel: Kernel | str | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Intervals within `max_diff` edits of non-empty patterns, like `inexact_search`.
 
-    Returns (pattern, k, l, used) arrays, one entry per interval of a
-    pattern with its fewest differences, sorted by (pattern, k, l).  The
-    search runs in rounds over one frontier of live states (at, budget, k,
-    l) of all patterns, `at` being the position in `codes` of the next
-    code to consume, and admits one more pattern per round so that only a
-    few patterns' widest rounds are live at once.  One rank call on k - 1
-    and l of every state gives all eight Occ values each needs, and the
-    skip, insert, match and mismatch children are built from them at once;
-    a child that consumes its pattern's first code is done.  A child is
-    pruned when its interval is empty or its budget is below
-    `difference_bounds` at `at`.  Children that agree on (at, k, l) are
-    merged into the one with the largest budget, which reaches every
-    interval the others reach with no more differences.
+    Returns (pattern, k, l, used, span) arrays, one entry per text string
+    a pattern reaches, with its fewest differences, sorted by (pattern, k,
+    l, span): `span` is the number of text characters the string has, and
+    (k, l, span) names one string, since an interval stands for strings of
+    several lengths.  The search runs in rounds over one frontier of live
+    states (at, budget, k, l, span) of all patterns, `at` being the
+    position in `codes` of the next code to consume, and admits one more
+    pattern per round so that only a few patterns' widest rounds are live
+    at once.  One rank call on k - 1 and l of every state gives all eight
+    Occ values each needs, and the skip, insert, match and mismatch
+    children are built from them at once; all but a skip consume one text
+    character, and a child that consumes its pattern's first code is done.
+    A child is pruned when its interval is empty or its budget is below
+    `difference_bounds` at `at`.  Children that agree on (at, k, l, span)
+    are merged into the one with the largest budget, which reaches every
+    string the others reach with no more differences.
     """
     ends = np.cumsum(lengths)
     owner = np.repeat(np.arange(len(lengths)), lengths)  # the pattern of each code
     first = np.diff(owner, prepend=-1) > 0  # whether each code is its pattern's first
     c = np.asarray(index.c)
     bound = difference_bounds(index, codes, lengths, kernel)
-    states = np.zeros((4, 0), dtype=np.int64)  # rows: at, budget, k, l
+    states = np.zeros((5, 0), dtype=np.int64)  # rows: at, budget, k, l, span
     done = [states]  # states that consumed their pattern's first code
     admitted = 0
     while True:
         if admitted < len(lengths):
             # the full row range [0, n] makes the first extension the initial interval
-            start = [[ends[admitted] - 1], [max_diff], [0], [index.n]]
+            start = [[ends[admitted] - 1], [max_diff], [0], [index.n], [0]]
             states = np.concatenate([states, start], axis=1)
             admitted += 1
-        at, budget, k, l = states
+        at, budget, k, l, span = states
         live = np.flatnonzero(budget >= bound[at])
         # (n + 1)**2 fits in int64, since the suffix sort refuses longer references
         interval = k[live] * (index.n + 1) + l[live]
-        states = states[:, live[_first_per_key([at[live], interval], -budget[live])]]
-        at, budget, k, l = states
+        keys = [at[live], interval, span[live]]
+        states = states[:, live[_first_per_key(keys, -budget[live])]]
+        at, budget, k, l, span = states
         if not len(at):
             if admitted == len(lengths):
                 break
@@ -219,10 +223,15 @@ def inexact_search_many(
         row_s, sym_s = np.nonzero(nonempty & (spend[:, None] | ~miss))
         # skip: consume the pattern character without extending
         skip = np.flatnonzero(spend)
+
+        def extend(row, sym, spent):
+            # the child's interval spans one more text character
+            return [at[row], budget[row] - spent, k2[row, sym], l2[row, sym], span[row] + 1]
+
         consumed = np.concatenate(
             [
-                [at[row_s], budget[row_s] - miss[row_s, sym_s], k2[row_s, sym_s], l2[row_s, sym_s]],
-                [at[skip], budget[skip] - 1, k[skip], l[skip]],
+                extend(row_s, sym_s, miss[row_s, sym_s]),
+                [at[skip], budget[skip] - 1, k[skip], l[skip], span[skip]],
             ],
             axis=1,
         )
@@ -230,12 +239,11 @@ def inexact_search_many(
         done.append(consumed[:, ended])
         consumed = consumed[:, ~ended]
         consumed[0] -= 1
-        insert = [at[row_i], budget[row_i] - 1, k2[row_i, sym_i], l2[row_i, sym_i]]
-        states = np.concatenate([insert, consumed], axis=1)
-    at, budget, k, l = np.concatenate(done, axis=1)
+        states = np.concatenate([extend(row_i, sym_i, 1), consumed], axis=1)
+    at, budget, k, l, span = np.concatenate(done, axis=1)
     pattern, used = owner[at], max_diff - budget
-    kept = _first_per_key([pattern, k, l], used)
-    return pattern[kept], k[kept], l[kept], used[kept]
+    kept = _first_per_key([pattern, k, l, span], used)
+    return pattern[kept], k[kept], l[kept], used[kept], span[kept]
 
 
 def lf_step(
@@ -329,16 +337,17 @@ def locate_hits(
     k: np.ndarray,
     l: np.ndarray,
     diffs: np.ndarray,
-    pattern_lengths: np.ndarray,
+    spans: np.ndarray,
     kernel: Kernel | str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Locate every row of non-empty intervals tagged (pattern, diffs).
+    """Locate every row of non-empty intervals tagged (pattern, diffs, span).
 
-    Applies what `collect_hits` applies per pattern: rows past the end or
-    whose pattern_length - diffs characters cross a record boundary are
-    dropped, and of the hits at one position of one pattern the one with
-    the fewest diffs is kept.  Returns (pattern, record, offset, diffs),
-    sorted by pattern and position.  k and l are checked before any row is listed.
+    Applies what `collect_hits` applies per pattern: a row whose `span`
+    text characters cross a record's end is dropped (the terminator's row,
+    at position n, among them), and of the hits at one position of one
+    pattern the one with the fewest diffs is kept.  Returns (pattern,
+    record, offset, diffs), sorted by pattern and position.  k and l are
+    checked before any row is listed.
     """
     _check_rows(index, np.stack([k, l], axis=1).reshape(-1))
     widths = l - k + 1
@@ -349,8 +358,7 @@ def locate_hits(
     pos = locate_rows(index, rows, kernel)
     record = np.searchsorted(index.starts, pos, side="right") - 1
     offset = pos - index.starts[record]
-    min_span = np.maximum(pattern_lengths[pattern] - diffs, 0)
-    kept = np.flatnonzero((pos < index.n) & (offset + min_span <= index.lengths[record]))
+    kept = np.flatnonzero(offset + np.repeat(spans, widths) <= index.lengths[record])
     picked = kept[_first_per_key([pattern[kept], pos[kept]], diffs[kept])]
     return pattern[picked], record[picked], offset[picked], diffs[picked]
 
@@ -410,10 +418,14 @@ def match_many(
     if max_diff == 0:
         k, l = exact_search_many(index, codes, lengths[dna], kernel)
         found = k <= l
-        intervals = [searched[found], k[found], l[found], np.zeros(int(found.sum()), np.int64)]
+        pattern = searched[found]
+        # an exact match spans its pattern's length
+        intervals = [pattern, k[found], l[found], np.zeros_like(pattern), lengths[pattern]]
     else:
-        pattern, k, l, used = inexact_search_many(index, codes, lengths[dna], max_diff, kernel)
-        intervals = [searched[pattern], k, l, used]
-    pattern, record, offset, diffs = locate_hits(index, *intervals, lengths, kernel)
+        pattern, k, l, used, span = inexact_search_many(
+            index, codes, lengths[dna], max_diff, kernel
+        )
+        intervals = [searched[pattern], k, l, used, span]
+    pattern, record, offset, diffs = locate_hits(index, *intervals, kernel)
     kept, truncated = cut_hits(pattern, len(patterns), max_hits)
     return BatchHits(pattern[kept], record[kept], offset[kept], diffs[kept], truncated, ~dna)

@@ -42,10 +42,16 @@ class BwmInterval(NamedTuple):
 
 
 class MatchResult(NamedTuple):
-    """One surviving interval of the bounded-difference search."""
+    """One text string within the difference budget: its interval, diffs and length.
+
+    `span` is the number of text characters the string has; one interval
+    stands for strings of several lengths.  None means the pattern's
+    length, the span of an exact match.
+    """
 
     interval: BwmInterval
     diffs_used: int
+    span: int | None = None
 
 
 class Hit(NamedTuple):
@@ -84,14 +90,14 @@ def inexact_search(
     The edit branches are: skip a pattern character, insert a reference
     character, match, mismatch; every branch spends one unit of budget
     except a match, and empty intervals are pruned.  One result per
-    interval, with its fewest differences, sorted by interval.
+    (interval, span), with its fewest differences, sorted by (k, l, span).
     """
     kernel, codes, lengths, dna = check_batch([pattern], max_diff, None, kernel)
     if not dna[0]:
         return []
-    _, k, l, used = inexact_search_many(index, codes, lengths, max_diff, kernel)
-    found = zip(k.tolist(), l.tolist(), used.tolist())
-    return [MatchResult(BwmInterval(k, l), used) for k, l, used in found]
+    _, k, l, used, span = inexact_search_many(index, codes, lengths, max_diff, kernel)
+    found = zip(k.tolist(), l.tolist(), used.tolist(), span.tolist())
+    return [MatchResult(BwmInterval(k, l), used, span) for k, l, used, span in found]
 
 
 def collect_hits(
@@ -103,17 +109,23 @@ def collect_hits(
 ) -> tuple[list[Hit], bool]:
     """Hits of every row of the matches' intervals, fewest diffs per position.
 
-    Hits whose span cannot fit inside a single record are dropped: a
-    match using d differences covers at least pattern_len - d reference
-    characters, so anything forced across a record boundary (or past the
-    end of the reference) is an artifact of concatenation.  Returns the
-    hits sorted by position and whether `max_hits` truncated them.
+    A hit is dropped when the `span` text characters of its match (the
+    pattern's length when None) run past its record's end: such a string
+    exists only in the concatenation of the records.  A span below 1, which
+    no string has, raises ValueError.  Returns the hits sorted by position
+    and whether `max_hits` truncated them.
     """
     kernel = check_batch([], 0, max_hits, kernel)[0]
-    found = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches if not m.interval.is_empty]
-    k, l, diffs = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    found = [
+        (m.interval.k, m.interval.l, m.diffs_used, pattern_len if m.span is None else m.span)
+        for m in matches
+        if not m.interval.is_empty
+    ]
+    k, l, diffs, spans = np.array(found, dtype=np.int64).reshape(-1, 4).T
+    if (spans < 1).any():
+        raise ValueError(f"span {spans[spans < 1][0]} is below 1")
     pattern, record, offset, diffs = locate_hits(
-        index, np.zeros_like(k), k, l, diffs, np.array([pattern_len]), kernel
+        index, np.zeros_like(k), k, l, diffs, spans, kernel
     )
     kept, truncated = cut_hits(pattern, 1, max_hits)
     record, offset, diffs = record[kept], offset[kept], diffs[kept]

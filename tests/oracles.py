@@ -1,38 +1,29 @@
 """Independent reference implementations used to cross-check the package.
 
-The occurrence, search and locate functions below answer one item at a
-time what the library answers in batches: they read one bucket of
-`FmIndex.blocks` and `FmIndex.bases` at a time, count it with a one-row
-`count_blocks` call and share no code with the batch engine in
-`fmpm.batch`, which the library runs.  The text functions (encode,
-is_dna, pack_codes, suffix_array_naive) work one character at a time,
-with no numpy.
+The oracles of answers read the text, not an index: direct scans
+(`scan_positions`, `hamming_positions`), the naive suffix array and the
+transform and counts made from it (`suffix_array_naive`, `naive_bwt`,
+`bwt_prefix_counts`, `sa_interval`), and edit distances by dynamic
+programming (`edits`, `fewest_edits_from`, `edit_hits`).  None repeats a
+rule of the engine in `fmpm.batch`, so a rule the engine gets wrong shows
+as a difference from the text.  The text functions (encode, is_dna,
+pack_codes, suffix_array_naive) work one character at a time, with no
+numpy; the file functions build or edit `.fmi` bytes field by field.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 import zlib
-from bisect import bisect_right
-from typing import Iterable, NamedTuple
+from bisect import bisect_left
+from typing import Iterable
 
 import numpy as np
 
-from fmpm.alphabet import A, AlphabetError
-from fmpm.index import FmIndex, SA_STRIDE
-from fmpm.kernels import BUCKET_BYTES, BUCKET_CHARS, Kernel, count_blocks, resolve_kernel
-from fmpm.search import BwmInterval, Hit, MatchResult
-
-_ZERO = (0, 0, 0, 0)
-
-
-class OccPair(NamedTuple):
-    """Occurrence counts at the two positions an interval update needs."""
-
-    at_low: tuple[int, int, int, int]
-    at_high: tuple[int, int, int, int]
-
+from fmpm.alphabet import AlphabetError
+from fmpm.kernels import BUCKET_BYTES, Kernel, count_blocks
 
 # below one bucket, and at or one off multiples of the sample stride and the bucket
 EDGE_SIZES = sorted(
@@ -143,36 +134,6 @@ def hamming_positions(text: str, pattern: str, max_diff: int) -> list[int]:
     return out
 
 
-def min_anchored_edit_distance(pattern: str, window: str, band: int) -> int:
-    """Min edit distance from pattern to any window prefix of plausible length.
-
-    Both strings anchored at their starts; banded at `band`, so any
-    distance above it comes back as band + 1.  Prefix lengths considered
-    are len(pattern) +- band, clipped to the window.  Window characters may
-    be inserted before the first aligned one (D[0][j] = j), which the
-    search does not allow, so this checks the soundness of a hit only;
-    `fewest_edits_from` gives the search's own answers.
-    """
-    m, w = len(pattern), len(window)
-    inf = band + 1
-    prev = [j if j <= band else inf for j in range(w + 1)]
-    for i in range(1, m + 1):
-        cur = [i if i <= band else inf] + [inf] * w
-        lo = max(1, i - band)
-        hi = min(w, i + band)
-        for j in range(lo, hi + 1):
-            cost = prev[j - 1] + (pattern[i - 1] != window[j - 1])
-            if prev[j] + 1 < cost:
-                cost = prev[j] + 1
-            if cur[j - 1] + 1 < cost:
-                cost = cur[j - 1] + 1
-            cur[j] = cost if cost < inf else inf
-        prev = cur
-    lo = max(0, m - band)
-    hi = min(w, m + band)
-    return min(prev[lo : hi + 1], default=inf)
-
-
 def fewest_edits_from(pattern: str, text: str) -> np.ndarray:
     """Fewest edits of `pattern` against text[p:p+j], over all j >= 1, for every start p.
 
@@ -208,6 +169,84 @@ def fewest_edits_from(pattern: str, text: str) -> np.ndarray:
     return np.where(fits, prev[1:], unreachable).min(axis=0)
 
 
+def edit_hits(
+    text: str, records: Iterable[tuple[str, int, int]], pattern: str, max_diff: int
+) -> list[tuple[str, int, int]]:
+    """(record, offset, fewest edits) of every hit within `max_diff` edits, in text order.
+
+    `fewest_edits_from` on each (name, start, length) record by itself.
+    """
+    hits = []
+    for name, start, length in records:
+        fewest = fewest_edits_from(pattern, text[start : start + length])
+        hits += [(name, p, int(fewest[p])) for p in np.flatnonzero(fewest <= max_diff).tolist()]
+    return hits
+
+
+def edits(pattern: str, window: str) -> int:
+    """Fewest edits that turn `pattern` into all of `window`, as `fewest_edits_from` counts."""
+    prev = [0] + [len(pattern) + len(window) + 1] * len(window)  # no window character first
+    for i, a in enumerate(pattern.upper(), 1):
+        cur = [i]
+        for j, b in enumerate(window.upper(), 1):
+            cur.append(min(prev[j - 1] + (a != b), prev[j] + 1, cur[j - 1] + 1))
+        prev = cur
+    return prev[-1]
+
+
+@functools.lru_cache(maxsize=4)
+def sorted_suffixes(text: str) -> tuple[str, ...]:
+    """The suffixes of text + terminator in row order, uppercase."""
+    full = text.upper() + "$"
+    return tuple(full[p:] for p in suffix_array_naive(text))
+
+
+def sa_interval(text: str, pattern: str) -> tuple[int, int]:
+    """(k, l) of backward search for `pattern`, from the sorted suffixes of `text`.
+
+    Rows k..l start with the pattern, and k suffixes sort below it.  The
+    search stops at the shortest suffix of the pattern that starts no row,
+    so an empty result (k = l + 1) is where that piece would sort.
+    """
+    suffixes = sorted_suffixes(text)
+    k, l = 0, len(text)  # the empty pattern starts every row
+    for i in reversed(range(len(pattern))):
+        piece = pattern[i:].upper()
+        # a suffix starts with the piece when it sorts in [piece, piece + "Z")
+        k, l = bisect_left(suffixes, piece), bisect_left(suffixes, piece + "Z") - 1
+        if k > l:
+            break
+    return k, l
+
+
+def check_edit_intervals(
+    text: str, pattern: str, max_diff: int, found: Iterable[tuple[int, int, int, int]]
+) -> None:
+    """Assert that (k, l, used, span) entries are the search's answer for `pattern` in `text`.
+
+    Each entry names one text string S, the first `span` characters of row
+    k's suffix: rows k..l must be exactly those whose suffixes start with
+    S, and `used` the fewest edits between the pattern and S.  At each text
+    position, the fewest `used` of its rows must equal `fewest_edits_from`
+    wherever that is within `max_diff`.  (The terminator's row, reached by
+    a budget that skips the whole pattern, is no text position.)
+    """
+    suffixes = sorted_suffixes(text)
+    found = list(found)
+    assert len({(k, l, span) for k, l, _, span in found}) == len(found), found
+    best: dict[int, int] = {}
+    for k, l, used, span in found:
+        string = suffixes[k][:span]
+        assert "$" not in string and sa_interval(text, string) == (k, l), (k, l, span)
+        assert edits(pattern, string) == used <= max_diff, (string, used)
+        for row in range(k, l + 1):
+            p = len(text) + 1 - len(suffixes[row])
+            best[p] = min(best.get(p, used), used)
+    best.pop(len(text), None)
+    fewest = fewest_edits_from(pattern, text)
+    assert best == {p: int(fewest[p]) for p in np.flatnonzero(fewest <= max_diff).tolist()}
+
+
 def bwt_prefix_counts(bwt: str, symbol_char: str, k: int) -> int:
     """Occurrences of symbol_char in bwt[0..k] by direct counting."""
     return bwt[: k + 1].count(symbol_char)
@@ -228,13 +267,11 @@ def reference_index_bytes(text: str, records: list[tuple[str, int, int]]) -> byt
     """
     n = len(text)
     sa = suffix_array_naive(text)
-    full = text.upper() + "$"
-    # full[-1] is the terminator, so suffix 0 picks it up
-    bwt = "".join(full[p - 1] for p in sa)
+    bwt = naive_bwt(text)
     codes = [max(0, "ACGT".find(ch)) for ch in bwt]
     c = [0]
     for s in "ACGT":
-        c.append(c[-1] + full.count(s))
+        c.append(c[-1] + text.upper().count(s))
 
     out = bytearray(b"FMPM")
     out += struct.pack("<HHQIIQ", 5, 0, n, 128, 32, bwt.index("$"))
@@ -326,262 +363,3 @@ def unpack_samples(section: bytes, n: int) -> list[int]:
     width = max(1, n.bit_length())
     stream = int.from_bytes(section, "little")
     return [stream >> (j * width) & ((1 << width) - 1) for j in range(n // 32 + 1)]
-
-
-def occ_all(
-    index: FmIndex, k: int, kernel: Kernel | str | None = None, memo: dict | None = None
-) -> tuple[int, int, int, int]:
-    """All four occurrence counts at position k (k == -1 gives zeros).
-
-    Position k is the prefix k % 128 + 1 of bucket k // 128.  The
-    terminator is packed as code 0, so the raw A count is corrected down
-    by one once the prefix covers the sentinel row.  `memo`, a dict made
-    by one oracle call for all of its counts, keeps each position's
-    counts, so the kernel counts each distinct (bucket, prefix) once.
-    """
-    if k == -1:
-        return _ZERO
-    if not 0 <= k <= index.n:
-        raise ValueError(f"position {k} outside [-1, {index.n}]")
-    if memo is not None and k in memo:
-        return memo[k]
-    j, r = divmod(k, BUCKET_CHARS)
-    inside = count_blocks(index.blocks[j : j + 1], np.array([r + 1]), kernel)[0]
-    counts = (index.bases[j] + inside).tolist()
-    if index.sentinel_row <= k:
-        counts[A] -= 1
-    counts = tuple(counts)
-    if memo is not None:
-        memo[k] = counts
-    return counts
-
-
-def occ_pair_all(
-    index: FmIndex,
-    low: int,
-    high: int,
-    kernel: Kernel | str | None = None,
-    memo: dict | None = None,
-) -> OccPair:
-    """Counts for all symbols at two positions, low <= high.
-
-    The workhorse of interval updates, which need Occ at k-1 and l for
-    every candidate symbol.
-    """
-    if low > high:
-        raise ValueError(f"pair positions out of order: {low} > {high}")
-    return OccPair(
-        at_low=occ_all(index, low, kernel, memo), at_high=occ_all(index, high, kernel, memo)
-    )
-
-
-def init_interval(index: FmIndex, symbol: int) -> BwmInterval:
-    """Row range of rotations starting with `symbol`: [c[s]+1, c[s+1]].
-
-    The +1 skips the terminator row, which sorts before everything.
-    """
-    if not 0 <= symbol < 4:
-        raise ValueError(f"symbol code {symbol} outside [0, 4)")
-    return BwmInterval(k=index.c[symbol] + 1, l=index.c[symbol + 1])
-
-
-def extend_backward(
-    index: FmIndex,
-    interval: BwmInterval,
-    symbol: int,
-    kernel: Kernel | str | None = None,
-    memo: dict | None = None,
-) -> BwmInterval:
-    """Narrow an interval to rotations prefixed by one more symbol."""
-    if interval.is_empty:
-        raise ValueError("cannot extend an empty interval")
-    pair = occ_pair_all(index, interval.k - 1, interval.l, kernel, memo)
-    c = index.c[symbol]
-    return BwmInterval(k=c + pair.at_low[symbol] + 1, l=c + pair.at_high[symbol])
-
-
-def exact_search(
-    index: FmIndex, pattern: str, kernel: Kernel | str | None = None
-) -> BwmInterval:
-    """Interval of rows whose rotations start with `pattern`.
-
-    Runs right to left, one interval update per character, stopping as
-    soon as the interval empties.  A pattern with characters outside ACGT
-    yields an empty interval flagged degenerate rather than an error.
-    """
-    if not pattern:
-        raise ValueError("pattern is empty")
-    if not is_dna(pattern):
-        return BwmInterval(k=1, l=0, degenerate=True)
-    kernel = resolve_kernel(kernel)
-    codes = encode(pattern)
-    memo: dict = {}
-    interval = init_interval(index, codes[-1])
-    for symbol in reversed(codes[:-1]):
-        if interval.is_empty:
-            break
-        interval = extend_backward(index, interval, symbol, kernel, memo)
-    return interval
-
-
-def inexact_search(
-    index: FmIndex,
-    pattern: str,
-    max_diff: int,
-    kernel: Kernel | str | None = None,
-) -> list[MatchResult]:
-    """All intervals reachable within `max_diff` edits of `pattern`.
-
-    Explores the edit branches (skip a pattern character, insert a
-    reference character, match, mismatch) with an explicit work stack;
-    every branch spends one unit of budget except a match.  Branch
-    intervals are computed fresh from the interval the loop entered with,
-    and empty intervals are pruned: extending an empty interval can never
-    repopulate it.  Results are deduplicated by interval, keeping the
-    smallest difference count, and sorted for determinism.
-    """
-    if max_diff < 0:
-        raise ValueError(f"difference budget {max_diff} is negative")
-    if not pattern:
-        raise ValueError("pattern is empty")
-    if not is_dna(pattern):
-        return []
-    kernel = resolve_kernel(kernel)
-    codes = encode(pattern)
-    c = index.c
-    memo: dict = {}
-    best: dict[tuple[int, int], int] = {}
-    # (next pattern position, remaining budget, k, l); the full row range
-    # [0, n] makes the first extension coincide with init_interval.
-    stack = [(len(codes) - 1, max_diff, 0, index.n)]
-    while stack:
-        i, budget, k, l = stack.pop()
-        if i < 0:
-            used = max_diff - budget
-            key = (k, l)
-            prev = best.get(key)
-            if prev is None or used < prev:
-                best[key] = used
-            continue
-        if budget > 0:
-            # skip: consume the pattern character without extending
-            stack.append((i - 1, budget - 1, k, l))
-        pair = occ_pair_all(index, k - 1, l, kernel, memo)
-        want = codes[i]
-        for symbol in range(4):
-            base = c[symbol]
-            k2 = base + pair.at_low[symbol] + 1
-            l2 = base + pair.at_high[symbol]
-            if k2 > l2:
-                continue
-            if budget > 0:
-                # insert: extend by a reference character, keep the pattern position
-                stack.append((i, budget - 1, k2, l2))
-            if symbol == want:
-                stack.append((i - 1, budget, k2, l2))
-            elif budget > 0:
-                stack.append((i - 1, budget - 1, k2, l2))
-    return sorted(
-        (
-            MatchResult(interval=BwmInterval(k=k, l=l), diffs_used=used)
-            for (k, l), used in best.items()
-        ),
-        key=lambda m: (m.interval.k, m.interval.l, m.diffs_used),
-    )
-
-
-def psi_inverse_fused(
-    index: FmIndex, i: int, kernel: Kernel | str | None = None
-) -> tuple[int, int] | None:
-    """(symbol at row i, predecessor row) with a single bucket access."""
-    if not 0 <= i <= index.n:
-        raise ValueError(f"row {i} outside [0, {index.n}]")
-    if i == index.sentinel_row:
-        return None
-    j, r = divmod(i, BUCKET_CHARS)
-    symbol = (int(index.blocks[j, r >> 2]) >> ((r & 3) << 1)) & 3
-    inside = count_blocks(index.blocks[j : j + 1], np.array([r + 1]), kernel, np.array([symbol]))
-    count = int(index.bases[j, symbol] + inside[0])
-    if symbol == 0 and index.sentinel_row <= i:
-        count -= 1
-    return symbol, index.c[symbol] + count
-
-
-def locate_row(index: FmIndex, i: int, kernel: Kernel | str | None = None) -> int:
-    """Text position of row i, walking to the nearest sampled row.
-
-    Steps backward through the text until reaching a row whose
-    suffix-array entry is stored (every 32nd row) or the sentinel row
-    (position 0), then adds back the number of steps taken.
-    """
-    kernel = resolve_kernel(kernel)
-    steps = 0
-    while True:
-        if i == index.sentinel_row:
-            return steps
-        if i % SA_STRIDE == 0:
-            return int(index.samples[i // SA_STRIDE]) + steps
-        stepped = psi_inverse_fused(index, i, kernel)
-        assert stepped is not None
-        i = stepped[1]
-        steps += 1
-        if steps > index.n + 1:
-            raise RuntimeError("predecessor walk did not terminate; index is corrupt")
-
-
-def locate_all(
-    index: FmIndex,
-    interval: BwmInterval,
-    diffs: int,
-    pattern_len: int,
-    kernel: Kernel | str | None = None,
-) -> list[Hit]:
-    """Map every row of an interval to a record-relative hit.
-
-    Hits whose span cannot fit inside a single record are dropped: a
-    match using d differences covers at least pattern_len - d reference
-    characters, so anything forced across a record boundary (or past the
-    end of the reference) is an artifact of concatenation.
-    """
-    if interval.is_empty:
-        return []
-    kernel = resolve_kernel(kernel)
-    starts = index.starts.tolist()
-    min_span = max(pattern_len - diffs, 0)
-    hits = []
-    for row in range(interval.k, interval.l + 1):
-        pos = locate_row(index, row, kernel)
-        if pos >= index.n:
-            continue
-        which = bisect_right(starts, pos) - 1
-        offset = pos - starts[which]
-        if offset + min_span > int(index.lengths[which]):
-            continue
-        hits.append(Hit(record=index.names[which], offset=offset, global_pos=pos, diffs=diffs))
-    hits.sort(key=lambda h: h.global_pos)
-    return hits
-
-
-def collect_hits(
-    index: FmIndex,
-    matches: Iterable[MatchResult],
-    pattern_len: int,
-    kernel: Kernel | str | None = None,
-    max_hits: int | None = None,
-) -> tuple[list[Hit], bool]:
-    """Merge hits from several intervals, keeping the fewest diffs per position.
-
-    Returns the sorted hits and whether `max_hits` truncated them.
-    """
-    kernel = resolve_kernel(kernel)
-    best: dict[int, Hit] = {}
-    for match in sorted(matches, key=lambda m: m.diffs_used):
-        for hit in locate_all(index, match.interval, match.diffs_used, pattern_len, kernel):
-            prev = best.get(hit.global_pos)
-            if prev is None or hit.diffs < prev.diffs:
-                best[hit.global_pos] = hit
-    hits = sorted(best.values(), key=lambda h: h.global_pos)
-    truncated = max_hits is not None and len(hits) > max_hits
-    if truncated:
-        hits = hits[:max_hits]
-    return hits, truncated

@@ -26,31 +26,32 @@ from fmpm.batch import (
 from fmpm.cli import EXIT_OK, EXIT_USAGE, main
 from fmpm.index import SA_STRIDE, build_index
 from fmpm.kernels import Kernel
-from fmpm.search import MatchResult
 from fmpm.serialize import IndexFormatError, deserialize_index, serialize_index
 
-import oracles
 from oracles import (
     EDGE_SIZES,
     PERIODIC_TEXTS,
-    collect_hits,
+    bwt_prefix_counts,
+    check_edit_intervals,
     edge_text,
-    exact_search,
-    fewest_edits_from,
-    inexact_search,
+    edit_hits,
     is_dna,
-    occ_all,
+    naive_bwt,
     random_dna,
+    sa_interval,
     suffix_array_naive,
 )
 
 
-# rank_many for all four symbols, then for one symbol per position
+# rank_many for all four symbols, then for one symbol per position, against
+# direct counts in the naive transform
 @pytest.mark.parametrize("n", EDGE_SIZES)
 def test_rank_all4_many_equals_occ_all(n):
-    index = build_index(edge_text(n))
+    text = edge_text(n)
+    index = build_index(text)
     positions = np.arange(-1, n + 1)
-    want = [list(occ_all(index, int(k), Kernel.SCALAR)) for k in positions]
+    bwt = naive_bwt(text)
+    want = [[bwt_prefix_counts(bwt, ch, k) for ch in "ACGT"] for k in positions.tolist()]
     symbol = positions % 4
     for kernel in Kernel:
         got = rank_many(index, positions, None, kernel)
@@ -146,7 +147,7 @@ def test_backward_search_counts_one_symbol_per_step(kernel, monkeypatch):
     index = build_index(text)
     patterns = [text[i : i + 3 + i % 13] for i in range(0, 240, 11)] + ["TTTTTTTT", "ACGTACGA"]
     codes, lengths, _ = encode_batch(patterns)
-    want = [(iv.k, iv.l) for iv in (exact_search(index, p, kernel) for p in patterns)]
+    want = [sa_interval(text, p) for p in patterns]
     want_bounds = difference_bounds(index, codes, lengths, Kernel.BYTELUT).tolist()
     _forbid_all_four(kernel, monkeypatch)
     k, l = exact_search_many(index, codes, lengths, kernel)
@@ -283,14 +284,20 @@ def test_locate_rows_property(case):
                 assert len(stepped) <= 1, kernel
 
 
-def _frontier_triples(index, pattern, max_diff, kernel):
-    _, k, l, used = inexact_search_many(index, *encode_batch([pattern])[:2], max_diff, kernel)
-    return list(zip(k.tolist(), l.tolist(), used.tolist()))
+def _frontier(index, patterns, max_diff, kernel):
+    """(pattern, k, l, used, span) of every string `inexact_search_many` reports."""
+    found = inexact_search_many(index, *encode_batch(patterns)[:2], max_diff, kernel)
+    return list(zip(*(column.tolist() for column in found)))
 
 
-def _search_triples(index, pattern, max_diff):
-    matches = inexact_search(index, pattern, max_diff, Kernel.SCALAR)
-    return [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
+def _check_frontier(text, index, patterns, max_diff):
+    """The frontier's strings for each pattern are the text's, the same under every kernel."""
+    want = _frontier(index, patterns, max_diff, Kernel.SCALAR)
+    for pid, pattern in enumerate(patterns):
+        found = [entry[1:] for entry in want if entry[0] == pid]
+        check_edit_intervals(text, pattern, max_diff, found)
+    for kernel in Kernel:
+        assert _frontier(index, patterns, max_diff, kernel) == want, (patterns, max_diff, kernel)
 
 
 FRONTIER_SIZES = sorted({1, 2, 3, 77} | {m + d for m in (32, 64, 128, 256) for d in (-1, 0, 1)})
@@ -308,10 +315,7 @@ def test_inexact_frontier_equals_inexact_search(text):
     patterns = [text[start : start + 6], random_dna(rng, 4).lower(), random_dna(rng, 7)]
     for pattern in patterns:
         for max_diff in range(4):
-            want = _search_triples(index, pattern, max_diff)
-            for kernel in Kernel:
-                got = _frontier_triples(index, pattern, max_diff, kernel)
-                assert got == want, (pattern, max_diff, kernel)
+            _check_frontier(text, index, [pattern], max_diff)
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,36 +331,39 @@ def test_inexact_frontier_equals_inexact_search(text):
 )
 def test_inexact_frontier_property(text, pattern, data):
     max_diff = data.draw(st.integers(min_value=0, max_value=min(len(pattern) - 1, 3)))
-    index = build_index(text)
-    want = _search_triples(index, pattern, max_diff)
-    for kernel in Kernel:
-        assert _frontier_triples(index, pattern, max_diff, kernel) == want, kernel
+    _check_frontier(text, build_index(text), [pattern], max_diff)
 
 
 def test_inexact_frontier_merges_repeated_states(monkeypatch):
-    # On a periodic text many edit paths reach one (i, k, l) in one round;
-    # the frontier ranks that state once, the per-pattern search once per path.
+    # On a periodic text many edit paths reach one (at, k, l, span) in one
+    # round: each round keeps one state per key and ranks it once.  States
+    # that share (at, k, l) but not span stand for two text strings, and stay.
     text = "ACG" * 90
     index = build_index(text)
-    ranked, pair_calls = [], []
-    rank, pair = fmpm.batch.rank_many, oracles.occ_pair_all
+    rounds, ranked = [], []
+    first_per_key, rank = fmpm.batch._first_per_key, fmpm.batch.rank_many
+
+    def recorded_merge(keys, tiebreak):
+        kept = first_per_key(keys, tiebreak)
+        rounds.append((len(tiebreak), list(zip(*(key[kept].tolist() for key in keys)))))
+        return kept
 
     def counted_rank(index, pos, symbol=None, kernel=None):
-        ranked.append(len(pos))
+        ranked.append(len(pos) * (symbol is None))  # the frontier's, not the bounds' walks
         return rank(index, pos, symbol, kernel)
 
-    def counted_pair(*args):
-        pair_calls.append(1)
-        return pair(*args)
-
+    monkeypatch.setattr(fmpm.batch, "_first_per_key", recorded_merge)
     monkeypatch.setattr(fmpm.batch, "rank_many", counted_rank)
-    monkeypatch.setattr(oracles, "occ_pair_all", counted_pair)
     for pattern in ["ACGACGACGA", "CGTACGACG", "GGACGAC"]:
+        rounds.clear()
         ranked.clear()
-        pair_calls.clear()
-        want = _search_triples(index, pattern, 2)
-        assert _frontier_triples(index, pattern, 2, Kernel.BYTELUT) == want
-        assert sum(ranked) < 2 * len(pair_calls), pattern
+        found = _frontier(index, [pattern], 2, Kernel.BYTELUT)
+        check_edit_intervals(text, pattern, 2, [entry[1:] for entry in found])
+        rounds.pop()  # the final merge, by (pattern, k, l, span)
+        kept = [states for _, states in rounds]
+        assert sum(before for before, _ in rounds) > sum(map(len, kept)), pattern
+        assert any(len({(at, kl) for at, kl, span in states}) < len(states) for states in kept)
+        assert sum(ranked) <= 2 * sum(map(len, kept)), pattern
 
 
 def _batch(text, rng):
@@ -375,11 +382,6 @@ def _batch(text, rng):
     ]
 
 
-def _many_quads(index, patterns, max_diff, kernel):
-    found = inexact_search_many(index, *encode_batch(patterns)[:2], max_diff, kernel)
-    return list(zip(*(column.tolist() for column in found)))
-
-
 @pytest.mark.parametrize(
     "text",
     [edge_text(n) for n in EDGE_SIZES] + PERIODIC_TEXTS,
@@ -389,15 +391,7 @@ def test_inexact_search_many_equals_oracle(text):
     index = build_index(text)
     patterns = _batch(text, random.Random(len(text)))
     for max_diff in (1, 2, 3):
-        want, answers = [], {}
-        for pid, pattern in enumerate(patterns):
-            if pattern not in answers:
-                matches = inexact_search(index, pattern, max_diff, Kernel.BYTELUT)
-                answers[pattern] = [(m.interval.k, m.interval.l, m.diffs_used) for m in matches]
-            want += [(pid, *triple) for triple in answers[pattern]]
-        for kernel in Kernel:
-            got = _many_quads(index, patterns, max_diff, kernel)
-            assert got == want, (max_diff, kernel)
+        _check_frontier(text, index, patterns, max_diff)
 
 
 def _fewest_edits_per_prefix(pattern, text):
@@ -487,22 +481,18 @@ def test_match_many_encodes_a_batch_once(monkeypatch):
         assert len(got.pattern), max_diff
 
 
-def _oracle(index, patterns, max_diff, max_hits):
-    """Expected (stdout, stderr) of `fmpm match`, one pattern at a time."""
+def _oracle(text, records, patterns, max_diff, max_hits):
+    """Expected (stdout, stderr) of `fmpm match`, from the per-record DP."""
     out, err = [], []
     for pid, pattern in enumerate(patterns):
         if not is_dna(pattern):
             err.append(f"pattern {pid} contains non-ACGT characters; reporting zero hits\n")
             continue
-        if max_diff == 0:
-            interval = exact_search(index, pattern, Kernel.SCALAR)
-            matches = [] if interval.is_empty else [MatchResult(interval, 0)]
-        else:
-            matches = inexact_search(index, pattern, max_diff, Kernel.BYTELUT)
-        hits, truncated = collect_hits(index, matches, len(pattern), Kernel.SCALAR, max_hits)
-        if truncated:
+        hits = edit_hits(text, records, pattern, max_diff)
+        if max_hits is not None and len(hits) > max_hits:
             err.append(f"pattern {pid}: hits truncated to {max_hits}\n")
-        out.extend(f"{pid}\t{h.record}\t{h.offset}\t{h.diffs}\n" for h in hits)
+            hits = hits[:max_hits]
+        out.extend(f"{pid}\t{name}\t{offset}\t{diffs}\n" for name, offset, diffs in hits)
     return "".join(out), "".join(err)
 
 
@@ -565,7 +555,7 @@ def test_batched_match_equals_per_pattern_oracle(case):
             assert (code, out) == (EXIT_USAGE, "")
             assert f"pattern {short[0]} has" in err
             return
-        want = (EXIT_OK, *_oracle(index, patterns, max_diff, max_hits))
+        want = (EXIT_OK, *_oracle(text, records, patterns, max_diff, max_hits))
         for kernel in [k.value for k in Kernel]:
             assert _run(argv + ["--kernel", kernel]) == want, kernel
 
@@ -600,10 +590,11 @@ def single_record_cases(draw):
 @pytest.mark.parametrize("kernel", [k.value for k in Kernel])
 def test_inexact_match_equals_the_edit_distance_oracle_on_one_record(kernel, case):
     text, patterns, max_diff = case
-    want = []
-    for pid, pattern in enumerate(patterns):
-        fewest = fewest_edits_from(pattern, text)
-        want += [f"{pid}\tr\t{p}\t{fewest[p]}\n" for p in np.flatnonzero(fewest <= max_diff)]
+    want = [
+        f"{pid}\t{name}\t{offset}\t{diffs}\n"
+        for pid, pattern in enumerate(patterns)
+        for name, offset, diffs in edit_hits(text, [("r", 0, len(text))], pattern, max_diff)
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         fasta, fmi, listed = Path(tmp, "r.fa"), Path(tmp, "r.fmi"), Path(tmp, "patterns.txt")
         fasta.write_text(f">r\n{text}\n")
@@ -611,3 +602,43 @@ def test_inexact_match_equals_the_edit_distance_oracle_on_one_record(kernel, cas
         assert _run(["index", str(fasta), "-o", str(fmi)])[0] == EXIT_OK
         argv = ["match", str(fmi), "-f", str(listed), "-z", str(max_diff), "--kernel", kernel]
         assert _run(argv) == (EXIT_OK, "".join(want), "")
+
+
+@st.composite
+def junction_cases(draw):
+    """2 to 4 records, some periodic, and patterns cut across their junctions."""
+    record = st.text(alphabet="ACGT", min_size=1, max_size=40) | st.builds(
+        lambda unit, n: (unit * n)[:n], st.sampled_from(["A", "AC", "ACG"]), st.integers(1, 40)
+    )
+    records = draw(st.lists(record, min_size=2, max_size=4))
+    text, starts = "".join(records), np.cumsum([0] + [len(r) for r in records]).tolist()
+    max_diff = draw(st.integers(min_value=1, max_value=3))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        # m characters from a start before a junction, up to max_diff of them changed
+        m, junction = draw(st.integers(max_diff + 1, 12)), draw(st.sampled_from(starts[1:-1]))
+        start = draw(st.integers(max(0, junction - m + 1), junction - 1))
+        pattern = list(text[start : start + m].ljust(m, "A"))
+        for _ in range(draw(st.integers(0, max_diff))):
+            pattern[draw(st.integers(0, m - 1))] = draw(st.sampled_from("ACGT"))
+        patterns.append("".join(pattern))
+    spans = [(f"r{j}", a, b - a) for j, (a, b) in enumerate(zip(starts, starts[1:]))]
+    return text.lower() if draw(st.booleans()) else text, spans, patterns, max_diff
+
+
+@settings(max_examples=60, deadline=None)
+@given(junction_cases())
+def test_inexact_match_equals_the_edit_distance_oracle_across_records(case):
+    # no hit's text string crosses a junction, and a hit inside a record is
+    # kept where a string with fewer differences, in the same interval, crosses one
+    text, records, patterns, max_diff = case
+    index = build_index(text, records)
+    want = [
+        (pid, *hit)
+        for pid, pattern in enumerate(patterns)
+        for hit in edit_hits(text, records, pattern, max_diff)
+    ]
+    for kernel in Kernel:
+        hits = match_many(index, patterns, max_diff, kernel)
+        got = zip(*(column.tolist() for column in hits[:4]))
+        assert [(pid, index.names[r], o, d) for pid, r, o, d in got] == want, kernel

@@ -340,11 +340,10 @@ def test_multi_record_offsets(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-# Above -z 0, locate knows only that a hit with d differences covers at least
-# m - d characters, and intervals are merged without the length of text they
-# stand for, so a hit can cross a record junction, and one inside a record can
-# be lost to an exact match that crosses one
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="-z hits at record junctions")
+# Above -z 0 one interval stands for text strings of several lengths, so the
+# search keeps each string's span and locate drops a hit whose span crosses
+# its record's end: a hit may not cross a junction, and one inside a record is
+# not lost to a string with fewer differences that crosses one
 @pytest.mark.parametrize(
     "fasta, pattern, line, reported",
     [

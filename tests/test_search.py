@@ -17,7 +17,7 @@ from fmpm.search import (
 )
 from fmpm.suffix import suffix_array
 
-from oracles import hamming_positions, min_anchored_edit_distance, random_dna, scan_positions
+from oracles import edit_hits, hamming_positions, random_dna, scan_positions
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def test_exact_search_kernels_identical():
 
 def test_inexact_zero_budget_equals_exact(acag):
     matches = inexact_search(acag, "AG", 0)
-    assert matches == [MatchResult(BwmInterval(2, 2), 0)]
+    assert matches == [MatchResult(BwmInterval(2, 2), 0, 2)]
     assert inexact_search(acag, "T", 0) == []
 
 
@@ -137,10 +137,11 @@ def test_inexact_zero_reduction_randomized():
             if exact.is_empty:
                 assert matches == []
             else:
-                assert matches == [MatchResult(BwmInterval(exact.k, exact.l), 0)]
+                assert matches == [MatchResult(BwmInterval(exact.k, exact.l), 0, m)]
 
 
 def test_inexact_soundness_randomized():
+    # every hit, and every position, with its fewest edits from the DP
     rng = random.Random(56)
     for _ in range(15):
         text = random_dna(rng, rng.randint(50, 300))
@@ -151,11 +152,8 @@ def test_inexact_soundness_randomized():
             pattern = text[start : start + m] if rng.random() < 0.5 else random_dna(rng, m)
             matches = inexact_search(index, pattern, z)
             hits, _ = collect_hits(index, matches, m)
-            for hit in hits:
-                window = text[hit.global_pos : hit.global_pos + m + z]
-                dist = min_anchored_edit_distance(pattern, window, z)
-                assert dist <= z, (pattern, hit, window)
-                assert hit.diffs <= z
+            want = edit_hits(text, [("ref", 0, len(text))], pattern, z)
+            assert [(h.record, h.offset, h.diffs) for h in hits] == want, (pattern, z)
 
 
 def test_inexact_hamming_complete_randomized():

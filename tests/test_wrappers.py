@@ -1,10 +1,10 @@
 """The library functions of `fmpm.search`, and the rank, LF-step and locate
-functions of `fmpm.batch`, against the per-item oracles under every
-kernel, and against `match_many`, whose checks they share.
+functions of `fmpm.batch`, under every kernel, against oracles that read
+the text: the naive suffix array and transform, and edit distances by
+dynamic programming, record by record for hits.
 
 Each `fmpm.search` function is a wrapper over the batch engine with no
-checks of its own; the oracles in `oracles.py` read the index one bucket
-at a time with the scalar kernel and share no code with that engine.
+checks of its own, so it also refuses what `match_many` refuses.
 """
 
 import random
@@ -21,6 +21,7 @@ from fmpm.index import build_index
 from fmpm.kernels import Kernel
 from fmpm.search import (
     BwmInterval,
+    Hit,
     MatchResult,
     collect_hits,
     exact_search,
@@ -37,12 +38,15 @@ IDS = [f"n{n}" for n in EDGE_SIZES] + [f"periodic{j}" for j in range(len(PERIODI
 PAIR_GAPS = (0, 1, 5, 127, 128, 200)
 
 
-def _indexed(text):
-    """The index of `text` cut into up to three records, so locate drops hits."""
+def _records(text):
+    """`text` cut into up to three records, so locate drops hits."""
     n = len(text)
     bounds = sorted({0, n // 3, 2 * n // 3, n})
-    records = [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    return build_index(text, records)
+    return [(f"r{i}", a, b - a) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def _indexed(text):
+    return build_index(text, _records(text))
 
 
 def _patterns(text, count, rng):
@@ -59,19 +63,26 @@ def _patterns(text, count, rng):
     return out
 
 
+def _want_hits(text, pattern, max_diff, max_hits):
+    """(record, offset, diffs) of each hit and the truncated flag, from the per-record DP."""
+    dna = oracles.is_dna(pattern)
+    hits = oracles.edit_hits(text, _records(text), pattern, max_diff) if dna else []
+    cut = len(hits) if max_hits is None else max_hits
+    return hits[:cut], len(hits) > cut
+
+
 @pytest.mark.parametrize("text", TEXTS, ids=IDS)
 def test_occ_wrappers_equal_oracles(text):
     index = _indexed(text)
     n = index.n
+    bwt = oracles.naive_bwt(text)
     positions = np.arange(-1, n + 1)
-    want_all = [list(oracles.occ_all(index, int(k), SCALAR)) for k in positions]
+    counts = oracles.bwt_prefix_counts
+    want_all = [[counts(bwt, ch, k) for ch in "ACGT"] for k in positions.tolist()]
     symbol = positions % 4
     want_one = [row[s] for row, s in zip(want_all, symbol.tolist())]
     highs = np.minimum(n, positions + np.take(PAIR_GAPS, positions % len(PAIR_GAPS)))
-    want_pairs = []
-    for k, high in zip(positions.tolist(), highs.tolist()):
-        pair = oracles.occ_pair_all(index, k, high, SCALAR)
-        want_pairs.append([list(pair.at_low), list(pair.at_high)])
+    want_pairs = [[want_all[k + 1], want_all[high + 1]] for k, high in zip(positions, highs)]
     for kernel in Kernel:
         assert rank_many(index, positions, None, kernel).tolist() == want_all, kernel
         assert rank_many(index, positions, symbol, kernel).tolist() == want_one, kernel
@@ -85,12 +96,14 @@ def test_occ_wrappers_equal_oracles(text):
 
 @pytest.mark.parametrize("text", TEXTS, ids=IDS)
 def test_bwt_char_and_psi_inverse_equal_oracle(text):
+    # row i holds the character before suffix SA[i], and steps to that suffix's row
     index = _indexed(text)
-    stepped = [oracles.psi_inverse_fused(index, i, SCALAR) for i in range(index.n + 1)]
-    assert stepped[index.sentinel_row] is None
+    sa, bwt = oracles.suffix_array_naive(text), oracles.naive_bwt(text)
     rows = np.delete(np.arange(index.n + 1), index.sentinel_row)
-    want_symbol, want_row = (list(column) for column in zip(*(stepped[i] for i in rows)))
+    want_symbol = ["ACGT".index(bwt[i]) for i in rows]
+    want_row = np.argsort(sa)[np.take(sa, rows) - 1].tolist()
     # the sentinel row reads as A, the code the terminator is packed as
+    assert sa[index.sentinel_row] == 0
     assert bwt_symbols(index, [index.sentinel_row]).tolist() == [0]
     assert bwt_symbols(index, rows).tolist() == want_symbol
     for kernel in Kernel:
@@ -103,22 +116,23 @@ def test_exact_search_equals_oracle(text):
     index = _indexed(text)
     patterns = _patterns(text, 16, random.Random(len(text))) + ["ANG", "n", "acgT"]
     for pattern in patterns:
-        want = oracles.exact_search(index, pattern, SCALAR)
+        dna = oracles.is_dna(pattern)
+        want = BwmInterval(*oracles.sa_interval(text, pattern)) if dna else BwmInterval(1, 0, True)
         for kernel in Kernel:
             # empty results included: the same (k, l) bounds and degenerate flag
             assert tuple(exact_search(index, pattern, kernel)) == tuple(want), (pattern, kernel)
     # one interval update: rank k - 1 and l for the new symbol
     symbols = np.tile(np.arange(4), 2)
     c = np.asarray(index.c[:4])
-    for first in range(4):
-        interval = oracles.init_interval(index, first)
+    for first in "ACGT":
+        interval = BwmInterval(*oracles.sa_interval(text, first))
         if interval.is_empty:
             continue
-        want = [oracles.extend_backward(index, interval, s, SCALAR) for s in range(4)]
+        want = [oracles.sa_interval(text, s + first) for s in "ACGT"]
         pos = np.repeat([interval.k - 1, interval.l], 4)
         for kernel in Kernel:
             low, high = np.split(rank_many(index, pos, symbols, kernel), 2)
-            got = [BwmInterval(int(k), int(l)) for k, l in zip(c + low + 1, c + high)]
+            got = [(int(k), int(l)) for k, l in zip(c + low + 1, c + high)]
             assert got == want, (first, kernel)
 
 
@@ -130,17 +144,21 @@ def test_inexact_search_and_collect_hits_equal_oracles(text):
     pattern = text[start : start + 6]
     # a budget of the pattern's length or more is refused, as in match_many
     for max_diff in range(min(4, len(pattern))):
-        want = oracles.inexact_search(index, pattern, max_diff, SCALAR)
+        want = inexact_search(index, pattern, max_diff, SCALAR)
+        found = [(m.interval.k, m.interval.l, m.diffs_used, m.span) for m in want]
+        oracles.check_edit_intervals(text, pattern, max_diff, found)
         for kernel in Kernel:
             assert inexact_search(index, pattern, max_diff, kernel) == want, (max_diff, kernel)
-    assert inexact_search(index, "ANG", 1) == oracles.inexact_search(index, "ANG", 1) == []
+    assert inexact_search(index, "ANG", 1) == []
     # intervals overlap, and one position can be reached with 0 or 1 differences
-    matches = oracles.inexact_search(index, pattern, 1, SCALAR)
+    # (a one-character pattern, cut from a text that short, has no budget)
+    max_diff = min(1, len(pattern) - 1)
+    matches = inexact_search(index, pattern, max_diff, SCALAR)
     for max_hits in (None, 0, 1):
-        want = oracles.collect_hits(index, matches, len(pattern), SCALAR, max_hits)
+        hits, truncated = _want_hits(text, pattern, max_diff, max_hits)
         for kernel in Kernel:
-            got = collect_hits(index, matches, len(pattern), kernel, max_hits)
-            assert got == want, (max_hits, kernel)
+            got, cut = collect_hits(index, matches, len(pattern), kernel, max_hits)
+            assert ([(h.record, h.offset, h.diffs) for h in got], cut) == (hits, truncated), kernel
     assert collect_hits(index, [], 3) == ([], False)
 
 
@@ -148,24 +166,29 @@ def test_inexact_search_and_collect_hits_equal_oracles(text):
 def test_locate_and_reconstruct_equal_oracles(text):
     index = _indexed(text)
     n = index.n
+    sa = oracles.suffix_array_naive(text)
     rows = sorted({*range(0, n + 1, 37), index.sentinel_row, n})
-    want = [oracles.locate_row(index, i, SCALAR) for i in rows]
     # every row but the sentinel's holds the character before its suffix
     others = np.delete(np.arange(n + 1), index.sentinel_row)
     for kernel in Kernel:
-        assert locate_rows(index, rows, kernel).tolist() == want, kernel
+        assert locate_rows(index, rows, kernel).tolist() == [sa[i] for i in rows], kernel
         codes = np.zeros(n, dtype=np.uint8)
         codes[locate_rows(index, others, kernel) - 1] = bwt_symbols(index, others)
         assert "".join("ACGT"[c] for c in codes.tolist()) == text.upper(), kernel
     rng = random.Random(len(text) + 2)
     # row 0 is the terminator's suffix, at position n, which is never a hit
     intervals = [BwmInterval(0, min(n, 40)), BwmInterval(3, 2)]
-    intervals += [oracles.exact_search(index, p, SCALAR) for p in _patterns(text, 4, rng)]
+    intervals += [BwmInterval(*oracles.sa_interval(text, p)) for p in _patterns(text, 4, rng)]
     for j, interval in enumerate(intervals):
-        diffs = j % 3  # a hit must fit 4 - diffs characters inside its record
-        want = oracles.locate_all(index, interval, diffs, 4, SCALAR)
+        # a hit must fit its span, the pattern length 4 when None, inside its record
+        diffs, span = j % 3, (None, 1, 3)[j % 3]
+        want = []
+        for p in sorted(sa[interval.k : interval.l + 1]):
+            name, start, length = [r for r in _records(text) if r[1] <= p][-1]
+            if p - start + (span or 4) <= length:
+                want.append(Hit(name, p - start, p, diffs))
         for kernel in Kernel:
-            got, _ = collect_hits(index, [MatchResult(interval, diffs)], 4, kernel)
+            got, _ = collect_hits(index, [MatchResult(interval, diffs, span)], 4, kernel)
             assert got == want, (interval, kernel)
 
 
@@ -183,6 +206,10 @@ def test_bad_arguments_raise_before_the_engine(monkeypatch):
         lambda: inexact_search(index, "", 1),
         lambda: inexact_search(index, "ACG", 3),
         lambda: collect_hits(index, [], 1, None, -1),
+        # a string has at least one character; row 0 is the terminator's
+        lambda: collect_hits(index, [MatchResult(BwmInterval(0, 2), 0, 0)], 3),
+        lambda: collect_hits(index, [MatchResult(BwmInterval(0, 2), 0)], 0),
+        lambda: collect_hits(index, [MatchResult(BwmInterval(0, 2), 0, -3)], 3),
     ]
     bad_kernel = "no-such-kernel"
     calls += [
@@ -254,17 +281,20 @@ def single_queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(single_queries())
 def test_per_pattern_calls_equal_match_many(query):
+    # both equal the per-record DP, or refuse the query with one message
     text, pattern, max_diff, max_hits = query
     index = _indexed(text)
     names = index.names
+    want = None if len(pattern) <= max_diff else _want_hits(text, pattern, max_diff, max_hits)
     for kernel in Kernel:
         try:
             hits = match_many(index, [pattern], max_diff, kernel, max_hits)
         except ValueError as refused:
+            assert want is None
             with pytest.raises(ValueError) as also:
                 _per_pattern(index, pattern, max_diff, kernel, max_hits)
             assert str(also.value) == str(refused), kernel
             continue
         found = zip(hits.record.tolist(), hits.offset.tolist(), hits.diffs.tolist())
-        want = ([(names[r], o, d) for r, o, d in found], bool(hits.truncated[0]))
+        assert ([(names[r], o, d) for r, o, d in found], bool(hits.truncated[0])) == want, kernel
         assert _per_pattern(index, pattern, max_diff, kernel, max_hits) == want, kernel
