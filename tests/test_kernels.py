@@ -137,45 +137,6 @@ def test_bytelut_has_one_body(monkeypatch):
         _count("bytelut", [FIG_BLOCK], [32])
 
 
-def test_trace_identity_raw_equals_ceiling_minus_sad():
-    rng = random.Random(21)
-    blocks = [random_bucket(rng) for _ in range(40)]
-    want = scalar_counts(block_rows(blocks), np.full(len(blocks), BUCKET_CHARS))
-    for block, counts in zip(blocks, want):
-        for symbol in range(4):
-            trace = trace_nibble(block, BUCKET_CHARS, symbol)
-            assert trace.raw_count == 8160 - trace.sad_total
-            assert trace.raw_count == counts[symbol]
-
-
-def _assert_kernels_agree(blocks, prefix_lens, symbols):
-    """Every kernel's one-symbol `count_blocks` rows equal the `scalar` rows."""
-    rows, prefix_lens, symbols = block_rows(blocks), np.array(prefix_lens), np.array(symbols)
-    want = count_blocks(rows, prefix_lens, Kernel.SCALAR, symbols)
-    for kernel in (Kernel.BYTELUT, Kernel.NIBBLE, Kernel.SIMD):
-        bad = np.flatnonzero(count_blocks(rows, prefix_lens, kernel, symbols) != want)
-        assert not len(bad), (kernel, bad[0], prefix_lens[bad[0]], symbols[bad[0]])
-
-
-def test_kernels_agree_randomized():
-    rng = random.Random(22)
-    cases = [
-        (random_bucket(rng), rng.randint(0, BUCKET_CHARS), rng.randrange(4)) for _ in range(400)
-    ]
-    _assert_kernels_agree(*zip(*cases))
-
-
-def test_kernels_agree_all_prefix_lengths():
-    rng = random.Random(23)
-    cases = [
-        (block, prefix_len, symbol)
-        for block in [random_bucket(rng) for _ in range(4)]
-        for prefix_len in range(BUCKET_CHARS + 1)
-        for symbol in range(4)
-    ]
-    _assert_kernels_agree(*zip(*cases))
-
-
 # every (prefix length, symbol) pair, one row each
 _PREFIX_SYMBOL_CASES = [(p, s) for p in range(BUCKET_CHARS + 1) for s in range(4)]
 
@@ -205,27 +166,8 @@ def test_count_blocks_equals_scalar_oracle(fill, m):
             assert got.tolist() == [w[s] for w, s in zip(want, symbols.tolist())], kernel
 
 
-def test_all4_matches_singles_and_sums_to_prefix():
-    rng = random.Random(24)
-    cases = [(random_bucket(rng), rng.randint(0, BUCKET_CHARS)) for _ in range(60)]
-    blocks, prefix_lens = zip(*cases)
-    want = scalar_counts(block_rows(blocks), np.array(prefix_lens))
-    assert [sum(counts) for counts in want] == list(prefix_lens)
-    for kernel in Kernel:
-        assert _count(kernel, blocks, prefix_lens) == want, kernel
-
-
 def test_all4_known_block():
     assert _count(None, [FIG_BLOCK], [32]) == [[9, 5, 6, 12]]
-
-
-def test_counts_are_monotone_in_prefix():
-    rng = random.Random(25)
-    block = random_bucket(rng)
-    prefix_lens = range(1, BUCKET_CHARS + 1)
-    for symbol in range(4):
-        counts = _count(Kernel.NIBBLE, [block] * BUCKET_CHARS, prefix_lens, [symbol] * BUCKET_CHARS)
-        assert {cur - prev for prev, cur in zip([0, *counts], counts)} <= {0, 1}
 
 
 def test_partial_bucket_padding_not_counted():

@@ -1,7 +1,10 @@
-"""The library functions of `fmpm.search`, and the rank, LF-step and locate
-functions of `fmpm.batch`, under every kernel, against oracles that read
-the text: the naive suffix array and transform, and edit distances by
-dynamic programming, record by record for hits.
+"""Rank, LF and locate (`rank_many`, `lf_step` and `locate_rows` of
+`fmpm.batch`, and `fmpm.index.bwt_symbols`) and the one-pattern functions
+of `fmpm.search`, under every kernel, against oracles that read the text:
+the naive suffix array and transform, direct scans, and edit distances by
+dynamic programming, record by record for hits.  The batch engine under
+them, the bounded-difference frontier included, is checked in
+`test_batch.py`.
 
 Each `fmpm.search` function is a wrapper over the batch engine with no
 checks of its own, so it also refuses what `match_many` refuses.
@@ -118,9 +121,13 @@ def test_exact_search_equals_oracle(text):
     for pattern in patterns:
         dna = oracles.is_dna(pattern)
         want = BwmInterval(*oracles.sa_interval(text, pattern)) if dna else BwmInterval(1, 0, True)
+        # the rows of the oracle's interval, none when it is empty
+        rows = max(0, want.l - want.k + 1)
         for kernel in Kernel:
             # empty results included: the same (k, l) bounds and degenerate flag
-            assert tuple(exact_search(index, pattern, kernel)) == tuple(want), (pattern, kernel)
+            got = exact_search(index, pattern, kernel)
+            assert tuple(got) == tuple(want), (pattern, kernel)
+            assert (got.width, got.is_empty) == (rows, not rows), (pattern, kernel)
     # one interval update: rank k - 1 and l for the new symbol
     symbols = np.tile(np.arange(4), 2)
     c = np.asarray(index.c[:4])
