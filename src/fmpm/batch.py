@@ -279,9 +279,11 @@ def locate_rows(
     resolved after the walks, along chains of such meetings, by pointer
     jumping.  Raises ValueError naming the first row outside [0, n], and
     IndexFormatError, as a load does for a bad file, when a position falls
-    outside [0, n] or a walk does not terminate (no stop row within n + 1
-    steps, or meetings that form a cycle): only a corrupt sample or
-    transform does that.
+    outside [0, n] or meetings form a cycle: only a corrupt sample or
+    transform does that.  LF maps the rows other than the sentinel's
+    one-to-one onto rows 1..n, so every walk is back at its own row, a
+    stop row, within n + 1 steps; the IndexFormatError for a walk longer
+    than that catches an engine fault, which would otherwise loop forever.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):

@@ -134,8 +134,6 @@ def format_tsv(reports: list[BenchReport]) -> str:
 
 def format_summary(reports: list[BenchReport]) -> str:
     """Human-readable table with speedups relative to the slowest kernel."""
-    if not reports:
-        return "no kernels benchmarked"
     slowest = min(r.bucket_counts_per_sec for r in reports)
     lines = [
         f"{'kernel':<8} {'buckets/s':>12} {'exact q/s':>10} {'inexact q/s':>12} "

@@ -21,16 +21,9 @@ SA_STRIDE = 32
 # both go once it times `count_blocks` on `blocks` itself
 @dataclass(frozen=True)
 class OccBucket:
-    """Counter block covering 128 transform characters.
+    """One 128-character bucket: chars is its 32-byte packed block,
+    zero-padded past the end of the transform."""
 
-    base[s] holds the number of occurrences of symbol s strictly before
-    this bucket, counted over the raw packed transform (the terminator is
-    packed as code 0 and therefore included in the A lane; queries correct
-    for it).  chars is the 32-byte packed block, zero-padded past the end
-    of the transform.
-    """
-
-    base: tuple[int, int, int, int]
     chars: bytes
 
 
@@ -124,11 +117,7 @@ class FmIndex:
     # one bucket at a time, for perfbench/traced.py's `kernel_layer`, its only caller
     @cached_property
     def buckets(self) -> tuple[OccBucket, ...]:
-        blocks = self.blocks.tobytes()
-        return tuple(
-            OccBucket(base=tuple(base), chars=blocks[j * BUCKET_BYTES : (j + 1) * BUCKET_BYTES])
-            for j, base in enumerate(self.bases.tolist())
-        )
+        return tuple(OccBucket(block.tobytes()) for block in self.blocks)
 
 
 def build_index(
@@ -231,9 +220,9 @@ def check_index(index: FmIndex) -> None:
     transform's totals, such as two fields swapped inside one block or
     compensating changes in two blocks, a sample rewritten to another
     value within [0, n], or the sentinel row moved to another row that
-    holds an A field.  Such a transform can send a predecessor walk round
-    a cycle; `fmpm.batch.locate_rows` raises for that, whether the walk
-    never reaches a stop row or walks meet each other in a cycle.
+    holds an A field.  Such a transform can send predecessor walks round
+    a cycle, and such a sample can put a position outside [0, n];
+    `fmpm.batch.locate_rows` raises for both.
     """
     n = index.n
     if n <= 0:

@@ -212,6 +212,28 @@ def test_locate_rows_rejects_cycles_among_located_rows(rows):
         locate_rows(_two_cycles(), np.array(rows))
 
 
+def test_locate_rows_rejects_a_sample_outside_the_text():
+    # a sample rewritten to n passes check_index; a walk that meets its row lands past n
+    samples = _CYCLE_INDEX.samples.copy()
+    samples[3] = _CYCLE_INDEX.n
+    index = dataclasses.replace(_CYCLE_INDEX, samples=samples)
+    with pytest.raises(IndexFormatError, match="a sampled position lies outside"):
+        locate_rows(index, np.arange(index.n + 1))
+
+
+def test_locate_rows_stops_a_walk_that_never_ends(monkeypatch):
+    # no index check_index accepts sends a walk past n + 1 steps: only an
+    # engine fault does, here an LF step that keeps returning one non-stop row
+    assert _CYCLE_INDEX.sentinel_row not in (1, 2)
+
+    def stuck_lf_step(index, rows, kernel=None):
+        return np.zeros(len(rows), dtype=np.int64), np.full(len(rows), 2)
+
+    monkeypatch.setattr(fmpm.batch, "lf_step", stuck_lf_step)
+    with pytest.raises(IndexFormatError, match="did not terminate; index is corrupt"):
+        locate_rows(_CYCLE_INDEX, np.array([1]))
+
+
 def _own_walk_steps(text, rows):
     """LF steps the rows take when each walks alone to a sampled row or the sentinel row."""
     sa = suffix_array_naive(text)

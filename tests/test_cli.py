@@ -115,6 +115,7 @@ def test_usage_errors(acag_index):
     assert main(["match", str(acag_index), "-p", ""]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main(["match", str(acag_index), "-p", "CA", "--kernel", "bogus"]) == EXIT_USAGE
+    assert main(["bench", str(acag_index), "--iters", "0"]) == EXIT_USAGE
 
 
 def test_budget_at_pattern_length_rejected(acag_index, tmp_path, capsys):

@@ -203,5 +203,5 @@ def test_benchmark_one_row_readers_equal_count_blocks():
     for n in EDGE_SIZES:
         index = build_index(edge_text(n))
         assert len(index.buckets) == len(index.blocks), n
-        for bucket, block, base in zip(index.buckets, index.blocks, index.bases.tolist()):
-            assert bucket.chars == block.tobytes() and bucket.base == tuple(base), n
+        for bucket, block in zip(index.buckets, index.blocks):
+            assert bucket.chars == block.tobytes(), n
